@@ -21,11 +21,16 @@ class Graph:
     __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("vertex count must be a non-negative integer")
         adj: list[set[int]] = [set() for _ in range(n)]
         for e in edges:
-            u, v = e
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                u = v = None
+            if type(u) is not int or type(v) is not int:  # also rejects bools
+                raise ValueError(f"edge {e!r} is not a pair of integer vertices")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -68,7 +73,11 @@ class Graph:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Graph":
-        if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
+        if (
+            not isinstance(obj, dict)
+            or "n" not in obj
+            or not isinstance(obj.get("edges"), list)
+        ):
             raise ValueError('graph JSON must be {"n": int, "edges": [[u, v], ...]}')
         return cls(obj["n"], obj["edges"])
 

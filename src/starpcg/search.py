@@ -10,7 +10,6 @@ from __future__ import annotations
 import multiprocessing
 import random
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import Iterable, Sequence
 
 from .graphs import Graph
@@ -51,31 +50,52 @@ class SearchResult:
     infeasible_count: int
 
 
-def _pairs_and_flags(graph: Graph) -> tuple[list[tuple[int, int]], list[bool]]:
-    pairs = [(u, v) for u in range(graph.n) for v in range(u + 1, graph.n)]
-    flags = [graph.has_edge(u, v) for u, v in pairs]
-    return pairs, flags
+def _adjacency_rows(graph: Graph) -> list[tuple[int, ...]]:
+    """rows[i][j] for j < i: +1 when ij is an edge, -1 when it is a non-edge."""
+    return [
+        tuple(1 if graph.has_edge(i, j) else -1 for j in range(i))
+        for i in range(graph.n)
+    ]
 
 
-def _run_count(w: Sequence[int], pairs: list[tuple[int, int]], flags: list[bool]) -> int | None:
-    """Interval count for a weight vector, or None on an edge/non-edge sum tie."""
-    items = sorted(zip((w[u] + w[v] for u, v in pairs), flags))
+# The kernel keeps a dict sum -> signed count of the pairs placed so far:
+# +c for c edge pairs with that sum, -c for c non-edge pairs.  No entry ever
+# mixes the two, because a sum shared by an edge and a non-edge is a tie no
+# interval set can separate, and every weight vector extending it is
+# infeasible.
+
+
+def _place(sums: dict[int, int], row: tuple[int, ...], w: Sequence[int], i: int) -> bool:
+    """Add the sums of vertex i with vertices 0..i-1; on a tie undo them and return False."""
+    wi = w[i]
+    for j, sign in enumerate(row):
+        s = wi + w[j]
+        c = sums.get(s, 0)
+        if c * sign < 0:
+            _unplace(sums, row[:j], w, i)
+            return False
+        sums[s] = c + sign
+    return True
+
+
+def _unplace(sums: dict[int, int], row: tuple[int, ...], w: Sequence[int], i: int) -> None:
+    """Remove the sums of vertex i with vertices 0..len(row)-1."""
+    wi = w[i]
+    for j, sign in enumerate(row):
+        s = wi + w[j]
+        c = sums[s] - sign
+        if c:
+            sums[s] = c
+        else:
+            del sums[s]
+
+
+def _runs(sums: dict[int, int]) -> int:
+    """Interval count of a tie-free sum table: the maximal runs of edge sums."""
     k = 0
     in_run = False
-    i = 0
-    m = len(items)
-    while i < m:
-        s = items[i][0]
-        has_edge = has_non = False
-        while i < m and items[i][0] == s:
-            if items[i][1]:
-                has_edge = True
-            else:
-                has_non = True
-            i += 1
-        if has_edge and has_non:
-            return None
-        if has_edge:
+    for s in sorted(sums):
+        if sums[s] > 0:
             if not in_run:
                 k += 1
                 in_run = True
@@ -96,44 +116,82 @@ class _ChunkStats:
         if self.histogram is None:
             self.histogram = {}
 
+    def record(self, k: int, vec: tuple[int, ...], target_k: int | None) -> bool:
+        """Count one feasible vector; True when it is the first target_k hit."""
+        self.explored += 1
+        self.histogram[k] = self.histogram.get(k, 0) + 1
+        if self.best is None or (k, vec) < self.best:
+            self.best = (k, vec)
+        if target_k is not None and k <= target_k:
+            self.first_hit = vec
+            return True
+        return False
 
-def _scan_vectors(
-    vectors: Iterable[tuple[int, ...]],
-    pairs: list[tuple[int, int]],
-    flags: list[bool],
-    target_k: int | None,
-    orbit: tuple[int, ...] = (),
+
+def _scan_random(
+    rows: list[tuple[int, ...]], vectors: Iterable[tuple[int, ...]], target_k: int | None
 ) -> _ChunkStats:
-    """Evaluate vectors in order, stopping at the first target_k hit."""
+    """Score vectors in order, stopping at the first target_k hit.
+
+    Each vector is placed vertex by vertex and dropped at its first tie.
+    """
     stats = _ChunkStats()
     for vec in vectors:
-        if orbit and any(vec[v] < vec[0] for v in orbit):
-            continue  # an automorphism moves a smaller weight onto vertex 0
-        k = _run_count(vec, pairs, flags)
-        stats.explored += 1
-        if k is None:
+        sums: dict[int, int] = {}
+        if all(_place(sums, rows[i], vec, i) for i in range(1, len(rows))):
+            if stats.record(_runs(sums), vec, target_k):
+                break
+        else:
+            stats.explored += 1
             stats.infeasible += 1
-            continue
-        stats.histogram[k] = stats.histogram.get(k, 0) + 1
-        if stats.best is None or (k, vec) < stats.best:
-            stats.best = (k, vec)
-        if target_k is not None and k <= target_k:
-            stats.first_hit = vec
-            break
     return stats
 
 
 def _scan_chunk(args) -> _ChunkStats:
-    n, bound, pairs, flags, w0_values, target_k, orbit = args
+    """Depth-first census of every vector whose first weight is w0.
+
+    Prefixes are extended in lexicographic order, so leaves arrive in the
+    order of a plain scan of {0..W}^n.  A prefix whose sums already tie is
+    not descended: all its completions are counted as explored and
+    infeasible at once.  With symmetry pruning, the vertices of vertex 0's
+    orbit other than 0 only take weights >= w0; the skipped vectors are not
+    counted.
+    """
+    rows, bound, w0, target_k, orbit = args
+    n = len(rows)
+    stats = _ChunkStats()
     if n == 1:
-        vectors: Iterable[tuple[int, ...]] = ((w0,) for w0 in w0_values)
-    else:
-        vectors = (
-            (w0,) + rest
-            for w0 in w0_values
-            for rest in product(range(bound + 1), repeat=n - 1)
-        )
-    return _scan_vectors(vectors, pairs, flags, target_k, orbit)
+        stats.record(0, (w0,), target_k)
+        return stats
+    w = [w0] + [0] * (n - 1)
+    lows = [w0 if v in orbit else 0 for v in range(n)]
+    # completions[i]: vectors sharing one prefix of length i
+    completions = [1] * (n + 1)
+    for v in range(n - 1, 0, -1):
+        completions[v] = completions[v + 1] * (bound + 1 - lows[v])
+    sums: dict[int, int] = {}
+
+    def descend(i: int) -> bool:
+        row = rows[i]
+        leaf = i == n - 1
+        subtree = completions[i + 1]
+        for x in range(lows[i], bound + 1):
+            w[i] = x
+            if not _place(sums, row, w, i):
+                stats.explored += subtree
+                stats.infeasible += subtree
+                continue
+            if leaf:
+                hit = stats.record(_runs(sums), tuple(w), target_k)
+            else:
+                hit = descend(i + 1)
+            _unplace(sums, row, w, i)
+            if hit:
+                return True
+        return False
+
+    descend(1)
+    return stats
 
 
 def _merge_chunks(chunks: list[_ChunkStats]) -> _ChunkStats:
@@ -215,26 +273,26 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
 def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
     """Scan weight vectors in {0..W}^n for the fewest intervals realizing `graph`.
 
-    Exhaustive mode scans lexicographically (optionally split across jobs);
-    random mode draws `trials` vectors from a seeded generator.  Ties on the
-    interval count are broken toward the lexicographically smallest vector.
+    Exhaustive mode is a census in lexicographic order (optionally split
+    across jobs by first weight): it places weights vertex by vertex, and a
+    prefix whose edge and non-edge sums already tie is skipped, with all its
+    completions counted as explored and infeasible.  Its cost therefore grows
+    with the number of tie-free prefixes, not with (W+1)^n, while every
+    count, the histogram and the witness match a plain vector-by-vector
+    scan.  Random mode draws `trials` vectors from a seeded generator.  Ties
+    on the interval count are broken toward the lexicographically smallest
+    vector, whose intervals are re-derived by the oracle as a cross-check.
     """
     cfg = _validated(graph, cfg if cfg is not None else SearchConfig())
     bound = cfg.max_weight
     assert bound is not None
-    pairs, flags = _pairs_and_flags(graph)
+    rows = _adjacency_rows(graph)
     orbit: tuple[int, ...] = ()
     if cfg.prune_symmetry and cfg.mode == MODE_EXHAUSTIVE:
         orbit = _orbit_of_zero(graph)
-        if len(orbit) == 1:
-            orbit = ()
 
     if cfg.mode == MODE_EXHAUSTIVE:
-        w0_chunks = [(w0,) for w0 in range(bound + 1)]
-        job_args = [
-            (graph.n, bound, pairs, flags, chunk, cfg.target_k, orbit)
-            for chunk in w0_chunks
-        ]
+        job_args = [(rows, bound, w0, cfg.target_k, orbit) for w0 in range(bound + 1)]
         if cfg.jobs > 1:
             with multiprocessing.Pool(cfg.jobs) as pool:
                 chunk_stats = pool.map(_scan_chunk, job_args)
@@ -254,7 +312,7 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
             tuple(rng.randint(0, bound) for _ in range(graph.n))
             for _ in range(cfg.trials)
         )
-        total = _scan_vectors(vectors, pairs, flags, cfg.target_k)
+        total = _scan_random(rows, vectors, cfg.target_k)
         complete = False
 
     best_k = None
@@ -262,7 +320,11 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
     if total.best is not None:
         best_k, best_vec = total.best
         oracle = min_intervals_for_weights(graph, best_vec)
-        assert isinstance(oracle, Feasible) and oracle.k == best_k
+        if not isinstance(oracle, Feasible) or oracle.k != best_k:
+            raise RuntimeError(
+                f"search kernel found k={best_k} for weights {list(best_vec)}, "
+                f"but the oracle gives {oracle}"
+            )
         best_witness = Witness(best_vec, oracle.intervals)
     return SearchResult(
         best_k=best_k,

@@ -292,6 +292,28 @@ class TestMink:
         assert code == EXIT_USAGE
 
 
+class TestMalformedGraph:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": True, "edges": []},
+            {"n": 3, "edges": [1]},
+            {"n": 3, "edges": [[0, True]]},
+            {"n": 3, "edges": 5},
+        ],
+        ids=["bool-n", "non-pair-edge", "bool-endpoint", "edges-not-a-list"],
+    )
+    def test_verify_and_mink_exit_usage(self, capsys, tmp_path, payload):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps(payload))
+        witness = tmp_path / "w.json"
+        witness.write_text(json.dumps({"weights": [0, 0, 0], "intervals": []}))
+        code, out = run_cli(capsys, "verify", str(graph), str(witness))
+        assert code == EXIT_USAGE and out == ""
+        code, out = run_cli(capsys, "mink", str(graph), "--max-weight", "2")
+        assert code == EXIT_USAGE and out == ""
+
+
 class TestDeterminismAndEntryPoints:
     def test_byte_identical_witness_output(self, capsys):
         _, first = run_cli(capsys, "witness", "grid", "4", "4")

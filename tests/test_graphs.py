@@ -46,6 +46,13 @@ class TestGraph:
     def test_rejects_bad_vertex_count(self):
         with pytest.raises(ValueError):
             Graph(-1)
+        with pytest.raises(ValueError, match="vertex count"):
+            Graph(True)
+
+    @pytest.mark.parametrize("edge", [1, [0], [0, 1, 2], "01", [0, True], [0, 1.0], None])
+    def test_rejects_non_pair_edge(self, edge):
+        with pytest.raises(ValueError, match="not a pair"):
+            Graph(3, [edge])
 
     def test_duplicate_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
@@ -70,6 +77,8 @@ class TestGraph:
             Graph.from_dict({"n": 3})
         with pytest.raises(ValueError):
             Graph.from_dict([1, 2])
+        with pytest.raises(ValueError):
+            Graph.from_dict({"n": 3, "edges": 5})
 
     def test_to_dot(self):
         dot = Graph(2, [(0, 1)]).to_dot()

@@ -1,15 +1,19 @@
 """Bounded exhaustive and randomized weight-space search."""
 
 import math
-from itertools import product
+import random
+from itertools import permutations, product
 
 import pytest
 
+import starpcg.search
 from starpcg import (
     Feasible,
     Graph,
     MODE_RANDOM,
     SearchConfig,
+    SearchResult,
+    Witness,
     format_search_report,
     make_cycle,
     make_grid,
@@ -23,6 +27,75 @@ from starpcg import (
 
 def best_or_inf(result):
     return math.inf if result.best_k is None else result.best_k
+
+
+def orbit_of_zero(graph):
+    """Images of vertex 0 under all automorphisms, by trying every permutation."""
+    edges = set(graph.edges())
+    return {
+        p[0]
+        for p in permutations(range(graph.n))
+        if all(tuple(sorted((p[u], p[v]))) in edges for u, v in edges)
+    }
+
+
+def fold(graph, vectors, target_k=None, skip=lambda vec: False):
+    """The promised SearchResult, by scoring each vector with the oracle in order."""
+    explored = infeasible = 0
+    histogram = {}
+    best = None
+    hit = False
+    for vec in vectors:
+        if skip(vec):
+            continue
+        explored += 1
+        res = min_intervals_for_weights(graph, vec)
+        if not isinstance(res, Feasible):
+            infeasible += 1
+            continue
+        histogram[res.k] = histogram.get(res.k, 0) + 1
+        if best is None or (res.k, vec) < (best.k, best.weights):
+            best = Witness(vec, res.intervals)
+        if target_k is not None and res.k <= target_k:
+            hit = True
+            break
+    return SearchResult(
+        best_k=None if best is None else best.k,
+        best_witness=best,
+        explored=explored,
+        exhaustive_within_bound=not hit,
+        k_histogram=dict(sorted(histogram.items())),
+        infeasible_count=infeasible,
+    )
+
+
+def reference_census(graph, bound, target_k=None, prune_symmetry=False):
+    """Plain lexicographic scan of {0..W}^n with the symmetry skip and first-hit stop."""
+    orbit = orbit_of_zero(graph) if prune_symmetry else ()
+    return fold(
+        graph,
+        product(range(bound + 1), repeat=graph.n),
+        target_k,
+        skip=lambda vec: any(vec[v] < vec[0] for v in orbit),
+    )
+
+
+def sweep_graphs():
+    rng = random.Random(2209)
+    graphs = [
+        Graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)]),  # pendant triangle: no symmetry at 0
+        Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)]),  # no ties: K_5
+        Graph(5),  # no ties: edgeless
+        make_cycle(5),
+        Graph(1),
+    ]
+    for _ in range(16):
+        n = rng.randint(2, 5)
+        p = rng.random()
+        graphs.append(
+            Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        )
+    return graphs
 
 
 class TestExhaustive:
@@ -72,17 +145,26 @@ class TestExhaustive:
             assert ks == sorted(ks, reverse=True)
 
     def test_matches_direct_enumeration(self):
-        # the search must agree with folding the oracle over the whole space
-        g = make_cycle(5)
-        bound = 1
-        best = None
-        for vec in product(range(bound + 1), repeat=5):
-            res = min_intervals_for_weights(g, vec)
-            if isinstance(res, Feasible) and (best is None or res.k < best):
-                best = res.k
-        out = search_min_k(g, SearchConfig(max_weight=bound))
-        assert out.best_k == best
-        assert out.explored == (bound + 1) ** 5
+        # the census must agree field for field with folding the oracle over
+        # the whole space, whatever the early stop, pruning and worker count
+        rng = random.Random(11860)
+        for graph in sweep_graphs():
+            bound = rng.randint(1, 3)
+            for target_k in (None, 0, 1, 2):
+                for prune in (False, True):
+                    want = reference_census(graph, bound, target_k, prune)
+                    for jobs in (1, 2):
+                        cfg = SearchConfig(
+                            max_weight=bound, target_k=target_k, prune_symmetry=prune, jobs=jobs
+                        )
+                        assert search_min_k(graph, cfg) == want, (graph.edges(), cfg)
+
+    def test_kernel_disagreeing_with_oracle_raises(self, monkeypatch):
+        # the oracle cross-check on the best witness is a real check, not an
+        # assert, so it also runs under python -O
+        monkeypatch.setattr(starpcg.search, "_runs", lambda sums: 0)
+        with pytest.raises(RuntimeError, match="oracle"):
+            search_min_k(make_cycle(4), SearchConfig(max_weight=3))
 
     def test_histogram_accounts_for_everything(self):
         res = search_min_k(make_cycle(4), SearchConfig(max_weight=3))
@@ -128,12 +210,46 @@ class TestRandomMode:
         assert not res.exhaustive_within_bound
         assert sum(res.k_histogram.values()) + res.infeasible_count == 250
 
+    def test_matches_oracle_fold_over_the_same_draws(self):
+        for graph in sweep_graphs()[:8]:
+            for target_k in (None, 1):
+                cfg = SearchConfig(
+                    max_weight=6, mode=MODE_RANDOM, trials=300, rng_seed=graph.n, target_k=target_k
+                )
+                rng = random.Random(cfg.rng_seed)
+                draws = [
+                    tuple(rng.randint(0, 6) for _ in range(graph.n)) for _ in range(cfg.trials)
+                ]
+                want = fold(graph, draws, target_k)
+                want = SearchResult(**{**want.__dict__, "exhaustive_within_bound": False})
+                assert search_min_k(graph, cfg) == want, (graph.edges(), target_k)
+
     def test_never_beats_known_cycle_minimum(self):
         # random probing at the default bound never undercuts two intervals
         for n in (6, 7, 8):
             g = make_cycle(n)
             res = search_min_k(g, SearchConfig(mode=MODE_RANDOM, trials=100_000, rng_seed=n))
             assert res.best_k is None or res.best_k >= 2, n
+
+
+class TestExhaustiveEvidence:
+    """Whole-space scans that a vector-by-vector census could not afford."""
+
+    def test_grid33_never_one_interval_up_to_space_limit(self):
+        res = search_min_k(make_grid([3, 3]), SearchConfig(max_weight=9))
+        assert res.explored == 10**9
+        assert res.exhaustive_within_bound
+        assert res.k_histogram and min(res.k_histogram) > 1
+        assert sum(res.k_histogram.values()) + res.infeasible_count == res.explored
+
+    def test_c8_never_one_interval(self):
+        g = make_cycle(8)
+        res = search_min_k(g, SearchConfig(max_weight=8))
+        assert res.explored == 9**8
+        assert res.exhaustive_within_bound
+        assert res.k_histogram and min(res.k_histogram) > 1
+        assert res.best_witness.k == res.best_k
+        assert verify(res.best_witness, g).equal
 
 
 class TestSymmetryPruning:
