@@ -22,8 +22,6 @@ from .graphs import (
     make_cycle,
     make_grid,
     make_path,
-    opposed,
-    q_vertex,
 )
 from .obstruction import (
     Certificate,
@@ -90,9 +88,7 @@ __all__ = [
     "make_grid",
     "make_path",
     "min_intervals_for_weights",
-    "opposed",
     "path_witness",
-    "q_vertex",
     "realize",
     "search_min_k",
     "search_report",

@@ -150,10 +150,6 @@ class GridShape:
         return out
 
 
-def _as_shape(shape: GridShape | Sequence[int]) -> GridShape:
-    return shape if isinstance(shape, GridShape) else GridShape(tuple(shape))
-
-
 def make_cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices with edges {i, i+1 mod n}."""
     if n < 3:
@@ -170,7 +166,7 @@ def make_path(n: int) -> Graph:
 
 def make_grid(shape: GridShape | Sequence[int]) -> Graph:
     """Grid graph: vertices are coordinates, edges join coords at L1 distance 1."""
-    s = _as_shape(shape)
+    s = shape if isinstance(shape, GridShape) else GridShape(tuple(shape))
     edges = []
     for coord in s.coords():
         u = s.flat_id(coord)
@@ -178,55 +174,6 @@ def make_grid(shape: GridShape | Sequence[int]) -> Graph:
             if coord[j] + 1 < s.dims[j]:
                 edges.append((u, s.flat_id(coord[:j] + (coord[j] + 1,) + coord[j + 1 :])))
     return Graph(s.num_vertices, edges)
-
-
-def opposed(shape: GridShape | Sequence[int], u: Coord, v: Coord) -> bool:
-    """True when u and v differ in exactly one coordinate, by exactly 2."""
-    s = _as_shape(shape)
-    if not s.contains(u):
-        raise ValueError(f"coordinate {u} outside shape {s.dims}")
-    if not s.contains(v):
-        raise ValueError(f"coordinate {v} outside shape {s.dims}")
-    diffs = [abs(a - b) for a, b in zip(u, v)]
-    return sum(1 for d in diffs if d != 0) == 1 and max(diffs) == 2
-
-
-def _step_dim(u: Coord, v: Coord) -> int | None:
-    """Dimension along which v = u +- one unit, or None if v is not a grid neighbor."""
-    dim = None
-    for j, (a, b) in enumerate(zip(u, v)):
-        if a == b:
-            continue
-        if abs(a - b) != 1 or dim is not None:
-            return None
-        dim = j
-    return dim
-
-
-def q_vertex(shape: GridShape | Sequence[int], u: Coord, v: Coord, vp: Coord) -> Coord:
-    """The unique vertex x != u with N(u) & N(x) = {v, vp}.
-
-    Requires v and vp to be distinct, non-opposed neighbors of u; then they
-    step away from u in two different dimensions and x is u shifted by both
-    unit displacements at once.
-    """
-    s = _as_shape(shape)
-    for c in (u, v, vp):
-        if not s.contains(c):
-            raise ValueError(f"coordinate {c} outside shape {s.dims}")
-    if v == vp:
-        raise ValueError("v and vp must be distinct")
-    j1 = _step_dim(u, v)
-    j2 = _step_dim(u, vp)
-    if j1 is None or j2 is None:
-        raise ValueError("v and vp must both be grid neighbors of u")
-    if j1 == j2:
-        # distinct neighbors along one dimension are the opposed pair u-1, u+1
-        raise ValueError(f"{v} and {vp} are opposed around {u}")
-    x = list(u)
-    x[j1] = v[j1]
-    x[j2] = vp[j2]
-    return tuple(x)
 
 
 def induced_subgraph(graph: Graph, vertices: Sequence[int]) -> Graph:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .graphs import Graph, GridShape, make_cycle, make_grid, opposed, q_vertex
+from .graphs import Graph, GridShape, make_cycle, make_grid
 from .stars import check_weights
 
 KIND_INTERLEAVING = "interleaving"
@@ -199,143 +199,14 @@ def _grid4() -> tuple[GridShape, Graph]:
     return shape, make_grid(shape)
 
 
-_MIRROR = object()
-
-
-def _choose_pair(
-    shape: GridShape, b: list[int], first: int, seconds: tuple[int, ...]
-) -> tuple[int, int] | None:
-    """First listed (b[first], b[q]) that is not an opposed pair, as ranks."""
-    cf = shape.coord_of(b[first])
-    for q in seconds:
-        if not opposed(shape, cf, shape.coord_of(b[q])):
-            return first, q
-    return None
-
-
-def _pick_witness_vertex(
-    shape: GridShape, graph: Graph, a: int, bp: int, bq: int
-) -> tuple[int, int] | None:
-    """Pivot y sharing exactly {bp, bq} with a, plus its smallest other neighbor."""
-    y_coord = q_vertex(shape, shape.coord_of(a), shape.coord_of(bp), shape.coord_of(bq))
-    y = shape.flat_id(y_coord)
-    rest = sorted(graph.neighbors(y) - {bp, bq})
-    if not rest:
-        return None
-    return y, rest[0]
-
-
-def _replay_oriented(
-    shape: GridShape, graph: Graph, w: tuple[int, ...], a: int, descending: bool
-):
-    """One orientation of the center-pivot case analysis.
-
-    Returns a Certificate, None (hand off to the generic search), or _MIRROR
-    (the occupied weight gap sits in the upper half; redo with the order
-    reversed and flip the resulting chain).
-    """
-    sign = -1 if descending else 1
-
-    def key(v: int) -> int:
-        return sign * w[v]
-
-    ranked = sorted(graph.neighbors(a), key=key)
-    b = [0] + ranked  # 1-based ranks b[1] .. b[8]
-    bw = [0] + [key(v) for v in ranked]
-    if len(set(bw[1:])) != 8:
-        return None
-
-    occupied: set[int] = set()
-    nb_set = graph.neighbors(a)
-    for u in range(graph.n):
-        if u == a or u in nb_set:
-            continue
-        ku = key(u)
-        if ku < bw[1] or ku > bw[8]:
-            continue
-        if ku in bw[1:]:
-            return None  # tie with a ranked neighbor; classification is ambiguous
-        i = max(t for t in range(1, 8) if bw[t] < ku)
-        occupied.add(i)
-    if len(occupied) > 1:
-        return None  # the center pivot itself would have interleaved
-
-    def classify(v: int) -> str:
-        kv = key(v)
-        if kv < bw[1]:
-            return "low"
-        if kv > bw[8]:
-            return "high"
-        return "gap"
-
-    if not occupied:
-        # every outside weight clears the ranked band entirely
-        pair = _choose_pair(shape, b, 2, (4, 5))
-        if pair is None:
-            return None
-        p, q = pair
-        picked = _pick_witness_vertex(shape, graph, a, b[p], b[q])
-        if picked is None:
-            return None
-        y, v = picked
-        side = classify(v)
-        if side == "low":
-            vs, us = (v, b[p], b[q]), (b[1], b[3])
-        elif side == "high":
-            vs, us = (b[p], b[q], v), (b[3], b[q + 1])
-        else:
-            return None
-        return Certificate(KIND_INTERLEAVING, y, vs, us, 2)
-
-    i = occupied.pop()
-    if i > 4:
-        return _MIRROR if not descending else None
-    if i <= 2:
-        pair = _choose_pair(shape, b, 4, (6, 7))
-        if pair is None:
-            return None
-        p, q = pair
-        picked = _pick_witness_vertex(shape, graph, a, b[p], b[q])
-        if picked is None:
-            return None
-        y, v = picked
-        side = classify(v)
-        if side == "low":
-            vs, us = (v, b[p], b[q]), (b[1], b[5])
-        elif side == "gap":
-            vs, us = (v, b[p], b[q]), (b[3], b[5])
-        else:
-            vs, us = (b[p], b[q], v), (b[5], b[8])
-        return Certificate(KIND_INTERLEAVING, y, vs, us, 2)
-    # gap rank 3 or 4
-    pair = _choose_pair(shape, b, 2, (6, 7))
-    if pair is None:
-        return None
-    p, q = pair
-    picked = _pick_witness_vertex(shape, graph, a, b[p], b[q])
-    if picked is None:
-        return None
-    y, v = picked
-    side = classify(v)
-    if side == "low":
-        vs, us = (v, b[p], b[q]), (b[1], b[5])
-    elif side == "gap":
-        vs, us = (b[p], v, b[q]), (b[3], b[5])
-    else:
-        vs, us = (b[p], b[q], v), (b[5], b[8])
-    return Certificate(KIND_INTERLEAVING, y, vs, us, 2)
-
-
 def grid4d_certificate(weights: Sequence[int]) -> Certificate:
     """Certificate that the 3x3x3x3 grid beats two intervals for these weights.
 
-    Deterministic replay around the all-ones center a: try a itself as pivot;
-    otherwise rank a's eight neighbors by weight, locate the single weight gap
-    (if any) that outside vertices occupy, move to the diagonal vertex sharing
-    exactly a chosen non-opposed neighbor pair with a, and assemble the chain
-    the case analysis dictates.  Weight ties or a failed validation fall back
-    to the generic pivot search; if even that fails the weighting is flagged
-    by raising instead of guessing.
+    Tries the all-ones center first, then every pivot in id order through
+    `interleaving_certificate`.  The greedy chain is complete for each pivot,
+    so a certificate is found whenever any pivot interleaves; it came from the
+    center exactly when `cert.x` is the center.  A weighting with no
+    interleaving pivot is flagged by raising instead of guessing.
     """
     shape, graph = _grid4()
     w = check_weights(weights)
@@ -345,21 +216,6 @@ def grid4d_certificate(weights: Sequence[int]) -> Certificate:
     found = _greedy_interleaving(graph, w, a, 2)
     if found is not None:
         return Certificate(KIND_INTERLEAVING, a, found[0], found[1], 2)
-
-    cert = _replay_oriented(shape, graph, w, a, descending=False)
-    if cert is _MIRROR:
-        cert = _replay_oriented(shape, graph, w, a, descending=True)
-        if isinstance(cert, Certificate):
-            cert = Certificate(
-                cert.kind, cert.x, tuple(reversed(cert.vs)), tuple(reversed(cert.us)), cert.k
-            )
-    if isinstance(cert, Certificate):
-        try:
-            check_certificate(cert, graph, w)
-            return cert
-        except CertificateError:
-            pass  # replay produced an invalid chain; fall through, do not guess
-
     cert = interleaving_certificate(graph, w, 2)
     if cert is not None:
         return cert

@@ -19,7 +19,10 @@ Interval = tuple[int, int]
 
 def check_weights(weights: Sequence[int]) -> tuple[int, ...]:
     """Validate and normalize a weight vector: integers >= 0."""
-    out = tuple(weights)
+    try:
+        out = tuple(weights)
+    except TypeError:
+        raise ValueError(f"weights must be a sequence of integers, got {weights!r}") from None
     for i, w in enumerate(out):
         if not isinstance(w, int) or isinstance(w, bool) or w < 0:
             raise ValueError(f"weight {i} must be a non-negative integer, got {w!r}")
@@ -32,10 +35,14 @@ def check_intervals(intervals: Sequence[Sequence[int]]) -> tuple[Interval, ...]:
     The stored order is preserved; constructions may list intervals in their
     natural emission order rather than sorted.
     """
+    if not isinstance(intervals, (list, tuple)):
+        raise ValueError(f"intervals must be a list of [lo, hi] pairs, got {intervals!r}")
     out = []
     for item in intervals:
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise ValueError(f"interval {item!r} is not a [lo, hi] pair")
         lo, hi = item
-        if not isinstance(lo, int) or not isinstance(hi, int):
+        if type(lo) is not int or type(hi) is not int:  # also rejects bools
             raise ValueError(f"interval endpoints must be integers, got {item!r}")
         if lo < 0 or lo > hi:
             raise ValueError(f"interval [{lo}, {hi}] is not a valid range")
@@ -76,7 +83,7 @@ class Witness:
     def from_dict(cls, obj: dict) -> "Witness":
         if not isinstance(obj, dict) or "weights" not in obj or "intervals" not in obj:
             raise ValueError('witness JSON must be {"weights": [...], "intervals": [[lo, hi], ...]}')
-        return cls(tuple(obj["weights"]), tuple(tuple(iv) for iv in obj["intervals"]))
+        return cls(obj["weights"], obj["intervals"])
 
 
 def _interval_lookup(intervals: Sequence[Interval]):

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, round trips, determinism."""
 
+import contextlib
 import io
 import json
 import shutil
@@ -7,8 +8,18 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from starpcg.cli import EXIT_MISMATCH, EXIT_NO_CERTIFICATE, EXIT_OK, EXIT_USAGE, main
+from starpcg import Graph, Witness
+from starpcg.cli import (
+    EXIT_MISMATCH,
+    EXIT_NO_CERTIFICATE,
+    EXIT_OK,
+    EXIT_USAGE,
+    VERTEX_BUDGET,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +71,27 @@ class TestGenerate:
     def test_cycle_needs_one_param(self, capsys):
         code, _ = run_cli(capsys, "generate", "cycle", "4", "5")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("generate", "grid", "100000", "100000"),
+            ("generate", "cycle", str(VERTEX_BUDGET + 1)),
+            ("generate", "grid", "10", "10", "10", "10", "11"),
+            ("witness", "grid", "1000", "1000"),
+            ("witness", "path", str(10**30)),
+            ("mink", "grid", "1000", "1000"),
+        ],
+    )
+    def test_over_vertex_budget_is_usage_error(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert f"the limit is {VERTEX_BUDGET}" in captured.err
+
+    def test_vertex_budget_is_inclusive(self, capsys):
+        code, obj = run_json(capsys, "generate", "path", str(VERTEX_BUDGET))
+        assert code == EXIT_OK and obj["n"] == VERTEX_BUDGET
 
 
 class TestWitness:
@@ -312,6 +344,115 @@ class TestMalformedGraph:
         assert code == EXIT_USAGE and out == ""
         code, out = run_cli(capsys, "mink", str(graph), "--max-weight", "2")
         assert code == EXIT_USAGE and out == ""
+
+
+class TestMalformedWitness:
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"weights": [0, 0, 0], "intervals": 5}, "intervals must be a list"),
+            ({"weights": [0, 0, 0], "intervals": [[True, 3]]}, "endpoints must be integers"),
+            ({"weights": [0, 0, 0], "intervals": [[1]]}, "[1] is not a [lo, hi] pair"),
+            ({"weights": [0, 0, 0], "intervals": [[1, 2, 3]]}, "is not a [lo, hi] pair"),
+            ({"weights": [0, 0, 0], "intervals": [7]}, "7 is not a [lo, hi] pair"),
+            ({"weights": 5, "intervals": []}, "weights must be a sequence"),
+        ],
+        ids=[
+            "intervals-not-a-list",
+            "bool-endpoint",
+            "one-endpoint",
+            "three-endpoints",
+            "interval-not-a-pair",
+            "weights-not-a-list",
+        ],
+    )
+    def test_verify_exits_usage(self, capsys, tmp_path, payload, message):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": 3, "edges": []}))
+        witness = tmp_path / "w.json"
+        witness.write_text(json.dumps(payload))
+        code = main(["verify", str(graph), str(witness)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert message in captured.err
+
+
+# small integers only, so no payload can ask for a large graph
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+_SPOTS = ("graph", "n", "edges", "edge", "witness", "weights", "weight", "intervals", "interval", "endpoint")
+
+
+@st.composite
+def _cli_payloads(draw):
+    """Well-formed graph and witness payloads, one spot of them often replaced by arbitrary JSON."""
+    n = draw(st.integers(0, 6))
+    vertex = st.integers(0, max(n - 1, 0))
+    edge = st.lists(vertex, min_size=2, max_size=2, unique=True)
+    graph = {"n": n, "edges": draw(st.lists(edge, max_size=8)) if n >= 2 else []}
+    ends = sorted(draw(st.lists(st.integers(0, 20), unique=True, max_size=6)))
+    witness = {
+        "weights": draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)),
+        "intervals": [list(pair) for pair in zip(ends[::2], ends[1::2])],
+    }
+    spot = draw(st.sampled_from((None, None, None) + _SPOTS))
+    junk = draw(_json)
+    if spot == "graph":
+        graph = junk
+    elif spot == "witness":
+        witness = junk
+    elif spot in ("n", "edges"):
+        graph[spot] = junk
+    elif spot in ("weights", "intervals"):
+        witness[spot] = junk
+    elif spot == "edge":
+        graph["edges"].append(junk)
+    elif spot == "weight":
+        witness["weights"].append(junk)
+    elif spot == "interval":
+        witness["intervals"].append(junk)
+    elif spot == "endpoint":
+        witness["intervals"].append([draw(st.integers(0, 20)), junk])
+    return graph, witness
+
+
+class TestInputBoundary:
+    def test_oversized_graph_file_is_refused_before_building(self, capsys, tmp_path):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": VERTEX_BUDGET + 1, "edges": []}))
+        witness = tmp_path / "w.json"
+        witness.write_text(json.dumps({"weights": [], "intervals": []}))
+        for argv in (["verify", str(graph), str(witness)], ["mink", str(graph)]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == EXIT_USAGE and captured.out == ""
+            assert f"the limit is {VERTEX_BUDGET}" in captured.err
+
+    def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path):
+        graph = tmp_path / "g.json"
+        graph.write_text("[" * 100_000)
+        code, out = run_cli(capsys, "verify", str(graph), str(graph))
+        assert code == EXIT_USAGE and out == ""
+
+    @settings(max_examples=200, deadline=None)
+    @given(payloads=_cli_payloads())
+    def test_arbitrary_json_never_escapes(self, tmp_path_factory, payloads):
+        graph_obj, witness_obj = payloads
+        folder = tmp_path_factory.getbasetemp()
+        graph, witness = folder / "fuzz_g.json", folder / "fuzz_w.json"
+        graph.write_text(json.dumps(graph_obj))
+        witness.write_text(json.dumps(witness_obj))
+        for argv in (["verify", str(graph), str(witness)], ["obstruct", str(graph), str(witness), "1"]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_NO_CERTIFICATE, EXIT_USAGE)
+            if code == EXIT_MISMATCH:
+                # a mismatch is only reported between two well-formed payloads
+                Graph.from_dict(graph_obj)
+                Witness.from_dict(witness_obj)
 
 
 class TestDeterminismAndEntryPoints:

@@ -11,8 +11,6 @@ from starpcg import (
     make_cycle,
     make_grid,
     make_path,
-    opposed,
-    q_vertex,
 )
 
 
@@ -177,73 +175,6 @@ class TestGridShape:
         s = GridShape(tuple(dims))
         flat = data.draw(st.integers(0, s.num_vertices - 1))
         assert s.flat_id(s.coord_of(flat)) == flat
-
-
-class TestOpposed:
-    def test_examples(self):
-        assert opposed((3, 3), (0, 0), (2, 0))
-        assert not opposed((3, 3), (0, 0), (1, 1))
-        assert not opposed((3, 3), (1, 1), (1, 1))
-        assert not opposed((3, 3), (0, 0), (0, 1))
-
-    def test_neighbors_pair_up_opposed(self):
-        # in any grid the neighbors of u split into at most d opposed pairs
-        for dims in ((3, 3), (2, 4), (3, 3, 3), (3, 3, 3, 3)):
-            s = GridShape(dims)
-            for u in s.coords():
-                nbrs = s.neighbor_coords(u)
-                pairs = 0
-                seen = set()
-                for i, a in enumerate(nbrs):
-                    if a in seen:
-                        continue
-                    for b in nbrs[i + 1 :]:
-                        if b not in seen and opposed(s, a, b):
-                            seen.add(a)
-                            seen.add(b)
-                            pairs += 1
-                            break
-                unpaired = [a for a in nbrs if a not in seen]
-                assert pairs <= s.d
-                # unpaired neighbors sit next to a boundary in their dimension
-                assert len(nbrs) == 2 * pairs + len(unpaired)
-
-
-class TestQVertex:
-    def test_example_2d(self):
-        assert q_vertex((3, 3), (1, 1), (0, 1), (1, 0)) == (0, 0)
-
-    def test_example_4d(self):
-        assert q_vertex((3, 3, 3, 3), (1, 1, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1)) == (0, 0, 1, 1)
-
-    def test_rejects_opposed(self):
-        with pytest.raises(ValueError, match="opposed"):
-            q_vertex((3, 3), (1, 1), (1, 0), (1, 2))
-
-    def test_rejects_non_neighbor(self):
-        with pytest.raises(ValueError):
-            q_vertex((3, 3), (1, 1), (0, 0), (1, 0))
-
-    def test_rejects_equal(self):
-        with pytest.raises(ValueError):
-            q_vertex((3, 3), (1, 1), (0, 1), (0, 1))
-
-    def test_shared_neighborhood_property(self):
-        # x = q_vertex(u, v, v') satisfies N(u) & N(x) = {v, v'} and x != u
-        for dims in ((3, 3), (3, 3, 3)):
-            s = GridShape(dims)
-            g = make_grid(s)
-            for u in s.coords():
-                nbrs = s.neighbor_coords(u)
-                for i, v in enumerate(nbrs):
-                    for vp in nbrs[i + 1 :]:
-                        if opposed(s, v, vp):
-                            continue
-                        x = q_vertex(s, u, v, vp)
-                        xid, uid = s.flat_id(x), s.flat_id(u)
-                        assert xid != uid
-                        shared = g.neighbors(uid) & g.neighbors(xid)
-                        assert shared == {s.flat_id(v), s.flat_id(vp)}
 
 
 class TestInducedSubgraph:

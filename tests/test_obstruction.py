@@ -1,4 +1,4 @@
-"""Interleaving certificates, the cycle obstruction, and the 4-d grid replay."""
+"""Interleaving certificates, the cycle obstruction, and the 4-d grid certificate."""
 
 import random
 
@@ -8,6 +8,7 @@ from starpcg import (
     Certificate,
     CertificateError,
     Feasible,
+    Graph,
     GridShape,
     Infeasible,
     KIND_CYCLE_TRIANGLE_FREE,
@@ -48,6 +49,47 @@ def _grid4_weights(overrides: dict[int, int]) -> tuple[int, ...]:
     for fid, val in {**RANKED_NEIGHBORS, **overrides}.items():
         w[fid] = val
     return tuple(w)
+
+
+# only the center can pivot here, against all 72 vertices outside its neighborhood
+CENTER_STAR = Graph(81, [(CENTER, v) for v in GRID4.neighbors(CENTER)])
+
+
+def _center_interleaves(weights) -> bool:
+    return interleaving_certificate(CENTER_STAR, weights, 2) is not None
+
+
+def _center_defeating_weights(rng: random.Random) -> tuple[int, ...]:
+    """Distinct ranked weights on the center's neighbors; the rest avoid the band.
+
+    Every other vertex lands below the band, above it, or strictly inside one
+    chosen gap between consecutive ranks, so the center rarely interleaves.
+    Only a tie with the band's lowest or highest weight can let it succeed.
+    """
+    band = sorted(rng.sample(range(60, 960, 10), 8))
+    ranked = rng.sample(sorted(GRID4.neighbors(CENTER)), 8)
+    gap = rng.choice([None, 1, 2, 3, 4, 5, 6, 7])
+    places = ("below", "above") + (("gap",) if gap else ())
+    w = [0] * 81
+    for v, b in zip(ranked, band):
+        w[v] = b
+    for v in sorted(set(range(81)) - set(ranked)):
+        place = rng.choice(places)
+        if place == "below":
+            w[v] = rng.randint(0, band[0])
+        elif place == "above":
+            w[v] = rng.randint(band[-1], 1000)
+        else:
+            w[v] = rng.randint(band[gap - 1] + 1, band[gap] - 1)
+    return tuple(w)
+
+
+def _assert_generic_search(weights) -> None:
+    """Without a center chain the result is the lowest pivot that interleaves."""
+    cert = grid4d_certificate(weights)
+    assert cert == interleaving_certificate(GRID4, weights, 2)
+    assert cert.x != CENTER
+    check_certificate(cert, GRID4, weights)
 
 
 def _oracle_needs_at_least(graph, weights, k):
@@ -241,6 +283,8 @@ class TestCycleObstruction:
 
 
 class TestGrid4dCertificate:
+    """The center pivot first, then the generic pivot search in id order."""
+
     def test_flat_id_weighting(self):
         w = tuple(range(81))
         cert = grid4d_certificate(w)
@@ -249,37 +293,35 @@ class TestGrid4dCertificate:
 
     def test_case_no_gap(self):
         # all outside weights clear the ranked neighbor band upward
-        w = _grid4_weights({})
-        cert = grid4d_certificate(w)
-        check_certificate(cert, GRID4, w)
-        assert cert.x == SHAPE.flat_id((0, 0, 1, 1))
-        assert cert.vs == (13, 31, 1)
-        assert cert.us == (37, 49)
+        _assert_generic_search(_grid4_weights({}))
 
     def test_case_low_gap(self):
         # one outside weight falls between the two lightest ranked neighbors
-        w = _grid4_weights({80: 15})
-        cert = grid4d_certificate(w)
-        check_certificate(cert, GRID4, w)
-        assert cert.x == SHAPE.flat_id((1, 0, 2, 1))
+        _assert_generic_search(_grid4_weights({80: 15}))
 
     def test_case_middle_gap(self):
-        w = _grid4_weights({80: 35})
-        cert = grid4d_certificate(w)
-        check_certificate(cert, GRID4, w)
-        assert cert.x == SHAPE.flat_id((0, 1, 2, 1))
+        _assert_generic_search(_grid4_weights({80: 35}))
 
     def test_case_high_gap_mirrors(self):
-        # the occupied gap sits in the upper half; the replay runs reversed
-        w = _grid4_weights({80: 55})
-        cert = grid4d_certificate(w)
-        check_certificate(cert, GRID4, w)
-        assert cert.x == SHAPE.flat_id((1, 1, 0, 2))
+        # the occupied gap sits in the upper half of the ranked band
+        _assert_generic_search(_grid4_weights({80: 55}))
 
     def test_tied_neighbors_fall_back(self):
-        w = _grid4_weights({39: 10, 13: 10})
-        cert = grid4d_certificate(w)
-        check_certificate(cert, GRID4, w)
+        _assert_generic_search(_grid4_weights({39: 10, 13: 10}))
+
+    def test_seeded_center_failing_weightings(self):
+        rng = random.Random(7)
+        draws, defeated = 300, 0
+        for _ in range(draws):
+            w = _center_defeating_weights(rng)
+            if _center_interleaves(w):
+                assert grid4d_certificate(w).x == CENTER
+                continue
+            defeated += 1
+            _assert_generic_search(w)
+            if defeated % 10 == 0:
+                assert _oracle_needs_at_least(GRID4, w, 3)
+        assert defeated >= draws // 2
 
     def test_seeded_distinct_weightings(self):
         rng = random.Random(29)
