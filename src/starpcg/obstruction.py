@@ -56,13 +56,29 @@ class Certificate:
     @classmethod
     def from_dict(cls, obj: dict) -> "Certificate":
         try:
-            return cls(obj["kind"], obj["x"], tuple(obj["vs"]), tuple(obj["us"]), obj["k"])
+            cert = cls(obj["kind"], obj["x"], tuple(obj["vs"]), tuple(obj["us"]), obj["k"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed certificate JSON: {exc}") from exc
+        _check_fields(cert)
+        return cert
+
+
+def _check_fields(cert: Certificate) -> None:
+    """Raise CertificateError unless x, k and every vertex in vs and us are ints."""
+    for name, value in (("x", cert.x), ("k", cert.k)):
+        if type(value) is not int:  # also rejects bools
+            raise CertificateError(f"{name} must be an integer, got {value!r}")
+    for name, chain in (("vs", cert.vs), ("us", cert.us)):
+        if not isinstance(chain, (list, tuple)):
+            raise CertificateError(f"{name} must be a list of vertices, got {chain!r}")
+        for v in chain:
+            if type(v) is not int:
+                raise CertificateError(f"{name} entries must be integer vertices, got {v!r}")
 
 
 def check_certificate(cert: Certificate, graph: Graph, weights: Sequence[int]) -> None:
     """Re-check a certificate from first principles; raise CertificateError if bad."""
+    _check_fields(cert)
     w = check_weights(weights)
     if len(w) != graph.n:
         raise CertificateError(f"{len(w)} weights for a graph on {graph.n} vertices")

@@ -6,13 +6,16 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starpcg import Graph, Witness
+from starpcg import cli
 from starpcg.cli import (
+    EDGE_BUDGET,
     EXIT_MISMATCH,
     EXIT_NO_CERTIFICATE,
     EXIT_OK,
@@ -430,6 +433,35 @@ class TestInputBoundary:
             captured = capsys.readouterr()
             assert code == EXIT_USAGE and captured.out == ""
             assert f"the limit is {VERTEX_BUDGET}" in captured.err
+
+    def test_witness_over_edge_budget_is_refused_promptly(self, capsys, tmp_path):
+        # 10^5 equal weights and [0, 0] accept all 5*10^9 pairs
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": VERTEX_BUDGET, "edges": []}))
+        witness = tmp_path / "w.json"
+        witness.write_text(json.dumps({"weights": [0] * VERTEX_BUDGET, "intervals": [[0, 0]]}))
+        start = time.perf_counter()
+        code = main(["verify", str(graph), str(witness)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert f"the limit is {EDGE_BUDGET}" in captured.err
+        assert elapsed < 10
+
+    def test_edge_budget_is_inclusive(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "EDGE_BUDGET", 3)
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}))
+        witness = tmp_path / "w.json"
+        witness.write_text(json.dumps({"weights": [0, 0, 0], "intervals": [[0, 0]]}))
+        assert run_json(capsys, "verify", str(graph), str(witness)) == (
+            EXIT_OK,
+            {"equal": True, "missing": [], "extra": []},
+        )
+        graph.write_text(json.dumps({"n": 4, "edges": []}))
+        witness.write_text(json.dumps({"weights": [0, 0, 0, 0], "intervals": [[0, 0]]}))
+        code, out = run_cli(capsys, "verify", str(graph), str(witness))
+        assert code == EXIT_USAGE and out == ""
 
     def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path):
         graph = tmp_path / "g.json"

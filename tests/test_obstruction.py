@@ -229,6 +229,32 @@ class TestCheckCertificate:
         with pytest.raises(ValueError):
             Certificate.from_dict({"kind": "interleaving"})
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"kind": "interleaving", "x": False, "vs": [True, 4], "us": [2], "k": True}, "x"),
+            ({"kind": "interleaving", "x": "0", "vs": [1, 4], "us": [2], "k": 1}, "x"),
+            ({"kind": "interleaving", "x": 0, "vs": [1.0, 4], "us": [2], "k": 1}, "vs"),
+        ],
+    )
+    def test_non_int_fields_are_rejected(self, payload, field):
+        # all three once passed from_dict; the bool one also passed the check,
+        # the other two escaped it as a bare TypeError
+        with pytest.raises(CertificateError, match=field):
+            Certificate.from_dict(payload)
+        cert = Certificate(
+            payload["kind"], payload["x"], tuple(payload["vs"]), tuple(payload["us"]), payload["k"]
+        )
+        with pytest.raises(CertificateError, match=field):
+            check_certificate(cert, self.g, self.w)
+
+    @pytest.mark.parametrize("field", ["k", "us"])
+    def test_bool_k_and_bool_us_entry_are_rejected(self, field):
+        d = self.good.to_dict()
+        d[field] = True if field == "k" else [True]
+        with pytest.raises(CertificateError, match=field):
+            Certificate.from_dict(d)
+
 
 class TestCycleObstruction:
     def test_ascending_example(self):

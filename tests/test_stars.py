@@ -13,17 +13,22 @@ from starpcg import (
     Witness,
     check_intervals,
     check_weights,
+    cycle_witness,
+    grid_witness,
     induced_subgraph,
     make_cycle,
     make_grid,
+    make_path,
     min_intervals_for_weights,
     realize,
     universal_witness,
     verify,
 )
+import starpcg.stars as stars_mod
 
 from helpers import random_graph, random_weights
 from naive_oracle import INFEASIBLE, naive_min_intervals
+from reference_oracle import brute_force_edges, reference_min_intervals
 
 FIG2A = Witness((12, 1, 11, 2, 10, 3, 9, 4), ((12, 13), (16, 16)))
 
@@ -179,6 +184,93 @@ class TestOracle:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             min_intervals_for_weights(make_cycle(3), (1, 2))
+
+
+def _weight_cases(rng):
+    """Seeded (label, graph, weights) cases for every weight shape the sum table meets."""
+    for n in (0, 1, 2):
+        for _ in range(5):
+            g = random_graph(rng, n_min=n, n_max=n)
+            yield "tiny", g, random_weights(rng, n, 3)
+    for _ in range(25):
+        g = random_graph(rng, n_min=2, n_max=14)
+        yield "all-equal", g, (rng.randint(0, 9),) * g.n
+        yield "0..4", g, random_weights(rng, g.n, 4)
+        yield "0..n", g, random_weights(rng, g.n, g.n)
+        yield "up to 10^9", g, random_weights(rng, g.n, 10**9)
+        yield "2^i", g, tuple(1 << i for i in range(g.n))
+    # feasible and tie-heavy at once: construction weights, nudged
+    for g, wit in ((make_cycle(30), cycle_witness(30)), (make_grid([6, 7]), grid_witness(6, 7))):
+        yield "construction", g, wit.weights
+        w = list(wit.weights)
+        w[rng.randrange(g.n)] += 1
+        yield "perturbed", g, tuple(w)
+
+
+class TestOracleAgainstReference:
+    """The sum-table oracle returns exactly what the sort-based oracle did."""
+
+    @pytest.mark.parametrize("divisor", [None, 0, 10**18], ids=["rule", "square", "pairs"])
+    def test_whole_results_match(self, divisor, monkeypatch):
+        # divisor 0 forces the histogram square, 10**18 the distinct-pair loop
+        # (except for a span of 0, which only the square handles); the square
+        # is not forced on spans it would need gigabytes for
+        if divisor is not None:
+            monkeypatch.setattr(stars_mod, "_SQUARE_SPAN_DIVISOR", divisor)
+        seen = set()
+        for label, g, w in _weight_cases(random.Random(41)):
+            if divisor == 0 and w and max(w) - min(w) > 10**4:
+                continue
+            res = min_intervals_for_weights(g, w)
+            assert res == reference_min_intervals(g, w), (label, g.to_dict(), w)
+            seen.add((label, type(res).__name__))
+        assert {("0..n", "Feasible"), ("0..n", "Infeasible"), ("2^i", "Feasible")} <= seen
+        assert ("construction", "Feasible") in seen and ("all-equal", "Infeasible") in seen
+
+    def test_span_rule_takes_both_paths(self, monkeypatch):
+        squared = []
+        square = stars_mod._pair_sums_by_square
+
+        def spy(*args):
+            squared.append(args)
+            return square(*args)
+
+        monkeypatch.setattr(stars_mod, "_pair_sums_by_square", spy)
+        g = make_path(40)
+        min_intervals_for_weights(g, tuple(range(40)))  # span 39 <= 40^2 / 8
+        assert len(squared) == 1
+        min_intervals_for_weights(g, tuple(1 << i for i in range(40)))
+        assert len(squared) == 1
+
+
+class TestRealizeAgainstBruteForce:
+    def test_few_intervals(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            n = rng.randint(0, 40)
+            w = random_weights(rng, n, rng.choice([3, n + 1, 4 * n + 1]))
+            cuts = sorted(rng.sample(range(8 * n + 10), 2 * rng.randint(0, 3)))
+            ivs = tuple(zip(cuts[::2], cuts[1::2]))
+            expected = brute_force_edges(w, ivs)
+            wit = Witness(w, ivs)
+            assert realize(wit).edges() == expected
+            assert stars_mod.realized_edge_count(wit, len(expected)) == len(expected)
+
+    def test_many_intervals_universal_witness(self):
+        rng = random.Random(47)
+        for _ in range(10):
+            g = random_graph(rng, n_min=20, n_max=30)
+            wit = universal_witness(g)
+            expected = brute_force_edges(wit.weights, wit.intervals)
+            assert expected == g.edges()
+            assert realize(wit).edges() == expected
+            assert stars_mod.realized_edge_count(wit, len(expected)) == len(expected)
+
+    def test_edge_count_limit_stops_early(self):
+        wit = Witness((0,) * 50, ((0, 0),))
+        assert 10 < stars_mod.realized_edge_count(wit, 10) <= 10 + 49
+        assert stars_mod.realized_edge_count(wit, 50 * 49 // 2) == 50 * 49 // 2
+        assert stars_mod.realized_edge_count(wit, 10**9) == 50 * 49 // 2
 
 
 class TestUniversalWitness:
