@@ -40,6 +40,11 @@ VERTEX_BUDGET = 10**5
 # mismatch against an edgeless graph takes about 5.4 s and 350 MB peak RSS on
 # the same host; 10^5 equal weights would otherwise realize 5*10^9 edges.
 EDGE_BUDGET = 10**6
+# `verify` refuses n * min(k, n) above this before counting edges: a vertex
+# costs up to min(k+1, n) bisect steps even if no interval holds a pair sum.
+# At the limit, weights 0, 2, ..., 6322 under 6324 odd singletons realize no
+# edge yet take about 5.7 s on the same host (10^5 under 100 intervals: 6 s).
+STEP_BUDGET = 10**7
 
 
 class _UsageError(Exception):
@@ -159,6 +164,9 @@ def _cmd_witness(args) -> int:
 def _cmd_verify(args) -> int:
     graph = _load_graph(args.graph)
     witness = Witness.from_dict(_load_json(args.witness, "witness"))
+    steps = witness.n * min(witness.k, witness.n)
+    if steps > STEP_BUDGET:
+        raise _UsageError(f"witness needs up to {steps} interval steps; the limit is {STEP_BUDGET}")
     if realized_edge_count(witness, EDGE_BUDGET) > EDGE_BUDGET:
         raise _UsageError(f"witness realizes too many edges; the limit is {EDGE_BUDGET}")
     report = verify(witness, graph)

@@ -99,7 +99,7 @@ class GridShape:
         dims = tuple(self.dims)
         if len(dims) < 1:
             raise ValueError("grid shape needs at least one dimension")
-        if any(not isinstance(m, int) or m < 1 for m in dims):
+        if any(type(m) is not int or m < 1 for m in dims):  # also rejects bools
             raise ValueError(f"dimension sizes must be integers >= 1, got {dims}")
         object.__setattr__(self, "dims", dims)
 
@@ -137,17 +137,6 @@ class GridShape:
     def coords(self) -> Iterator[Coord]:
         """All coordinates in flat-id (row-major) order."""
         return product(*(range(m) for m in self.dims))
-
-    def neighbor_coords(self, coord: Coord) -> list[Coord]:
-        if not self.contains(coord):
-            raise ValueError(f"coordinate {coord} outside shape {self.dims}")
-        out = []
-        for j in range(self.d):
-            for delta in (-1, 1):
-                c = coord[j] + delta
-                if 0 <= c < self.dims[j]:
-                    out.append(coord[:j] + (c,) + coord[j + 1 :])
-        return out
 
 
 def make_cycle(n: int) -> Graph:

@@ -170,8 +170,8 @@ def interleaving_certificate(graph: Graph, weights: Sequence[int], k: int) -> Ce
     Deterministic: smallest pivot wins, then the greedy earliest chain.
     Returns None when no pivot interleaves (which proves nothing).
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if type(k) is not int or k < 1:  # also rejects bools
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     w = check_weights(weights)
     if len(w) != graph.n:
         raise ValueError(f"{len(w)} weights for a graph on {graph.n} vertices")
@@ -193,8 +193,8 @@ def cycle_star1_obstruction(n: int, weights: Sequence[int]) -> Certificate:
     straddles another vertex u; when no u outside the neighborhood works, u is
     the pivot itself and the triangle-free certificate applies.
     """
-    if n < 5:
-        raise ValueError(f"cycle obstruction applies for n >= 5, got {n}")
+    if type(n) is not int or n < 5:  # also rejects bools
+        raise ValueError(f"cycle obstruction applies for integer n >= 5, got {n!r}")
     w = check_weights(weights)
     if len(w) != n:
         raise ValueError(f"{len(w)} weights for a cycle on {n} vertices")

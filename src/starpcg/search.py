@@ -7,13 +7,19 @@ all vectors up to a bound only rules out witnesses within that bound.
 
 from __future__ import annotations
 
-import multiprocessing
+import os
 import random
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from collections import deque
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
+from itertools import takewhile
+from multiprocessing import Pool
+from threading import Event
+from typing import Iterable
 
 from .graphs import Graph
 from .stars import Feasible, Witness, min_intervals_for_weights
+from .stars import _adjacency_rows, _edge_runs, _place, _unplace
 
 SPACE_LIMIT = 10**9
 
@@ -27,8 +33,8 @@ class SearchConfig:
 
     max_weight defaults to 2n when left unset.  target_k stops the scan at
     the first vector (in scan order) achieving at most target_k intervals.
-    jobs > 1 splits the exhaustive space by first coordinate; the merge
-    reproduces the serial scan exactly, so worker count never changes output.
+    jobs > 1 splits the exhaustive space by first weight over min(jobs, W+1,
+    cpu count) processes; the merge reproduces the serial scan exactly.
     """
 
     max_weight: int | None = None
@@ -50,71 +56,13 @@ class SearchResult:
     infeasible_count: int
 
 
-def _adjacency_rows(graph: Graph) -> list[tuple[int, ...]]:
-    """rows[i][j] for j < i: +1 when ij is an edge, -1 when it is a non-edge."""
-    return [
-        tuple(1 if graph.has_edge(i, j) else -1 for j in range(i))
-        for i in range(graph.n)
-    ]
-
-
-# The kernel keeps a dict sum -> signed count of the pairs placed so far:
-# +c for c edge pairs with that sum, -c for c non-edge pairs.  No entry ever
-# mixes the two, because a sum shared by an edge and a non-edge is a tie no
-# interval set can separate, and every weight vector extending it is
-# infeasible.
-
-
-def _place(sums: dict[int, int], row: tuple[int, ...], w: Sequence[int], i: int) -> bool:
-    """Add the sums of vertex i with vertices 0..i-1; on a tie undo them and return False."""
-    wi = w[i]
-    for j, sign in enumerate(row):
-        s = wi + w[j]
-        c = sums.get(s, 0)
-        if c * sign < 0:
-            _unplace(sums, row[:j], w, i)
-            return False
-        sums[s] = c + sign
-    return True
-
-
-def _unplace(sums: dict[int, int], row: tuple[int, ...], w: Sequence[int], i: int) -> None:
-    """Remove the sums of vertex i with vertices 0..len(row)-1."""
-    wi = w[i]
-    for j, sign in enumerate(row):
-        s = wi + w[j]
-        c = sums[s] - sign
-        if c:
-            sums[s] = c
-        else:
-            del sums[s]
-
-
-def _runs(sums: dict[int, int]) -> int:
-    """Interval count of a tie-free sum table: the maximal runs of edge sums."""
-    k = 0
-    in_run = False
-    for s in sorted(sums):
-        if sums[s] > 0:
-            if not in_run:
-                k += 1
-                in_run = True
-        else:
-            in_run = False
-    return k
-
-
 @dataclass
 class _ChunkStats:
     best: tuple[int, tuple[int, ...]] | None = None
     explored: int = 0
     infeasible: int = 0
-    histogram: dict[int, int] | None = None
+    histogram: dict[int, int] = field(default_factory=dict)
     first_hit: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.histogram is None:
-            self.histogram = {}
 
     def record(self, k: int, vec: tuple[int, ...], target_k: int | None) -> bool:
         """Count one feasible vector; True when it is the first target_k hit."""
@@ -139,7 +87,7 @@ def _scan_random(
     for vec in vectors:
         sums: dict[int, int] = {}
         if all(_place(sums, rows[i], vec, i) for i in range(1, len(rows))):
-            if stats.record(_runs(sums), vec, target_k):
+            if stats.record(len(_edge_runs(sums, sorted(sums))), vec, target_k):
                 break
         else:
             stats.explored += 1
@@ -160,9 +108,6 @@ def _scan_chunk(args) -> _ChunkStats:
     rows, bound, w0, target_k, orbit = args
     n = len(rows)
     stats = _ChunkStats()
-    if n == 1:
-        stats.record(0, (w0,), target_k)
-        return stats
     w = [w0] + [0] * (n - 1)
     lows = [w0 if v in orbit else 0 for v in range(n)]
     # completions[i]: vectors sharing one prefix of length i
@@ -172,8 +117,9 @@ def _scan_chunk(args) -> _ChunkStats:
     sums: dict[int, int] = {}
 
     def descend(i: int) -> bool:
+        if i == n:
+            return stats.record(len(_edge_runs(sums, sorted(sums))), tuple(w), target_k)
         row = rows[i]
-        leaf = i == n - 1
         subtree = completions[i + 1]
         for x in range(lows[i], bound + 1):
             w[i] = x
@@ -181,10 +127,7 @@ def _scan_chunk(args) -> _ChunkStats:
                 stats.explored += subtree
                 stats.infeasible += subtree
                 continue
-            if leaf:
-                hit = stats.record(_runs(sums), tuple(w), target_k)
-            else:
-                hit = descend(i + 1)
+            hit = descend(i + 1)
             _unplace(sums, row, w, i)
             if hit:
                 return True
@@ -194,8 +137,8 @@ def _scan_chunk(args) -> _ChunkStats:
     return stats
 
 
-def _merge_chunks(chunks: list[_ChunkStats]) -> _ChunkStats:
-    """Fold per-chunk stats in scan order, honoring the first target hit."""
+def _merge_chunks(chunks: Iterable[_ChunkStats]) -> _ChunkStats:
+    """Fold per-chunk stats in scan order, drawing none past the first target hit."""
     total = _ChunkStats()
     for chunk in chunks:
         total.explored += chunk.explored
@@ -248,7 +191,22 @@ def _orbit_of_zero(graph: Graph) -> tuple[int, ...]:
     )
 
 
+# The exact types each SearchConfig field accepts; a bool is not an int here.
+_FIELD_TYPES = {
+    "max_weight": (int, type(None)),
+    "trials": (int,),
+    "target_k": (int, type(None)),
+    "jobs": (int,),
+    "prune_symmetry": (bool,),
+}
+
+
 def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
+    for name, kinds in _FIELD_TYPES.items():
+        value = getattr(cfg, name)
+        if type(value) not in kinds:
+            names = " or ".join(k.__name__ for k in kinds).replace("NoneType", "None")
+            raise ValueError(f"{name} must be {names}, got {value!r}")
     if graph.n == 0:
         raise ValueError("search needs at least one vertex")
     if cfg.mode not in (MODE_EXHAUSTIVE, MODE_RANDOM):
@@ -273,38 +231,34 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
 def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
     """Scan weight vectors in {0..W}^n for the fewest intervals realizing `graph`.
 
-    Exhaustive mode is a census in lexicographic order (optionally split
-    across jobs by first weight): it places weights vertex by vertex, and a
-    prefix whose edge and non-edge sums already tie is skipped, with all its
-    completions counted as explored and infeasible.  Its cost therefore grows
-    with the number of tie-free prefixes, not with (W+1)^n, while every
-    count, the histogram and the witness match a plain vector-by-vector
-    scan.  Random mode draws `trials` vectors from a seeded generator.  Ties
-    on the interval count are broken toward the lexicographically smallest
-    vector, whose intervals are re-derived by the oracle as a cross-check.
+    Exhaustive mode is a census in lexicographic order: one chunk per first
+    weight, scanned in turn or by a worker pool and folded as it arrives, so
+    the scan stops at the first target hit.  A chunk places weights vertex by
+    vertex, and a prefix whose edge and non-edge sums already tie is skipped,
+    with all its completions counted as explored and infeasible.  Its cost
+    therefore grows with the number of tie-free prefixes, not with (W+1)^n,
+    while every count, the histogram and the witness match a plain
+    vector-by-vector scan.  Random mode draws `trials` vectors from a seeded
+    generator.  Ties on the interval count are broken toward the
+    lexicographically smallest vector, whose intervals are re-derived by the
+    oracle as a cross-check.
     """
     cfg = _validated(graph, cfg if cfg is not None else SearchConfig())
     bound = cfg.max_weight
-    assert bound is not None
     rows = _adjacency_rows(graph)
-    orbit: tuple[int, ...] = ()
-    if cfg.prune_symmetry and cfg.mode == MODE_EXHAUSTIVE:
-        orbit = _orbit_of_zero(graph)
-
     if cfg.mode == MODE_EXHAUSTIVE:
-        job_args = [(rows, bound, w0, cfg.target_k, orbit) for w0 in range(bound + 1)]
-        if cfg.jobs > 1:
-            with multiprocessing.Pool(cfg.jobs) as pool:
-                chunk_stats = pool.map(_scan_chunk, job_args)
-            total = _merge_chunks(chunk_stats)
-        else:
-            collected = []
-            for args in job_args:
-                stats = _scan_chunk(args)
-                collected.append(stats)
-                if stats.first_hit is not None:
-                    break
-            total = _merge_chunks(collected)
+        orbit = _orbit_of_zero(graph) if cfg.prune_symmetry else ()
+        stop = Event()
+        fed = takewhile(lambda _: not stop.is_set(), range(bound + 1))
+        job_args = ((rows, bound, w0, cfg.target_k, orbit) for w0 in fed)
+        workers = min(cfg.jobs, bound + 1, os.cpu_count() or 1)
+        with Pool(workers) if workers > 1 else nullcontext() as pool:
+            chunks = (pool.imap if pool is not None else map)(_scan_chunk, job_args)
+            total = _merge_chunks(chunks)
+            # feed no more chunks and drain the pool: ending it while a worker
+            # writes a result can leave the result queue locked and hang
+            stop.set()
+            deque(chunks, maxlen=0)
         complete = total.first_hit is None
     else:
         rng = random.Random(cfg.rng_seed)

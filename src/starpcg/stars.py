@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, compress, repeat
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Edge, Graph
 
@@ -188,6 +188,60 @@ def verify(witness: Witness, graph: Graph) -> VerifyReport:
     return VerifyReport(equal=not missing and not extra, missing=missing, extra=extra)
 
 
+# A signed sum table maps a pair sum to +c for c edge pairs, or -c for c
+# non-edge pairs, with that sum.  An entry never mixes the two: a tie no
+# interval set separates is reported by the oracle, which fills its table in
+# one pass, and pruned by the search, which grows its table a vertex at a time.
+
+
+def _adjacency_rows(graph: Graph) -> list[tuple[int, ...]]:
+    """rows[i][j] for j < i: +1 when ij is an edge, -1 when it is a non-edge."""
+    return [tuple(1 if graph.has_edge(i, j) else -1 for j in range(i)) for i in range(graph.n)]
+
+
+def _place(sums: dict[int, int], row: tuple[int, ...], w: Sequence[int], i: int) -> bool:
+    """Add the sums of vertex i with vertices 0..i-1; on a tie undo them and return False."""
+    wi = w[i]
+    for j, sign in enumerate(row):
+        s = wi + w[j]
+        c = sums.get(s, 0)
+        if c * sign < 0:
+            _unplace(sums, row[:j], w, i)
+            return False
+        sums[s] = c + sign
+    return True
+
+
+def _unplace(sums: dict[int, int], row: tuple[int, ...], w: Sequence[int], i: int) -> None:
+    """Remove the sums of vertex i with vertices 0..len(row)-1."""
+    wi = w[i]
+    for j, sign in enumerate(row):
+        s = wi + w[j]
+        c = sums[s] - sign
+        if c:
+            sums[s] = c
+        else:
+            del sums[s]
+
+
+def _edge_runs(table: dict[int, int], ascending: Iterable[int]) -> list[Interval]:
+    """Maximal runs of edge sums, as tight intervals; `ascending` lists the table's sums in order."""
+    runs: list[Interval] = []
+    lo = None
+    for s in ascending:
+        if table[s] < 0:
+            if lo is not None:
+                runs.append((lo, hi))
+                lo = None
+        else:
+            hi = s
+            if lo is None:
+                lo = s
+    if lo is not None:
+        runs.append((lo, hi))
+    return runs
+
+
 @dataclass(frozen=True)
 class Feasible:
     """The weights admit a realization; k intervals are necessary and sufficient."""
@@ -302,19 +356,13 @@ def min_intervals_for_weights(graph: Graph, weights: Sequence[int]) -> Feasible 
     if graph.n < 2:
         return Feasible(k=0, intervals=())
     edge_sums = Counter(w[u] + w[v] for u in range(graph.n) for v in graph.neighbors(u) if u < v)
-    runs: list[Interval] = []
-    in_run = False
+    table: dict[int, int] = {}
     for s, pairs in _pair_sums(w):
         edges = edge_sums.get(s, 0)
-        if not edges:
-            in_run = False
-        elif pairs > edges:
+        if 0 < edges < pairs:
             return _first_pairs_at(graph, w, s)
-        elif in_run:
-            runs[-1] = (runs[-1][0], s)
-        else:
-            runs.append((s, s))
-            in_run = True
+        table[s] = edges or -pairs
+    runs = _edge_runs(table, table)  # filled in ascending order of sum
     return Feasible(k=len(runs), intervals=tuple(runs))
 
 

@@ -20,6 +20,7 @@ from starpcg.cli import (
     EXIT_NO_CERTIFICATE,
     EXIT_OK,
     EXIT_USAGE,
+    STEP_BUDGET,
     VERTEX_BUDGET,
     main,
 )
@@ -460,6 +461,40 @@ class TestInputBoundary:
         )
         graph.write_text(json.dumps({"n": 4, "edges": []}))
         witness.write_text(json.dumps({"weights": [0, 0, 0, 0], "intervals": [[0, 0]]}))
+        code, out = run_cli(capsys, "verify", str(graph), str(witness))
+        assert code == EXIT_USAGE and out == ""
+
+    def test_witness_over_step_budget_is_refused_promptly(self, capsys, tmp_path):
+        # 4000 even weights under 8000 odd singleton intervals realize no
+        # edge, but the empty interval steps alone took 11 s to walk
+        n = 4000
+        assert n * n > STEP_BUDGET
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": n, "edges": []}))
+        witness = tmp_path / "w.json"
+        witness.write_text(json.dumps({
+            "weights": [2 * i for i in range(n)],
+            "intervals": [[2 * j + 1, 2 * j + 1] for j in range(2 * n)],
+        }))
+        start = time.perf_counter()
+        code = main(["verify", str(graph), str(witness)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert f"the limit is {STEP_BUDGET}" in captured.err
+        assert elapsed < 2
+
+    def test_step_budget_is_inclusive(self, capsys, tmp_path, monkeypatch):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": 2, "edges": []}))
+        witness = tmp_path / "w.json"
+        witness.write_text(json.dumps({"weights": [0, 2], "intervals": [[1, 1], [3, 3]]}))
+        monkeypatch.setattr(cli, "STEP_BUDGET", 4)
+        assert run_json(capsys, "verify", str(graph), str(witness)) == (
+            EXIT_OK,
+            {"equal": True, "missing": [], "extra": []},
+        )
+        monkeypatch.setattr(cli, "STEP_BUDGET", 3)
         code, out = run_cli(capsys, "verify", str(graph), str(witness))
         assert code == EXIT_USAGE and out == ""
 

@@ -160,6 +160,13 @@ class TestGridShape:
         listed = list(s.coords())
         assert listed == [s.coord_of(i) for i in range(s.num_vertices)]
 
+    @pytest.mark.parametrize("dims", [(True, 3), (3, False), (2.0, 3), ("3", 3)])
+    def test_rejects_non_int_dims(self, dims):
+        with pytest.raises(ValueError, match="dimension sizes"):
+            GridShape(dims)
+        with pytest.raises(ValueError, match="dimension sizes"):
+            make_grid(dims)
+
     def test_bounds_errors(self):
         s = GridShape((3, 3))
         with pytest.raises(ValueError):

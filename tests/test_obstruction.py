@@ -124,6 +124,17 @@ class TestInterleavingCertificate:
         with pytest.raises(ValueError):
             interleaving_certificate(make_cycle(5), (1, 2, 3, 4, 5), 0)
 
+    def test_rejects_bool_k(self):
+        # True would otherwise pass as k = 1 and return a certificate whose
+        # k check_certificate refuses
+        with pytest.raises(ValueError, match="k must be an integer"):
+            interleaving_certificate(make_cycle(6), (0, 1, 5, 2, 3, 4), True)
+
+    def test_rejects_non_int_k(self):
+        # 1.5 would otherwise return None, which reads as "no certificate"
+        with pytest.raises(ValueError, match="k must be an integer"):
+            interleaving_certificate(make_cycle(6), (0, 1, 5, 2, 3, 4), 1.5)
+
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
             interleaving_certificate(make_cycle(5), (1, 2, 3), 1)
@@ -287,6 +298,10 @@ class TestCycleObstruction:
     def test_rejects_small_cycles(self):
         with pytest.raises(ValueError):
             cycle_star1_obstruction(4, (1, 2, 3, 4))
+
+    def test_rejects_non_int_n(self):
+        with pytest.raises(ValueError, match="integer n"):
+            cycle_star1_obstruction(5.0, (1, 2, 3, 4, 5))
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):

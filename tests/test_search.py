@@ -1,7 +1,12 @@
 """Bounded exhaustive and randomized weight-space search."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
@@ -10,6 +15,7 @@ import starpcg.search
 from starpcg import (
     Feasible,
     Graph,
+    MODE_EXHAUSTIVE,
     MODE_RANDOM,
     SearchConfig,
     SearchResult,
@@ -161,8 +167,9 @@ class TestExhaustive:
 
     def test_kernel_disagreeing_with_oracle_raises(self, monkeypatch):
         # the oracle cross-check on the best witness is a real check, not an
-        # assert, so it also runs under python -O
-        monkeypatch.setattr(starpcg.search, "_runs", lambda sums: 0)
+        # assert, so it also runs under python -O; only the search's binding
+        # of the shared run scan is broken, so the oracle keeps the real one
+        monkeypatch.setattr(starpcg.search, "_edge_runs", lambda table, ascending: [])
         with pytest.raises(RuntimeError, match="oracle"):
             search_min_k(make_cycle(4), SearchConfig(max_weight=3))
 
@@ -190,6 +197,63 @@ class TestDeterminismAndJobs:
         assert serial.best_k == 2
         assert serial.explored < 7**5
         assert not serial.exhaustive_within_bound
+
+    def test_pool_size_is_capped(self, monkeypatch):
+        # no process starts: the pool is replaced by a recorder that maps in-process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            imap = staticmethod(map)
+
+        monkeypatch.setattr(starpcg.search, "Pool", RecordingPool)
+        g = make_cycle(4)
+        serial = search_min_k(g, SearchConfig(max_weight=3, jobs=1))
+        assert sizes == []
+        assert search_min_k(g, SearchConfig(max_weight=3, jobs=10**6)) == serial
+        assert all(size <= min(3 + 1, os.cpu_count() or 1) for size in sizes)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        sizes.clear()
+        assert search_min_k(g, SearchConfig(max_weight=3, jobs=10**6)) == serial
+        assert sizes == [3 + 1]
+
+    def test_early_stops_in_a_pool_shut_down(self):
+        # ending a pool while a worker writes a result can hang its shutdown,
+        # so repeat early-stopping pool scans in a child under a time limit
+        script = (
+            "from starpcg import SearchConfig, make_cycle, make_path, search_min_k\n"
+            "cases = ((make_cycle(5), 6, 2), (make_cycle(4), 8, 1), (make_path(3), 20, 1),"
+            " (make_path(1), 300, 0))\n"
+            "for _ in range(30):\n"
+            "    for g, w, k in cases:\n"
+            "        search_min_k(g, SearchConfig(max_weight=w, target_k=k, jobs=2))\n"
+        )
+        src = os.path.dirname(os.path.dirname(starpcg.search.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_census_holds_one_chunk_at_a_time(self):
+        # one chunk per first weight: 2*10^4 + 1 chunks must not all be kept
+        tracemalloc.start()
+        try:
+            res = search_min_k(make_path(1), SearchConfig(max_weight=2 * 10**4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.explored == 2 * 10**4 + 1
+        assert res.k_histogram == {0: 2 * 10**4 + 1}
+        assert peak < 10**6
 
     def test_target_k_zero_stops_immediately(self):
         res = search_min_k(Graph(3), SearchConfig(max_weight=2, target_k=0))
@@ -293,6 +357,30 @@ class TestValidation:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError, match="target_k"):
             search_min_k(make_cycle(3), SearchConfig(max_weight=2, target_k=-1))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_weight", 2.5),
+            ("max_weight", True),
+            ("max_weight", "3"),
+            ("trials", 2.5),
+            ("trials", None),
+            ("target_k", "1"),
+            ("target_k", False),
+            ("jobs", 1.5),
+            ("jobs", True),
+            ("jobs", None),
+            ("prune_symmetry", "no"),
+            ("prune_symmetry", 1),
+            ("prune_symmetry", None),
+        ],
+    )
+    def test_rejects_wrong_field_types(self, field, value):
+        for mode in (MODE_EXHAUSTIVE, MODE_RANDOM):
+            cfg = SearchConfig(max_weight=2, mode=mode, trials=5)
+            with pytest.raises(ValueError, match=field):
+                search_min_k(make_cycle(3), replace(cfg, **{field: value}))
 
     def test_rejects_oversized_space(self):
         with pytest.raises(ValueError, match="exceeds"):
