@@ -37,7 +37,7 @@ EXIT_USAGE = 64
 VERTEX_BUDGET = 10**5
 # `verify` refuses a witness that realizes more edges than this, counted from
 # the realization's block bounds before any edge is built.  At the limit a
-# mismatch against an edgeless graph takes about 5.4 s and 350 MB peak RSS on
+# mismatch against an edgeless graph takes about 2 s and 200 MB peak RSS on
 # the same host; 10^5 equal weights would otherwise realize 5*10^9 edges.
 EDGE_BUDGET = 10**6
 # `verify` refuses n * min(k, n) above this before counting edges: a vertex

@@ -7,6 +7,7 @@ row-major flat ids).
 
 from __future__ import annotations
 
+from .graphs import _check_int
 from .stars import Witness
 
 
@@ -17,8 +18,7 @@ def cycle_witness(n: int) -> Witness:
     so consecutive vertices sum into a narrow window; the second interval is a
     singleton that accepts only the wrap-around edge.
     """
-    if n < 3:
-        raise ValueError(f"cycle witness needs n >= 3, got {n}")
+    _check_int(n, "n", 3)
     if n % 2 == 0:
         base = n + n // 2
         weights = tuple(
@@ -37,16 +37,14 @@ def cycle_witness(n: int) -> Witness:
 
 def path_witness(n: int) -> Witness:
     """One-interval witness for the path on n >= 1 vertices."""
-    if n < 1:
-        raise ValueError(f"path witness needs n >= 1, got {n}")
+    _check_int(n, "n", 1)
     weights = tuple(2 * n - i if i % 2 == 0 else i + 1 for i in range(n))
     return Witness(weights, ((2 * n, 2 * n + 2),))
 
 
 def grid2_witness(n1: int) -> Witness:
     """One-interval witness for the grid with n1 rows and 2 columns."""
-    if n1 < 1:
-        raise ValueError(f"two-column grid witness needs n1 >= 1, got {n1}")
+    _check_int(n1, "n1", 1)
     weights = tuple(
         2 * n1 - i if (i + j) % 2 == 0 else i + 1
         for i in range(n1)
@@ -72,8 +70,7 @@ def grid_square_witness(h: int) -> Witness:
     even-parity cells large descending ones, so the four orthogonal steps land
     in one of two short windows while diagonal and farther pairs miss both.
     """
-    if h < 1:
-        raise ValueError(f"square grid witness needs h >= 1, got {h}")
+    _check_int(h, "h", 1)
     weights = tuple(_square_weight(h, i, j) for i in range(h) for j in range(h))
     lo = 2 * h * (h - 1)
     return Witness(weights, ((lo, lo + 1), (lo + h + 1, lo + h + 2)))
@@ -86,8 +83,8 @@ def grid_witness(n1: int, n2: int) -> Witness:
     otherwise the square witness for h = max(n1, n2) is restricted to the
     occupied coordinate box, keeping both intervals.
     """
-    if n1 < 1 or n2 < 1:
-        raise ValueError(f"grid witness needs n1, n2 >= 1, got ({n1}, {n2})")
+    _check_int(n1, "n1", 1)
+    _check_int(n2, "n2", 1)
     if min(n1, n2) == 1:
         return path_witness(max(n1, n2))
     if n2 == 2:

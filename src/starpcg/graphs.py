@@ -7,6 +7,7 @@ so for a two-dimensional shape (n1, n2) the vertex (i, j) has id i*n2 + j.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
@@ -15,14 +16,23 @@ Coord = tuple[int, ...]
 Edge = tuple[int, int]
 
 
+def _check_int(value, name: str, minimum: int | None) -> int:
+    """`value` if it is an int, not a bool, and >= `minimum` (None: any); else ValueError."""
+    # the type test first: it settles a plain int, the common case, at once
+    is_int = type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
+    if is_int and (minimum is None or value >= minimum):
+        return value
+    bound = "" if minimum is None else f" >= {minimum}"
+    raise ValueError(f"{name} must be an integer{bound}, got {reprlib.repr(value)}")
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
     __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError("vertex count must be a non-negative integer")
+        _check_int(n, "vertex count", 0)
         adj: list[set[int]] = [set() for _ in range(n)]
         for e in edges:
             try:
@@ -99,8 +109,8 @@ class GridShape:
         dims = tuple(self.dims)
         if len(dims) < 1:
             raise ValueError("grid shape needs at least one dimension")
-        if any(type(m) is not int or m < 1 for m in dims):  # also rejects bools
-            raise ValueError(f"dimension sizes must be integers >= 1, got {dims}")
+        for m in dims:
+            _check_int(m, f"each of the dimension sizes {dims}", 1)
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -141,15 +151,13 @@ class GridShape:
 
 def make_cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices with edges {i, i+1 mod n}."""
-    if n < 3:
-        raise ValueError(f"a cycle needs at least 3 vertices, got {n}")
+    _check_int(n, "n", 3)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def make_path(n: int) -> Graph:
     """Path on n >= 1 vertices; same as the one-dimensional grid."""
-    if n < 1:
-        raise ValueError(f"a path needs at least 1 vertex, got {n}")
+    _check_int(n, "n", 1)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -168,11 +176,11 @@ def make_grid(shape: GridShape | Sequence[int]) -> Graph:
 def induced_subgraph(graph: Graph, vertices: Sequence[int]) -> Graph:
     """Subgraph induced by `vertices`, relabeled 0..len-1 in the given order."""
     order = list(vertices)
+    for v in order:
+        if _check_int(v, "vertex", 0) >= graph.n:
+            raise ValueError(f"vertex {v} out of range for n={graph.n}")
     if len(set(order)) != len(order):
         raise ValueError("vertex selection contains duplicates")
-    for v in order:
-        if not (0 <= v < graph.n):
-            raise ValueError(f"vertex {v} out of range for n={graph.n}")
     pos = {v: i for i, v in enumerate(order)}
     edges = [
         (pos[u], pos[v])

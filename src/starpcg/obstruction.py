@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .graphs import Graph, GridShape, make_cycle, make_grid
-from .stars import check_weights
+from .graphs import Graph, GridShape, _check_int, make_cycle, make_grid
+from .stars import _check_weight_count
 
 KIND_INTERLEAVING = "interleaving"
 KIND_CYCLE_TRIANGLE_FREE = "cycle-triangle-free"
@@ -64,25 +64,27 @@ class Certificate:
 
 
 def _check_fields(cert: Certificate) -> None:
-    """Raise CertificateError unless x, k and every vertex in vs and us are ints."""
-    for name, value in (("x", cert.x), ("k", cert.k)):
-        if type(value) is not int:  # also rejects bools
-            raise CertificateError(f"{name} must be an integer, got {value!r}")
-    for name, chain in (("vs", cert.vs), ("us", cert.us)):
-        if not isinstance(chain, (list, tuple)):
-            raise CertificateError(f"{name} must be a list of vertices, got {chain!r}")
-        for v in chain:
-            if type(v) is not int:
-                raise CertificateError(f"{name} entries must be integer vertices, got {v!r}")
+    """Raise CertificateError unless x and each vertex in vs and us are ints >= 0, and k >= 1."""
+    try:
+        _check_int(cert.x, "x", 0)
+        _check_int(cert.k, "k", 1)
+        for name, chain in (("vs", cert.vs), ("us", cert.us)):
+            if not isinstance(chain, (list, tuple)):
+                raise ValueError(f"{name} must be a list of vertices, got {chain!r}")
+            for v in chain:
+                _check_int(v, f"{name} entry", 0)
+    except ValueError as exc:
+        raise CertificateError(str(exc)) from None
 
 
 def check_certificate(cert: Certificate, graph: Graph, weights: Sequence[int]) -> None:
     """Re-check a certificate from first principles; raise CertificateError if bad."""
     _check_fields(cert)
-    w = check_weights(weights)
-    if len(w) != graph.n:
-        raise CertificateError(f"{len(w)} weights for a graph on {graph.n} vertices")
-    if not (0 <= cert.x < graph.n):
+    try:
+        w = _check_weight_count(weights, graph.n)
+    except ValueError as exc:
+        raise CertificateError(str(exc)) from None
+    if cert.x >= graph.n:
         raise CertificateError(f"pivot {cert.x} out of range")
     nb = graph.neighbors(cert.x)
     if len(set(cert.vs)) != len(cert.vs) or len(set(cert.us)) != len(cert.us):
@@ -95,8 +97,6 @@ def check_certificate(cert: Certificate, graph: Graph, weights: Sequence[int]) -
             raise CertificateError(f"{u} is not outside N({cert.x}) + pivot")
 
     if cert.kind == KIND_INTERLEAVING:
-        if cert.k < 1:
-            raise CertificateError(f"k must be >= 1, got {cert.k}")
         if len(cert.vs) != cert.k + 1 or len(cert.us) != cert.k:
             raise CertificateError("interleaving needs k+1 neighbors and k non-neighbors")
         for i, u in enumerate(cert.us):
@@ -170,11 +170,8 @@ def interleaving_certificate(graph: Graph, weights: Sequence[int], k: int) -> Ce
     Deterministic: smallest pivot wins, then the greedy earliest chain.
     Returns None when no pivot interleaves (which proves nothing).
     """
-    if type(k) is not int or k < 1:  # also rejects bools
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    w = check_weights(weights)
-    if len(w) != graph.n:
-        raise ValueError(f"{len(w)} weights for a graph on {graph.n} vertices")
+    _check_int(k, "k", 1)
+    w = _check_weight_count(weights, graph.n)
     for x in range(graph.n):
         found = _greedy_interleaving(graph, w, x, k)
         if found is not None:
@@ -193,11 +190,8 @@ def cycle_star1_obstruction(n: int, weights: Sequence[int]) -> Certificate:
     straddles another vertex u; when no u outside the neighborhood works, u is
     the pivot itself and the triangle-free certificate applies.
     """
-    if type(n) is not int or n < 5:  # also rejects bools
-        raise ValueError(f"cycle obstruction applies for integer n >= 5, got {n!r}")
-    w = check_weights(weights)
-    if len(w) != n:
-        raise ValueError(f"{len(w)} weights for a cycle on {n} vertices")
+    _check_int(n, "n", 5)
+    w = _check_weight_count(weights, n)
     graph = make_cycle(n)
     cert = interleaving_certificate(graph, w, 1)
     if cert is not None:
@@ -225,9 +219,7 @@ def grid4d_certificate(weights: Sequence[int]) -> Certificate:
     interleaving pivot is flagged by raising instead of guessing.
     """
     shape, graph = _grid4()
-    w = check_weights(weights)
-    if len(w) != graph.n:
-        raise ValueError(f"need {graph.n} weights, got {len(w)}")
+    w = _check_weight_count(weights, graph.n)
     a = shape.flat_id((1, 1, 1, 1))
     found = _greedy_interleaving(graph, w, a, 2)
     if found is not None:

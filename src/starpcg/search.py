@@ -17,7 +17,7 @@ from multiprocessing import Pool
 from threading import Event
 from typing import Iterable
 
-from .graphs import Graph
+from .graphs import Graph, _check_int
 from .stars import Feasible, Witness, min_intervals_for_weights
 from .stars import _adjacency_rows, _edge_runs, _place, _unplace
 
@@ -191,35 +191,21 @@ def _orbit_of_zero(graph: Graph) -> tuple[int, ...]:
     )
 
 
-# The exact types each SearchConfig field accepts; a bool is not an int here.
-_FIELD_TYPES = {
-    "max_weight": (int, type(None)),
-    "trials": (int,),
-    "target_k": (int, type(None)),
-    "jobs": (int,),
-    "prune_symmetry": (bool,),
-}
-
-
 def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
-    for name, kinds in _FIELD_TYPES.items():
-        value = getattr(cfg, name)
-        if type(value) not in kinds:
-            names = " or ".join(k.__name__ for k in kinds).replace("NoneType", "None")
-            raise ValueError(f"{name} must be {names}, got {value!r}")
+    """`cfg` with every field checked and max_weight resolved (2n when unset)."""
     if graph.n == 0:
         raise ValueError("search needs at least one vertex")
     if cfg.mode not in (MODE_EXHAUSTIVE, MODE_RANDOM):
         raise ValueError(f"unknown search mode {cfg.mode!r}")
-    if cfg.jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
-    if cfg.mode == MODE_RANDOM and cfg.trials < 1:
-        raise ValueError(f"random mode needs trials >= 1, got {cfg.trials}")
+    # exhaustive mode ignores trials, so any integer passes there
+    _check_int(cfg.trials, "trials", 1 if cfg.mode == MODE_RANDOM else None)
+    _check_int(cfg.jobs, "jobs", 1)
+    if cfg.target_k is not None:
+        _check_int(cfg.target_k, "target_k", 0)
+    if type(cfg.prune_symmetry) is not bool:
+        raise ValueError(f"prune_symmetry must be a bool, got {cfg.prune_symmetry!r}")
     bound = cfg.max_weight if cfg.max_weight is not None else 2 * graph.n
-    if bound < 1:
-        raise ValueError(f"max weight must be >= 1, got {bound}")
-    if cfg.target_k is not None and cfg.target_k < 0:
-        raise ValueError(f"target_k must be >= 0, got {cfg.target_k}")
+    _check_int(bound, "max_weight", 1)
     if cfg.mode == MODE_EXHAUSTIVE and (bound + 1) ** graph.n > SPACE_LIMIT:
         raise ValueError(
             f"exhaustive space (W+1)^n = {(bound + 1) ** graph.n} exceeds {SPACE_LIMIT}; "
@@ -292,12 +278,11 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
 
 def search_report(graph: Graph, cfg: SearchConfig | None = None) -> dict:
     """Run a search and package the result as a JSON-ready summary."""
-    cfg = cfg if cfg is not None else SearchConfig()
+    cfg = _validated(graph, cfg if cfg is not None else SearchConfig())
     result = search_min_k(graph, cfg)
-    resolved_bound = cfg.max_weight if cfg.max_weight is not None else 2 * graph.n
     return {
         "config": {
-            "max_weight": resolved_bound,
+            "max_weight": cfg.max_weight,
             "mode": cfg.mode,
             "trials": cfg.trials if cfg.mode == MODE_RANDOM else None,
             "seed": cfg.rng_seed if cfg.mode == MODE_RANDOM else None,

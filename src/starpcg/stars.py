@@ -33,6 +33,14 @@ def check_weights(weights: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
+def _check_weight_count(weights: Sequence[int], n: int) -> tuple[int, ...]:
+    """`check_weights`, plus one weight per vertex of an n-vertex graph."""
+    w = check_weights(weights)
+    if len(w) != n:
+        raise ValueError(f"{len(w)} weights for a graph on {n} vertices")
+    return w
+
+
 def check_intervals(intervals: Sequence[Sequence[int]]) -> tuple[Interval, ...]:
     """Validate intervals: integer [lo, hi] with 0 <= lo <= hi, pairwise disjoint.
 
@@ -146,16 +154,13 @@ def realized_edge_count(witness: Witness, limit: int) -> int:
     return total
 
 
-def realize(witness: Witness, n: int | None = None) -> Graph:
+def realize(witness: Witness) -> Graph:
     """Graph realized by a witness: edge {u, v} iff w_u + w_v lies in an interval."""
-    w = witness.weights
-    if n is not None and n != len(w):
-        raise ValueError(f"witness has {len(w)} weights but n={n} was requested")
     order, blocks = _accepted_blocks(witness)
     edges: list[Edge] = []
     for u, start, end in blocks:
         edges.extend(zip(repeat(u), order[start:end]))
-    return Graph(len(w), edges)
+    return Graph(witness.n, edges)
 
 
 @dataclass(frozen=True)
@@ -175,17 +180,31 @@ class VerifyReport:
 
 
 def verify(witness: Witness, graph: Graph) -> VerifyReport:
-    """Check that the witness realizes exactly `graph`."""
+    """Check that the witness realizes exactly `graph`.
+
+    Realized pairs stream from `_accepted_blocks` against `graph`'s adjacency,
+    holding only the extra edges and the target edges hit; an "equal" verdict
+    is cross-checked by `realize`, whose graph then has exactly `graph`'s edges.
+    """
     if witness.n != graph.n:
         raise ValueError(f"witness is for {witness.n} vertices, graph has {graph.n}")
-    realized = realize(witness)
-    if realized == graph:
-        return VerifyReport(equal=True, missing=(), extra=())
-    want = set(graph.edges())
-    got = set(realized.edges())
-    missing = tuple(sorted(want - got))
-    extra = tuple(sorted(got - want))
-    return VerifyReport(equal=not missing and not extra, missing=missing, extra=extra)
+    order, blocks = _accepted_blocks(witness)
+    extra = []
+    hit = set()
+    for u, start, end in blocks:
+        nb = graph.neighbors(u)
+        for v in order[start:end]:
+            e = (u, v) if u < v else (v, u)
+            if v in nb:
+                hit.add(e)
+            else:
+                extra.append(e)
+    extra.sort()
+    missing = [e for e in graph.edges() if e not in hit] if len(hit) < graph.num_edges else []
+    equal = not missing and not extra
+    if equal and realize(witness) != graph:
+        raise RuntimeError("the streamed diff is empty, but the realized graph differs")
+    return VerifyReport(equal=equal, missing=tuple(missing), extra=tuple(extra))
 
 
 # A signed sum table maps a pair sum to +c for c edge pairs, or -c for c
@@ -350,9 +369,7 @@ def min_intervals_for_weights(graph: Graph, weights: Sequence[int]) -> Feasible 
     ascending order.  Minimality is over arbitrary interval sets: any interval
     reaching across two runs would swallow the non-edge sum between them.
     """
-    w = check_weights(weights)
-    if len(w) != graph.n:
-        raise ValueError(f"{len(w)} weights for a graph on {graph.n} vertices")
+    w = _check_weight_count(weights, graph.n)
     if graph.n < 2:
         return Feasible(k=0, intervals=())
     edge_sums = Counter(w[u] + w[v] for u in range(graph.n) for v in graph.neighbors(u) if u < v)

@@ -16,5 +16,9 @@ def random_graph(rng: random.Random, n_min: int = 1, n_max: int = 10) -> Graph:
     return Graph(n, edges)
 
 
+# Sizes, vertex ids and counts that are not integers; each must raise ValueError.
+NOT_INTS = (True, 2.0, "3", None)
+
+
 def random_weights(rng: random.Random, n: int, bound: int) -> tuple[int, ...]:
     return tuple(rng.randint(0, bound) for _ in range(n))

@@ -12,6 +12,8 @@ from starpcg.constructions import (
 from starpcg.graphs import make_cycle, make_grid, make_path
 from starpcg.stars import realize, verify
 
+from helpers import NOT_INTS
+
 
 class TestCycle:
     def test_triangle(self):
@@ -31,8 +33,11 @@ class TestCycle:
         assert wit.intervals == ((13, 15), (7, 7))
 
     def test_too_small(self):
-        with pytest.raises(ValueError, match="n >= 3"):
+        with pytest.raises(ValueError, match="n must be an integer >= 3"):
             cycle_witness(2)
+        for bad in NOT_INTS:
+            with pytest.raises(ValueError, match="n must be an integer >= 3"):
+                cycle_witness(bad)
 
 
 class TestPath:
@@ -51,8 +56,11 @@ class TestPath:
         assert realize(path_witness(1)) == make_path(1)
 
     def test_too_small(self):
-        with pytest.raises(ValueError, match="n >= 1"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
             path_witness(0)
+        for bad in NOT_INTS:
+            with pytest.raises(ValueError, match="n must be an integer >= 1"):
+                path_witness(bad)
 
 
 class TestGridTwoColumns:
@@ -71,8 +79,11 @@ class TestGridTwoColumns:
         assert realize(grid2_witness(10)) == make_grid([10, 2])
 
     def test_too_small(self):
-        with pytest.raises(ValueError, match="n1 >= 1"):
+        with pytest.raises(ValueError, match="n1 must be an integer >= 1"):
             grid2_witness(0)
+        for bad in NOT_INTS:
+            with pytest.raises(ValueError, match="n1 must be an integer >= 1"):
+                grid2_witness(bad)
 
 
 class TestGridSquare:
@@ -91,8 +102,11 @@ class TestGridSquare:
             assert min(grid_square_witness(h).weights) >= 0, h
 
     def test_too_small(self):
-        with pytest.raises(ValueError, match="h >= 1"):
+        with pytest.raises(ValueError, match="h must be an integer >= 1"):
             grid_square_witness(0)
+        for bad in NOT_INTS:
+            with pytest.raises(ValueError, match="h must be an integer >= 1"):
+                grid_square_witness(bad)
 
 
 class TestGridRouting:
@@ -120,3 +134,8 @@ class TestGridRouting:
     def test_too_small(self):
         with pytest.raises(ValueError, match=">= 1"):
             grid_witness(0, 3)
+        for bad in NOT_INTS:
+            with pytest.raises(ValueError, match="n1 must be an integer >= 1"):
+                grid_witness(bad, 3)
+            with pytest.raises(ValueError, match="n2 must be an integer >= 1"):
+                grid_witness(3, bad)

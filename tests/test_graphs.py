@@ -13,6 +13,8 @@ from starpcg import (
     make_path,
 )
 
+from helpers import NOT_INTS
+
 
 def _assert_simple(graph: Graph) -> None:
     for u in range(graph.n):
@@ -102,12 +104,18 @@ class TestFamilies:
     def test_cycle_rejects_small(self):
         with pytest.raises(ValueError):
             make_cycle(2)
+        for bad in NOT_INTS:
+            with pytest.raises(ValueError, match="n must be an integer >= 3"):
+                make_cycle(bad)
 
     def test_path(self):
         assert make_path(1).num_edges == 0
         assert make_path(5).edges() == [(0, 1), (1, 2), (2, 3), (3, 4)]
         with pytest.raises(ValueError):
             make_path(0)
+        for bad in NOT_INTS:
+            with pytest.raises(ValueError, match="n must be an integer >= 1"):
+                make_path(bad)
 
     def test_grid_4x2(self):
         g = make_grid([4, 2])
@@ -206,6 +214,9 @@ class TestInducedSubgraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             induced_subgraph(make_cycle(4), [0, 7])
+        for bad in NOT_INTS + (-1,):
+            with pytest.raises(ValueError, match="vertex must be an integer >= 0"):
+                induced_subgraph(make_cycle(4), [0, bad])
 
     def test_relabeling_follows_selection_order(self):
         g = make_path(4)

@@ -246,11 +246,13 @@ class TestCheckCertificate:
             ({"kind": "interleaving", "x": False, "vs": [True, 4], "us": [2], "k": True}, "x"),
             ({"kind": "interleaving", "x": "0", "vs": [1, 4], "us": [2], "k": 1}, "x"),
             ({"kind": "interleaving", "x": 0, "vs": [1.0, 4], "us": [2], "k": 1}, "vs"),
+            ({"kind": "interleaving", "x": 0, "vs": [1, 4], "us": [-1], "k": 1}, "us"),
         ],
     )
     def test_non_int_fields_are_rejected(self, payload, field):
-        # all three once passed from_dict; the bool one also passed the check,
-        # the other two escaped it as a bare TypeError
+        # all four once passed from_dict; the bool one and the negative one
+        # (read as w[-1], the weight of neighbor 4) also passed the check, the
+        # other two escaped it as a bare TypeError
         with pytest.raises(CertificateError, match=field):
             Certificate.from_dict(payload)
         cert = Certificate(
@@ -300,7 +302,7 @@ class TestCycleObstruction:
             cycle_star1_obstruction(4, (1, 2, 3, 4))
 
     def test_rejects_non_int_n(self):
-        with pytest.raises(ValueError, match="integer n"):
+        with pytest.raises(ValueError, match="n must be an integer >= 5"):
             cycle_star1_obstruction(5.0, (1, 2, 3, 4, 5))
 
     def test_rejects_size_mismatch(self):

@@ -351,7 +351,7 @@ class TestValidation:
             search_min_k(make_cycle(3), SearchConfig(max_weight=2, mode=MODE_RANDOM, trials=0))
 
     def test_rejects_bad_bound(self):
-        with pytest.raises(ValueError, match="max weight"):
+        with pytest.raises(ValueError, match="max_weight must be an integer >= 1"):
             search_min_k(make_cycle(3), SearchConfig(max_weight=0))
 
     def test_rejects_bad_target(self):

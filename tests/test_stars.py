@@ -77,10 +77,6 @@ class TestRealize:
     def test_empty_intervals_realize_edgeless(self):
         assert realize(Witness((5, 9, 2), ())) == Graph(3)
 
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            realize(Witness((1, 2), ((3, 3),)), n=3)
-
     @given(
         weights=st.lists(st.integers(0, 15), min_size=2, max_size=6),
         cuts=st.lists(st.integers(0, 40), min_size=2, max_size=8, unique=True),
@@ -255,6 +251,22 @@ class TestRealizeAgainstBruteForce:
             wit = Witness(w, ivs)
             assert realize(wit).edges() == expected
             assert stars_mod.realized_edge_count(wit, len(expected)) == len(expected)
+
+    def test_verify_diff_matches_pair_scan(self):
+        rng = random.Random(53)
+        both = 0
+        for _ in range(300):
+            g = random_graph(rng, n_min=2, n_max=12)
+            w = random_weights(rng, g.n, rng.choice([4, 10, 30]))
+            cuts = sorted(rng.sample(range(61), 2 * rng.randint(1, 3)))
+            wit = Witness(w, tuple(zip(cuts[::2], cuts[1::2])))
+            realized = set(brute_force_edges(w, wit.intervals))
+            report = verify(wit, g)
+            assert list(report.missing) == sorted(set(g.edges()) - realized)
+            assert list(report.extra) == sorted(realized - set(g.edges()))
+            assert report.equal == (realized == set(g.edges()))
+            both += bool(report.missing and report.extra)
+        assert both >= 50
 
     def test_many_intervals_universal_witness(self):
         rng = random.Random(47)
