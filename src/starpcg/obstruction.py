@@ -10,6 +10,7 @@ independent re-checking.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -123,45 +124,49 @@ def check_certificate(cert: Certificate, graph: Graph, weights: Sequence[int]) -
         raise CertificateError(f"unknown certificate kind {cert.kind!r}")
 
 
-def _greedy_interleaving(
-    graph: Graph, w: tuple[int, ...], x: int, k: int
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Earliest interleaving chain at pivot x, or None.
+def _first_interleaving(
+    graph: Graph, w: tuple[int, ...], k: int, pivots: Sequence[int]
+) -> Certificate | None:
+    """Interleaving certificate at the first pivot in `pivots` that has one, or None.
 
-    Both candidate lists are sorted by (weight, id); each step takes the first
-    entry whose weight is not below the chain's last weight.  Taking the
-    smallest admissible weight keeps every later constraint as loose as
-    possible, so the greedy chain exists whenever any chain does.
+    The chain alternates between the pivot's neighbors and its non-neighbors,
+    each step taking the first unused one, in (weight, id) order, whose weight
+    is not below the chain's last.  Taking the smallest admissible weight keeps
+    every later constraint as loose as possible, so the greedy chain exists
+    whenever any chain does.  A non-neighbor step bisects the vertices, sorted
+    once per call, at the last weight, so a pivot costs O(deg log deg + k log n).
     """
-    nb_set = graph.neighbors(x)
-    nb = sorted(nb_set, key=lambda v: (w[v], v))
-    if len(nb) < k + 1 or graph.n - 1 - len(nb) < k:
-        return None
-    non = sorted(
-        (u for u in range(graph.n) if u != x and u not in nb_set),
-        key=lambda v: (w[v], v),
-    )
-    vs: list[int] = []
-    us: list[int] = []
-    ai = bi = 0
-    last = 0  # weights are non-negative, so 0 is a safe floor
-    while True:
-        while ai < len(nb) and w[nb[ai]] < last:
+    # sorting by weight alone is stable, so ids in ascending order give (weight, id)
+    order = sorted(range(graph.n), key=w.__getitem__)
+    ws = sorted(w)
+    for x in pivots:
+        nb_set = graph.neighbors(x)
+        nb = sorted(sorted(nb_set), key=w.__getitem__)
+        if len(nb) < k + 1 or graph.n - 1 - len(nb) < k:
+            continue
+        vs: list[int] = []
+        us: list[int] = []
+        ai = bi = 0
+        last = 0  # weights are non-negative, so 0 is a safe floor
+        while True:
+            while ai < len(nb) and w[nb[ai]] < last:
+                ai += 1
+            if ai == len(nb):
+                break
+            vs.append(nb[ai])
+            last = w[nb[ai]]
             ai += 1
-        if ai == len(nb):
-            return None
-        vs.append(nb[ai])
-        last = w[nb[ai]]
-        ai += 1
-        if len(vs) == k + 1:
-            return tuple(vs), tuple(us)
-        while bi < len(non) and w[non[bi]] < last:
+            if len(vs) == k + 1:
+                return Certificate(KIND_INTERLEAVING, x, tuple(vs), tuple(us), k)
+            bi = max(bi, bisect_left(ws, last))
+            while bi < len(order) and (order[bi] == x or order[bi] in nb_set):
+                bi += 1
+            if bi == len(order):
+                break
+            us.append(order[bi])
+            last = ws[bi]
             bi += 1
-        if bi == len(non):
-            return None
-        us.append(non[bi])
-        last = w[non[bi]]
-        bi += 1
+    return None
 
 
 def interleaving_certificate(graph: Graph, weights: Sequence[int], k: int) -> Certificate | None:
@@ -172,12 +177,7 @@ def interleaving_certificate(graph: Graph, weights: Sequence[int], k: int) -> Ce
     """
     _check_int(k, "k", 1)
     w = _check_weight_count(weights, graph.n)
-    for x in range(graph.n):
-        found = _greedy_interleaving(graph, w, x, k)
-        if found is not None:
-            vs, us = found
-            return Certificate(KIND_INTERLEAVING, x, vs, us, k)
-    return None
+    return _first_interleaving(graph, w, k, range(graph.n))
 
 
 def cycle_star1_obstruction(n: int, weights: Sequence[int]) -> Certificate:
@@ -212,22 +212,18 @@ def _grid4() -> tuple[GridShape, Graph]:
 def grid4d_certificate(weights: Sequence[int]) -> Certificate:
     """Certificate that the 3x3x3x3 grid beats two intervals for these weights.
 
-    Tries the all-ones center first, then every pivot in id order through
-    `interleaving_certificate`.  The greedy chain is complete for each pivot,
-    so a certificate is found whenever any pivot interleaves; it came from the
-    center exactly when `cert.x` is the center.  A weighting with no
-    interleaving pivot is flagged by raising instead of guessing.
+    Scans the all-ones center first, then every pivot in id order, with the
+    scan behind `interleaving_certificate`.  The greedy chain is complete for
+    each pivot, so a certificate is found whenever any pivot interleaves; it
+    came from the center exactly when `cert.x` is the center.  A weighting
+    with no interleaving pivot is flagged by raising instead of guessing.
     """
     shape, graph = _grid4()
     w = _check_weight_count(weights, graph.n)
-    a = shape.flat_id((1, 1, 1, 1))
-    found = _greedy_interleaving(graph, w, a, 2)
-    if found is not None:
-        return Certificate(KIND_INTERLEAVING, a, found[0], found[1], 2)
-    cert = interleaving_certificate(graph, w, 2)
-    if cert is not None:
-        return cert
-    raise RuntimeError(
-        "no star-2 obstruction certificate found for this 3x3x3x3 weighting; "
-        "flagging instead of guessing"
-    )
+    cert = _first_interleaving(graph, w, 2, (shape.flat_id((1, 1, 1, 1)), *range(graph.n)))
+    if cert is None:
+        raise RuntimeError(
+            "no star-2 obstruction certificate found for this 3x3x3x3 weighting; "
+            "flagging instead of guessing"
+        )
+    return cert

@@ -199,6 +199,7 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
         raise ValueError(f"unknown search mode {cfg.mode!r}")
     # exhaustive mode ignores trials, so any integer passes there
     _check_int(cfg.trials, "trials", 1 if cfg.mode == MODE_RANDOM else None)
+    _check_int(cfg.rng_seed, "rng_seed", None)
     _check_int(cfg.jobs, "jobs", 1)
     if cfg.target_k is not None:
         _check_int(cfg.target_k, "target_k", 0)

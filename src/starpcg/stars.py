@@ -174,8 +174,8 @@ class VerifyReport:
     def to_dict(self) -> dict:
         return {
             "equal": self.equal,
-            "missing": [[u, v] for u, v in self.missing],
-            "extra": [[u, v] for u, v in self.extra],
+            "missing": self.missing,
+            "extra": self.extra,
         }
 
 

@@ -1,6 +1,7 @@
 """Interleaving certificates, the cycle obstruction, and the 4-d grid certificate."""
 
 import random
+import time
 
 import pytest
 
@@ -20,6 +21,7 @@ from starpcg import (
     interleaving_certificate,
     make_cycle,
     make_grid,
+    make_path,
     min_intervals_for_weights,
 )
 import starpcg.obstruction as obstruction_mod
@@ -154,6 +156,46 @@ class TestInterleavingCertificate:
             check_certificate(cert, g, w)
             assert _oracle_needs_at_least(g, w, k + 1), (g.to_dict(), w, k)
         assert found > 100  # the sample genuinely exercises the implication
+
+    def test_matches_brute_force_chain_search(self):
+        # the greedy chain is complete: it misses no pivot that has any chain
+        def has_chain(g, w, x, k):
+            nb = g.neighbors(x)
+            non = [u for u in range(g.n) if u != x and u not in nb]
+
+            def extend(chain):
+                if len(chain) == 2 * k + 1:
+                    return True
+                pool = non if len(chain) % 2 else nb
+                return any(
+                    extend(chain + [c])
+                    for c in pool
+                    if c not in chain and (not chain or w[chain[-1]] <= w[c])
+                )
+
+            return extend([])
+
+        rng = random.Random(77)
+        found = 0
+        for _ in range(300):
+            g = random_graph(rng, n_max=8)
+            w = random_weights(rng, g.n, rng.choice([1, 2, 3]))
+            for k in (1, 2, 3):
+                first = next((x for x in range(g.n) if has_chain(g, w, x, k)), None)
+                cert = interleaving_certificate(g, w, k)
+                if first is None:
+                    assert cert is None, (g.to_dict(), w, k)
+                else:
+                    assert cert is not None and cert.x == first, (g.to_dict(), w, k)
+                    check_certificate(cert, g, w)
+                    found += 1
+        assert found > 100
+
+    def test_long_path_scan_is_fast(self):
+        # ascending weights: no pivot interleaves, so every pivot is scanned
+        start = time.perf_counter()
+        assert interleaving_certificate(make_path(10_000), tuple(range(10_000)), 1) is None
+        assert time.perf_counter() - start < 5
 
 
 class TestCheckCertificate:

@@ -374,6 +374,10 @@ class TestValidation:
             ("prune_symmetry", "no"),
             ("prune_symmetry", 1),
             ("prune_symmetry", None),
+            ("rng_seed", None),
+            ("rng_seed", True),
+            ("rng_seed", 1.5),
+            ("rng_seed", [1]),
         ],
     )
     def test_rejects_wrong_field_types(self, field, value):

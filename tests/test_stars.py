@@ -1,5 +1,6 @@
 """Witness model: realization, verification, and the minimum-interval oracle."""
 
+import json
 import random
 
 import pytest
@@ -112,7 +113,8 @@ class TestVerify:
 
     def test_report_json(self):
         report = verify(Witness(FIG2A.weights, ((12, 13),)), make_cycle(8))
-        assert report.to_dict() == {"equal": False, "missing": [[0, 7]], "extra": []}
+        as_json = json.loads(json.dumps(report.to_dict()))
+        assert as_json == {"equal": False, "missing": [[0, 7]], "extra": []}
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
