@@ -12,9 +12,8 @@ import random
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from itertools import takewhile
 from multiprocessing import Pool
-from threading import Event
+from threading import Event, Semaphore
 from typing import Iterable
 
 from .graphs import Graph, _check_int
@@ -33,8 +32,11 @@ class SearchConfig:
 
     max_weight defaults to 2n when left unset.  target_k stops the scan at
     the first vector (in scan order) achieving at most target_k intervals.
-    jobs > 1 splits the exhaustive space by first weight over min(jobs, W+1,
-    cpu count) processes; the merge reproduces the serial scan exactly.
+    The exhaustive census has one chunk per first weight w0; unless symmetry
+    pruning moves vertex 0, it scans only w0 <= W//2 and counts the rest from
+    their mirror images.  jobs > 1 spreads the scanned chunks over min(jobs,
+    scanned chunks, cpu count) processes; the merge reproduces the serial
+    scan exactly.
     """
 
     max_weight: int | None = None
@@ -63,6 +65,12 @@ class _ChunkStats:
     infeasible: int = 0
     histogram: dict[int, int] = field(default_factory=dict)
     first_hit: tuple[int, ...] | None = None
+
+    def add_counts(self, other: _ChunkStats) -> None:
+        self.explored += other.explored
+        self.infeasible += other.infeasible
+        for k, c in other.histogram.items():
+            self.histogram[k] = self.histogram.get(k, 0) + c
 
     def record(self, k: int, vec: tuple[int, ...], target_k: int | None) -> bool:
         """Count one feasible vector; True when it is the first target_k hit."""
@@ -137,19 +145,26 @@ def _scan_chunk(args) -> _ChunkStats:
     return stats
 
 
-def _merge_chunks(chunks: Iterable[_ChunkStats]) -> _ChunkStats:
-    """Fold per-chunk stats in scan order, drawing none past the first target hit."""
+def _merge_chunks(chunks: Iterable[_ChunkStats], twinned: int, folded) -> _ChunkStats:
+    """Fold per-chunk stats in scan order, drawing none past the first target hit.
+
+    When no chunk hits the target, the first `twinned` chunks count twice:
+    once for themselves and once for their unscanned mirror chunks.
+    `folded` is called after each chunk that did not hit.
+    """
     total = _ChunkStats()
-    for chunk in chunks:
-        total.explored += chunk.explored
-        total.infeasible += chunk.infeasible
-        for k, c in chunk.histogram.items():
-            total.histogram[k] = total.histogram.get(k, 0) + c
+    twins = _ChunkStats()
+    for w0, chunk in enumerate(chunks):
+        total.add_counts(chunk)
         if chunk.best is not None and (total.best is None or chunk.best < total.best):
             total.best = chunk.best
         if chunk.first_hit is not None:
             total.first_hit = chunk.first_hit
-            break
+            return total
+        if w0 < twinned:
+            twins.add_counts(chunk)
+        folded()
+    total.add_counts(twins)
     return total
 
 
@@ -219,32 +234,51 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
     """Scan weight vectors in {0..W}^n for the fewest intervals realizing `graph`.
 
     Exhaustive mode is a census in lexicographic order: one chunk per first
-    weight, scanned in turn or by a worker pool and folded as it arrives, so
-    the scan stops at the first target hit.  A chunk places weights vertex by
-    vertex, and a prefix whose edge and non-edge sums already tie is skipped,
-    with all its completions counted as explored and infeasible.  Its cost
-    therefore grows with the number of tie-free prefixes, not with (W+1)^n,
-    while every count, the histogram and the witness match a plain
-    vector-by-vector scan.  Random mode draws `trials` vectors from a seeded
-    generator.  Ties on the interval count are broken toward the
-    lexicographically smallest vector, whose intervals are re-derived by the
-    oracle as a cross-check.
+    weight, scanned in turn or by a pool of min(jobs, scanned chunks, cpu
+    count) workers fed at most two chunks each ahead of the fold, and folded
+    as it arrives, so the scan stops at the first target hit.  A chunk places
+    weights vertex by vertex, and a prefix whose edge and non-edge sums
+    already tie is skipped, with all its completions counted as explored and
+    infeasible.  Its cost therefore grows with the number of tie-free
+    prefixes, not with (W+1)^n.  Mapping every weight w to W - w maps each
+    sum s to 2W - s and keeps every tie and run count, so chunk W - w0 has
+    the counts of chunk w0 and only lexicographically larger vectors: unless
+    symmetry pruning moves vertex 0, only chunks w0 <= W//2 are
+    scanned, and those below W/2 count twice when no target is hit.  Every
+    count, the histogram and the witness match a plain vector-by-vector scan.
+    Random mode draws `trials` vectors from a seeded generator.  Ties on the
+    interval count are broken toward the lexicographically smallest vector,
+    whose intervals are re-derived by the oracle as a cross-check.
     """
     cfg = _validated(graph, cfg if cfg is not None else SearchConfig())
     bound = cfg.max_weight
     rows = _adjacency_rows(graph)
     if cfg.mode == MODE_EXHAUSTIVE:
         orbit = _orbit_of_zero(graph) if cfg.prune_symmetry else ()
+        # the orbit bound w >= w0 does not survive the mirror, so pruned scans are full
+        mirror = len(orbit) <= 1
+        last = bound // 2 if mirror else bound
+        workers = min(cfg.jobs, last + 1, os.cpu_count() or 1)
         stop = Event()
-        fed = takewhile(lambda _: not stop.is_set(), range(bound + 1))
-        job_args = ((rows, bound, w0, cfg.target_k, orbit) for w0 in fed)
-        workers = min(cfg.jobs, bound + 1, os.cpu_count() or 1)
+        slots = Semaphore(2 * workers)
+
+        def feed():
+            for w0 in range(last + 1):
+                slots.acquire()
+                if stop.is_set():
+                    return
+                yield rows, bound, w0, cfg.target_k, orbit
+
         with Pool(workers) if workers > 1 else nullcontext() as pool:
-            chunks = (pool.imap if pool is not None else map)(_scan_chunk, job_args)
-            total = _merge_chunks(chunks)
-            # feed no more chunks and drain the pool: ending it while a worker
-            # writes a result can leave the result queue locked and hang
-            stop.set()
+            chunks = (pool.imap if pool is not None else map)(_scan_chunk, feed())
+            try:
+                total = _merge_chunks(chunks, (bound + 1) // 2 if mirror else 0, slots.release)
+            finally:
+                # feed no more chunks, waking a feeder that waits for a slot
+                stop.set()
+                slots.release()
+            # drain the pool: ending it while a worker writes a result can
+            # leave the result queue locked and hang
             deque(chunks, maxlen=0)
         complete = total.first_hit is None
     else:

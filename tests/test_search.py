@@ -2,9 +2,12 @@
 
 import math
 import os
+import queue
 import random
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from itertools import permutations, product
@@ -223,7 +226,59 @@ class TestDeterminismAndJobs:
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         sizes.clear()
         assert search_min_k(g, SearchConfig(max_weight=3, jobs=10**6)) == serial
+        assert sizes == [3 // 2 + 1]
+        # vertex 0's orbit on C_4 is every vertex, so a pruned census scans every chunk
+        sizes.clear()
+        pruned = SearchConfig(max_weight=3, jobs=10**6, prune_symmetry=True)
+        assert search_min_k(g, pruned) == search_min_k(g, replace(pruned, jobs=1))
         assert sizes == [3 + 1]
+
+    def test_pool_feed_stays_near_the_fold(self, monkeypatch):
+        # the stand-in pool pulls tasks on a background thread as fast as it
+        # can, like Pool.imap's feeder, and scans them in-process
+        pulled = []
+
+        class EagerPool:
+            def __init__(self, processes):
+                self.feeder = None
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.feeder.join(timeout=10)
+                assert not self.feeder.is_alive(), "feeder still waits for a slot"
+                return False
+
+            def imap(self, func, tasks):
+                box = queue.Queue()
+
+                def pull():
+                    for task in tasks:
+                        pulled.append(task[2])
+                        box.put(task)
+                    box.put(None)
+
+                self.feeder = threading.Thread(target=pull, daemon=True)
+                self.feeder.start()
+                while (task := box.get(timeout=10)) is not None:
+                    time.sleep(0.001)  # let the feeder run ahead
+                    yield func(task)
+
+        monkeypatch.setattr(starpcg.search, "Pool", EagerPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for graph, bound, target_k in ((make_path(1), 300, 0), (make_cycle(5), 30, 2)):
+            pulled.clear()
+            res = search_min_k(graph, SearchConfig(max_weight=bound, target_k=target_k, jobs=2))
+            assert not res.exhaustive_within_bound
+            hit = res.best_witness.weights[0]
+            assert pulled == list(range(len(pulled)))
+            assert hit < len(pulled) <= hit + 1 + 2 * 2
+        # with no hit every scanned chunk is fed, and the feeder ends
+        pulled.clear()
+        res = search_min_k(make_cycle(5), SearchConfig(max_weight=6, jobs=2))
+        assert res == search_min_k(make_cycle(5), SearchConfig(max_weight=6))
+        assert pulled == list(range(6 // 2 + 1))
 
     def test_early_stops_in_a_pool_shut_down(self):
         # ending a pool while a worker writes a result can hang its shutdown,
@@ -254,6 +309,34 @@ class TestDeterminismAndJobs:
         assert res.explored == 2 * 10**4 + 1
         assert res.k_histogram == {0: 2 * 10**4 + 1}
         assert peak < 10**6
+
+    def test_mirror_chunks_are_not_scanned(self, monkeypatch):
+        # chunk W - w0 is chunk w0 mirrored; the orbit bound of a pruned census
+        # does not survive the mirror, so there every chunk is scanned
+        scanned = []
+        scan = starpcg.search._scan_chunk
+
+        def recording_scan(args):
+            scanned.append(args[2])
+            return scan(args)
+
+        monkeypatch.setattr(starpcg.search, "_scan_chunk", recording_scan)
+        pendant = sweep_graphs()[0]
+        assert orbit_of_zero(pendant) == {0}
+        cases = (
+            (make_cycle(5), 5, False, range(3)),
+            (make_cycle(5), 6, False, range(4)),
+            (make_cycle(5), 5, True, range(6)),
+            (pendant, 5, True, range(3)),
+            (pendant, 4, True, range(3)),
+        )
+        for graph, bound, prune, chunks in cases:
+            scanned.clear()
+            cfg = SearchConfig(max_weight=bound, prune_symmetry=prune, jobs=1)
+            res = search_min_k(graph, cfg)
+            assert scanned == list(chunks)
+            if not prune:
+                assert res.explored == (bound + 1) ** graph.n
 
     def test_target_k_zero_stops_immediately(self):
         res = search_min_k(Graph(3), SearchConfig(max_weight=2, target_k=0))
