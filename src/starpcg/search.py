@@ -18,7 +18,6 @@ from typing import Iterable
 
 from .graphs import Graph, _check_int
 from .stars import Feasible, Witness, min_intervals_for_weights
-from .stars import _adjacency_rows, _edge_runs, _place, _unplace
 
 SPACE_LIMIT = 10**9
 
@@ -36,7 +35,8 @@ class SearchConfig:
     pruning moves vertex 0, it scans only w0 <= W//2 and counts the rest from
     their mirror images.  jobs > 1 spreads the scanned chunks over min(jobs,
     scanned chunks, cpu count) processes; the merge reproduces the serial
-    scan exactly.
+    scan exactly.  Random mode draws `trials` vectors and reads a vertex's
+    adjacency only once some vector gets that far without a tie.
     """
 
     max_weight: int | None = None
@@ -84,22 +84,68 @@ class _ChunkStats:
         return False
 
 
+def _earlier_split(graph: Graph, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The vertices j < i adjacent to i, and those not adjacent to i."""
+    nb: list[int] = []
+    non: list[int] = []
+    for j in range(i):
+        (nb if graph.has_edge(i, j) else non).append(j)
+    return tuple(nb), tuple(non)
+
+
+# The search's sum tables are two bitsets: bit s of E is set when some edge
+# has weight sum s, bit s of N when some non-edge has.  A vertex i placed at
+# weight x adds the edge sums (ae << x) and the non-edge sums (an << x), where
+# ae and an have bit w[j] set for the earlier neighbours and non-neighbours j
+# of i; it ties when one of them meets the other table, or when ae & an is
+# non-zero (two earlier vertices of equal weight that i splits).
+
+
+def _run_count(E: int, N: int) -> int:
+    """Number of maximal runs of edge sums among the sums in E | N (disjoint bitsets).
+
+    Adding E << 1 to the empty slots Z below the top sum carries each edge
+    sum's bit across the empty slots to the next occupied sum; a run ends
+    where that carry lands on a non-edge sum or just past the top sum.
+    """
+    width = (E | N).bit_length()
+    Z = ~(E | N) & ((1 << width) - 1)
+    return ((Z + (E << 1)) & ~Z & (N | 1 << width)).bit_count()
+
+
 def _scan_random(
-    rows: list[tuple[int, ...]], vectors: Iterable[tuple[int, ...]], target_k: int | None
+    graph: Graph, vectors: Iterable[tuple[int, ...]], target_k: int | None
 ) -> _ChunkStats:
     """Score vectors in order, stopping at the first target_k hit.
 
-    Each vector is placed vertex by vertex and dropped at its first tie.
+    Each vector is placed vertex by vertex and dropped at its first tie.  A
+    vertex's earlier neighbours are looked up the first time a vector
+    reaches it, so trials that tie early never touch the rest of the graph.
     """
     stats = _ChunkStats()
+    rows = [((), ())]
     for vec in vectors:
-        sums: dict[int, int] = {}
-        if all(_place(sums, rows[i], vec, i) for i in range(1, len(rows))):
-            if stats.record(len(_edge_runs(sums, sorted(sums))), vec, target_k):
+        E = N = 0
+        for i in range(1, len(vec)):
+            if i == len(rows):
+                rows.append(_earlier_split(graph, i))
+            nb, non = rows[i]
+            ae = an = 0
+            for j in nb:
+                ae |= 1 << vec[j]
+            for j in non:
+                an |= 1 << vec[j]
+            e = ae << vec[i]
+            nn = an << vec[i]
+            if ae & an or e & N or nn & E:
+                stats.explored += 1
+                stats.infeasible += 1
                 break
+            E |= e
+            N |= nn
         else:
-            stats.explored += 1
-            stats.infeasible += 1
+            if stats.record(_run_count(E, N), vec, target_k):
+                break
     return stats
 
 
@@ -122,26 +168,38 @@ def _scan_chunk(args) -> _ChunkStats:
     completions = [1] * (n + 1)
     for v in range(n - 1, 0, -1):
         completions[v] = completions[v + 1] * (bound + 1 - lows[v])
-    sums: dict[int, int] = {}
 
-    def descend(i: int) -> bool:
+    def descend(i: int, E: int, N: int) -> bool:
         if i == n:
-            return stats.record(len(_edge_runs(sums, sorted(sums))), tuple(w), target_k)
-        row = rows[i]
+            return stats.record(_run_count(E, N), tuple(w), target_k)
+        nb, non = rows[i]
+        ae = an = 0
+        for j in nb:
+            ae |= 1 << w[j]
+        for j in non:
+            an |= 1 << w[j]
         subtree = completions[i + 1]
+        if ae & an:
+            stats.explored += completions[i]
+            stats.infeasible += completions[i]
+            return False
+        ties = 0
+        hit = False
         for x in range(lows[i], bound + 1):
-            w[i] = x
-            if not _place(sums, row, w, i):
-                stats.explored += subtree
-                stats.infeasible += subtree
+            e = ae << x
+            nn = an << x
+            if e & N or nn & E:
+                ties += 1
                 continue
-            hit = descend(i + 1)
-            _unplace(sums, row, w, i)
+            w[i] = x
+            hit = descend(i + 1, E | e, N | nn)
             if hit:
-                return True
-        return False
+                break
+        stats.explored += ties * subtree
+        stats.infeasible += ties * subtree
+        return hit
 
-    descend(1)
+    descend(1, 0, 0)
     return stats
 
 
@@ -240,20 +298,24 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
     weights vertex by vertex, and a prefix whose edge and non-edge sums
     already tie is skipped, with all its completions counted as explored and
     infeasible.  Its cost therefore grows with the number of tie-free
-    prefixes, not with (W+1)^n.  Mapping every weight w to W - w maps each
-    sum s to 2W - s and keeps every tie and run count, so chunk W - w0 has
-    the counts of chunk w0 and only lexicographically larger vectors: unless
-    symmetry pruning moves vertex 0, only chunks w0 <= W//2 are
-    scanned, and those below W/2 count twice when no target is hit.  Every
+    prefixes, not with (W+1)^n.  The edge sums and the non-edge sums are two
+    integer bitsets: placing a weight is one shift and one test per set,
+    backing out of a prefix undoes nothing, and a leaf's interval count is a
+    few whole-integer operations (`_run_count`).  Mapping every weight w to
+    W - w maps each sum s to 2W - s and keeps every tie and run count, so
+    chunk W - w0 has the counts of chunk w0 and only lexicographically larger
+    vectors: unless symmetry pruning moves vertex 0, only chunks w0 <= W//2
+    are scanned, and those below W/2 count twice when no target is hit.  Every
     count, the histogram and the witness match a plain vector-by-vector scan.
-    Random mode draws `trials` vectors from a seeded generator.  Ties on the
+    Random mode draws `trials` vectors from a seeded generator and scores
+    each with the same bitsets, stopping at its first tie.  Ties on the
     interval count are broken toward the lexicographically smallest vector,
     whose intervals are re-derived by the oracle as a cross-check.
     """
     cfg = _validated(graph, cfg if cfg is not None else SearchConfig())
     bound = cfg.max_weight
-    rows = _adjacency_rows(graph)
     if cfg.mode == MODE_EXHAUSTIVE:
+        rows = [_earlier_split(graph, i) for i in range(graph.n)]
         orbit = _orbit_of_zero(graph) if cfg.prune_symmetry else ()
         # the orbit bound w >= w0 does not survive the mirror, so pruned scans are full
         mirror = len(orbit) <= 1
@@ -287,7 +349,7 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
             tuple(rng.randint(0, bound) for _ in range(graph.n))
             for _ in range(cfg.trials)
         )
-        total = _scan_random(rows, vectors, cfg.target_k)
+        total = _scan_random(graph, vectors, cfg.target_k)
         complete = False
 
     best_k = None

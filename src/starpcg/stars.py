@@ -207,40 +207,10 @@ def verify(witness: Witness, graph: Graph) -> VerifyReport:
     return VerifyReport(equal=equal, missing=tuple(missing), extra=tuple(extra))
 
 
-# A signed sum table maps a pair sum to +c for c edge pairs, or -c for c
-# non-edge pairs, with that sum.  An entry never mixes the two: a tie no
-# interval set separates is reported by the oracle, which fills its table in
-# one pass, and pruned by the search, which grows its table a vertex at a time.
-
-
-def _adjacency_rows(graph: Graph) -> list[tuple[int, ...]]:
-    """rows[i][j] for j < i: +1 when ij is an edge, -1 when it is a non-edge."""
-    return [tuple(1 if graph.has_edge(i, j) else -1 for j in range(i)) for i in range(graph.n)]
-
-
-def _place(sums: dict[int, int], row: tuple[int, ...], w: Sequence[int], i: int) -> bool:
-    """Add the sums of vertex i with vertices 0..i-1; on a tie undo them and return False."""
-    wi = w[i]
-    for j, sign in enumerate(row):
-        s = wi + w[j]
-        c = sums.get(s, 0)
-        if c * sign < 0:
-            _unplace(sums, row[:j], w, i)
-            return False
-        sums[s] = c + sign
-    return True
-
-
-def _unplace(sums: dict[int, int], row: tuple[int, ...], w: Sequence[int], i: int) -> None:
-    """Remove the sums of vertex i with vertices 0..len(row)-1."""
-    wi = w[i]
-    for j, sign in enumerate(row):
-        s = wi + w[j]
-        c = sums[s] - sign
-        if c:
-            sums[s] = c
-        else:
-            del sums[s]
+# The oracle's signed sum table maps a pair sum to +c for c edge pairs, or -c
+# for c non-edge pairs, with that sum.  An entry never mixes the two: a sum
+# that an edge and a non-edge share is a tie no interval set separates, and
+# the oracle reports it instead of filling the table.
 
 
 def _edge_runs(table: dict[int, int], ascending: Iterable[int]) -> list[Interval]:

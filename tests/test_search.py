@@ -15,6 +15,7 @@ from itertools import permutations, product
 import pytest
 
 import starpcg.search
+import starpcg.stars
 from starpcg import (
     Feasible,
     Graph,
@@ -170,15 +171,43 @@ class TestExhaustive:
 
     def test_kernel_disagreeing_with_oracle_raises(self, monkeypatch):
         # the oracle cross-check on the best witness is a real check, not an
-        # assert, so it also runs under python -O; only the search's binding
-        # of the shared run scan is broken, so the oracle keeps the real one
-        monkeypatch.setattr(starpcg.search, "_edge_runs", lambda table, ascending: [])
+        # assert, so it also runs under python -O; only the search's leaf run
+        # count is broken, so the oracle keeps its own run scan
+        monkeypatch.setattr(starpcg.search, "_run_count", lambda E, N: 0)
         with pytest.raises(RuntimeError, match="oracle"):
             search_min_k(make_cycle(4), SearchConfig(max_weight=3))
 
     def test_histogram_accounts_for_everything(self):
         res = search_min_k(make_cycle(4), SearchConfig(max_weight=3))
         assert sum(res.k_histogram.values()) + res.infeasible_count == res.explored
+
+
+class TestRunCount:
+    def test_matches_the_oracle_run_scan(self):
+        # the leaf's bitset run count against the oracle's scan of a signed table
+        cases = [
+            (set(), set()),
+            (set(), {0, 7}),  # no edge sum
+            ({0}, set()),  # no non-edge sum, edge at bit 0
+            ({0, 1, 2}, {3}),  # adjacent edge sums, then adjacent kinds
+            ({1}, {0}),  # non-edge at bit 0
+            ({7}, {0, 1}),  # edge at the top bit
+            ({0}, {7}),  # non-edge at the top bit
+            ({2, 3, 5, 200}, {4, 6, 130}),  # gaps, and sums past one machine word
+            ({0, 2, 4}, {1, 3, 5}),
+        ]
+        rng = random.Random(5077)
+        for _ in range(500):
+            width = rng.randint(1, 140)
+            sums = rng.sample(range(width), rng.randint(0, width))
+            cut = rng.randint(0, len(sums))
+            cases.append((set(sums[:cut]), set(sums[cut:])))
+        for edges, nonedges in cases:
+            table = {**{s: 1 for s in edges}, **{s: -1 for s in nonedges}}
+            want = len(starpcg.stars._edge_runs(table, sorted(table)))
+            E = sum(1 << s for s in edges)
+            N = sum(1 << s for s in nonedges)
+            assert starpcg.search._run_count(E, N) == want, (sorted(edges), sorted(nonedges))
 
 
 class TestDeterminismAndJobs:
@@ -370,6 +399,22 @@ class TestRandomMode:
                 want = fold(graph, draws, target_k)
                 want = SearchResult(**{**want.__dict__, "exhaustive_within_bound": False})
                 assert search_min_k(graph, cfg) == want, (graph.edges(), target_k)
+
+    def test_reads_adjacency_only_as_far_as_trials_reach(self, monkeypatch):
+        # a trial on a long path ties within a few vertices, so the search
+        # must not look up all n(n-1)/2 vertex pairs before it
+        calls = []
+        has_edge = Graph.has_edge
+        monkeypatch.setattr(
+            Graph, "has_edge", lambda self, u, v: calls.append((u, v)) or has_edge(self, u, v)
+        )
+        graph = make_path(2000)
+        cfg = SearchConfig(mode=MODE_RANDOM, trials=1, max_weight=10)
+        res = search_min_k(graph, cfg)
+        assert len(calls) < 10**4
+        rng = random.Random(cfg.rng_seed)
+        want = fold(graph, [tuple(rng.randint(0, 10) for _ in range(graph.n))])
+        assert res == SearchResult(**{**want.__dict__, "exhaustive_within_bound": False})
 
     def test_never_beats_known_cycle_minimum(self):
         # random probing at the default bound never undercuts two intervals
