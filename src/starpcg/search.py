@@ -280,11 +280,15 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
         raise ValueError(f"prune_symmetry must be a bool, got {cfg.prune_symmetry!r}")
     bound = cfg.max_weight if cfg.max_weight is not None else 2 * graph.n
     _check_int(bound, "max_weight", 1)
-    if cfg.mode == MODE_EXHAUSTIVE and (bound + 1) ** graph.n > SPACE_LIMIT:
-        raise ValueError(
-            f"exhaustive space (W+1)^n = {(bound + 1) ** graph.n} exceeds {SPACE_LIMIT}; "
-            "lower max_weight or use random mode"
-        )
+    if cfg.mode == MODE_EXHAUSTIVE:
+        # one vertex still costs one chunk per first weight, so the bound
+        # counts it as two: W = 999999999 is refused rather than walked
+        space = (bound + 1) ** max(graph.n, 2)
+        if space > SPACE_LIMIT:
+            raise ValueError(
+                f"exhaustive space (W+1)^n = {space} exceeds {SPACE_LIMIT}; "
+                "lower max_weight or use random mode"
+            )
     return replace(cfg, max_weight=bound)
 
 

@@ -8,13 +8,14 @@ one of the intervals.
 
 from __future__ import annotations
 
+import re
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, compress, repeat
-from typing import Iterable, Sequence
+from itertools import combinations, repeat
+from typing import Sequence
 
 from .graphs import Edge, Graph
 
@@ -207,28 +208,17 @@ def verify(witness: Witness, graph: Graph) -> VerifyReport:
     return VerifyReport(equal=equal, missing=tuple(missing), extra=tuple(extra))
 
 
-# The oracle's signed sum table maps a pair sum to +c for c edge pairs, or -c
-# for c non-edge pairs, with that sum.  An entry never mixes the two: a sum
-# that an edge and a non-edge share is a tie no interval set separates, and
-# the oracle reports it instead of filling the table.
+# The oracle classifies every pair sum by one byte: 0 when no vertex pair has
+# that sum, 1 when only edges have it, 2 when only non-edges do.  A sum that
+# an edge and a non-edge share is a tie no interval set separates, and the
+# oracle reports it instead of classifying it.
+_RUN = re.compile(rb"\x01(?:\x00*\x01)*")
+_NONEDGE = bytes.maketrans(b"\x01", b"\x02")
 
 
-def _edge_runs(table: dict[int, int], ascending: Iterable[int]) -> list[Interval]:
-    """Maximal runs of edge sums, as tight intervals; `ascending` lists the table's sums in order."""
-    runs: list[Interval] = []
-    lo = None
-    for s in ascending:
-        if table[s] < 0:
-            if lo is not None:
-                runs.append((lo, hi))
-                lo = None
-        else:
-            hi = s
-            if lo is None:
-                lo = s
-    if lo is not None:
-        runs.append((lo, hi))
-    return runs
+def _edge_runs(classes: bytes, sums: Sequence[int]) -> list[Interval]:
+    """Maximal runs of edge sums, as tight intervals; `classes[i]` is the class of the ascending `sums[i]`."""
+    return [(sums[m.start()], sums[m.end() - 1]) for m in _RUN.finditer(classes)]
 
 
 @dataclass(frozen=True)
@@ -257,52 +247,47 @@ class Infeasible:
 _SQUARE_SPAN_DIVISOR = 8
 
 
-def _pair_sums(w: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(s, number of vertex pairs with weight sum s) for every occurring s, ascending."""
-    hist = Counter(w)
-    low = min(hist)
-    span = max(hist) - low
-    if span * _SQUARE_SPAN_DIVISOR > len(hist) ** 2:
-        return _pair_sums_by_loop(hist)
-    return _pair_sums_by_square(hist, low, span)
+def _pair_counts(hist: Counter, low: int, span: int) -> array:
+    """Slot t counts the vertex pairs u < v with weight sum 2*low + t, for t in 0..2*span."""
+    # Kronecker substitution: slot t of the square counts the ordered vertex
+    # pairs, u == v included, with weight sum 2*low + t.  Each vertex pairs
+    # with at most max(hist) vertices in one slot, so a slot that holds
+    # n * max(hist) never carries into the next.  Less the u == v pairs every
+    # slot is even, so one shift halves them all.  Native byte order only
+    # reverses the slots on a big-endian host, and the square and the
+    # diagonal are symmetric under that.
+    bits = (sum(hist.values()) * max(hist.values())).bit_length()
+    code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= bits)
+    slots = array(code, [0]) * (span + 1)
+    for a, ca in hist.items():
+        slots[a - low] = ca
+    diag = array(code, [0]) * (2 * span + 1)
+    diag[::2] = slots
+    x = int.from_bytes(slots, sys.byteorder)
+    x = (x * x - int.from_bytes(diag, sys.byteorder)) >> 1
+    return array(code, x.to_bytes((2 * span + 1) * slots.itemsize, sys.byteorder))
 
 
-def _pair_sums_by_loop(hist: Counter) -> list[tuple[int, int]]:
+def _classes_by_loop(hist: Counter, edge_sums: Counter) -> tuple[bytearray, list[int], int | None]:
+    """(classes, ascending sums, None) by a loop over the distinct-weight pairs.
+
+    The classification stops at the smallest sum an edge and a non-edge
+    share, and that sum takes the place of None.
+    """
     counts: dict[int, int] = {}
     for a, ca in hist.items():
         if ca > 1:
             counts[2 * a] = counts.get(2 * a, 0) + ca * (ca - 1) // 2
     for (a, ca), (b, cb) in combinations(hist.items(), 2):
         counts[a + b] = counts.get(a + b, 0) + ca * cb
-    return sorted(counts.items())
-
-
-def _pair_sums_by_square(hist: Counter, low: int, span: int) -> list[tuple[int, int]]:
-    # Kronecker substitution: slot t of the square counts the ordered vertex
-    # pairs, u == v included, with weight sum 2*low + t.  Each vertex pairs
-    # with at most max(hist) vertices in one slot, so a slot that holds
-    # n * max(hist) never carries into the next.
-    bits = (sum(hist.values()) * max(hist.values())).bit_length()
-    code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= bits)
-    slots = array(code, [0]) * (span + 1)
-    for a, ca in hist.items():
-        slots[a - low] = ca
-    little = sys.byteorder == "little"
-    if not little:
-        slots.byteswap()
-    x = int.from_bytes(slots.tobytes(), byteorder="little")
-    square = array(code)
-    square.frombytes((x * x).to_bytes((2 * span + 1) * square.itemsize, byteorder="little"))
-    if not little:
-        square.byteswap()
-    out = []
-    for t in compress(range(len(square)), square):
-        c = square[t]
-        if not t & 1:
-            c -= hist.get(low + t // 2, 0)  # drop the u == v pairs
-        if c:
-            out.append((2 * low + t, c // 2))
-    return out
+    sums = sorted(counts)
+    classes = bytearray()
+    for s in sums:
+        edges = edge_sums.get(s, 0)
+        if 0 < edges < counts[s]:
+            return classes, sums, s
+        classes.append(1 if edges else 2)
+    return classes, sums, None
 
 
 def _first_pairs_at(graph: Graph, w: tuple[int, ...], s: int) -> Infeasible:
@@ -328,28 +313,40 @@ def _first_pairs_at(graph: Graph, w: tuple[int, ...], s: int) -> Infeasible:
 def min_intervals_for_weights(graph: Graph, weights: Sequence[int]) -> Feasible | Infeasible:
     """Exact minimum number of intervals realizing `graph` with fixed weights.
 
-    A table keyed by pair sum holds, for each sum s, the number of edges E[s]
-    (one pass over the edges) and the number of vertex pairs P[s] (from the
-    weight histogram, see `_pair_sums`); s has a non-edge exactly when
-    P[s] > E[s].  If an edge and a non-edge share a sum no interval set can
-    separate them, and the lexicographically first such edge and non-edge at
-    the smallest such sum are returned.  Otherwise every maximal run of edge
-    sums (consecutive among the distinct sum values) needs exactly one
-    interval, and the tight [run-min, run-max] intervals are returned in
-    ascending order.  Minimality is over arbitrary interval sets: any interval
-    reaching across two runs would swallow the non-edge sum between them.
+    Each pair sum s gets one class byte: no pair, edges only, or non-edges
+    only.  The number of edges E[s] comes from one pass over the edges and
+    the number of vertex pairs P[s] from the weight histogram (`_pair_counts`,
+    or `_classes_by_loop` for a wide weight span); s has a non-edge exactly
+    when P[s] > E[s].  If an edge and a non-edge share a sum no interval set
+    can separate them, and the lexicographically first such edge and
+    non-edge at the smallest such sum are returned.  Otherwise every maximal
+    run of edge sums (consecutive among the distinct sum values) needs
+    exactly one interval, and the tight [run-min, run-max] intervals are
+    returned in ascending order.  Minimality is over arbitrary interval sets:
+    any interval reaching across two runs would swallow the non-edge sum
+    between them.
     """
     w = _check_weight_count(weights, graph.n)
     if graph.n < 2:
         return Feasible(k=0, intervals=())
     edge_sums = Counter(w[u] + w[v] for u in range(graph.n) for v in graph.neighbors(u) if u < v)
-    table: dict[int, int] = {}
-    for s, pairs in _pair_sums(w):
-        edges = edge_sums.get(s, 0)
-        if 0 < edges < pairs:
-            return _first_pairs_at(graph, w, s)
-        table[s] = edges or -pairs
-    runs = _edge_runs(table, table)  # filled in ascending order of sum
+    hist = Counter(w)
+    low = min(hist)
+    span = max(hist) - low
+    if span * _SQUARE_SPAN_DIVISOR > len(hist) ** 2:
+        classes, sums, tie = _classes_by_loop(hist, edge_sums)
+    else:
+        pairs = _pair_counts(hist, low, span)
+        base = 2 * low
+        tie = min((s for s, c in edge_sums.items() if c < pairs[s - base]), default=None)
+        if tie is None:
+            classes = bytearray(map(bool, pairs)).translate(_NONEDGE)
+            for s in edge_sums:
+                classes[s - base] = 1
+            sums = range(base, base + len(classes))
+    if tie is not None:
+        return _first_pairs_at(graph, w, tie)
+    runs = _edge_runs(classes, sums)
     return Feasible(k=len(runs), intervals=tuple(runs))
 
 

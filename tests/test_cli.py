@@ -319,6 +319,10 @@ class TestMink:
         code, _ = run_cli(capsys, "mink", "cycle", "3", "--max-weight", "1000")
         assert code == EXIT_USAGE
 
+    def test_one_vertex_at_a_huge_bound_is_usage_error(self, capsys):
+        code, _ = run_cli(capsys, "mink", "path", "1", "--max-weight", "999999999")
+        assert code == EXIT_USAGE
+
     def test_bad_target_words(self, capsys):
         code, _ = run_cli(capsys, "mink", "nonsense", "words")
         assert code == EXIT_USAGE

@@ -184,7 +184,8 @@ class TestExhaustive:
 
 class TestRunCount:
     def test_matches_the_oracle_run_scan(self):
-        # the leaf's bitset run count against the oracle's scan of a signed table
+        # the leaf's bitset run count and the oracle's class-byte run scan
+        # against a plain scan of the sorted sums
         cases = [
             (set(), set()),
             (set(), {0, 7}),  # no edge sum
@@ -203,11 +204,17 @@ class TestRunCount:
             cut = rng.randint(0, len(sums))
             cases.append((set(sums[:cut]), set(sums[cut:])))
         for edges, nonedges in cases:
-            table = {**{s: 1 for s in edges}, **{s: -1 for s in nonedges}}
-            want = len(starpcg.stars._edge_runs(table, sorted(table)))
+            sums = sorted(edges | nonedges)
+            want = sum(s in edges and (i == 0 or sums[i - 1] not in edges) for i, s in enumerate(sums))
             E = sum(1 << s for s in edges)
             N = sum(1 << s for s in nonedges)
             assert starpcg.search._run_count(E, N) == want, (sorted(edges), sorted(nonedges))
+            classes = bytes(1 if s in edges else 2 for s in sums)
+            assert len(starpcg.stars._edge_runs(classes, sums)) == want, (sorted(edges), sorted(nonedges))
+            # the dense layout: one class byte per sum up to the top one, 0 for no pair
+            slots = range(sums[-1] + 1 if sums else 0)
+            classes = bytes(1 if s in edges else 2 if s in nonedges else 0 for s in slots)
+            assert len(starpcg.stars._edge_runs(classes, slots)) == want, (sorted(edges), sorted(nonedges))
 
 
 class TestDeterminismAndJobs:
@@ -517,6 +524,13 @@ class TestValidation:
     def test_rejects_oversized_space(self):
         with pytest.raises(ValueError, match="exceeds"):
             search_min_k(make_cycle(3), SearchConfig(max_weight=1000))
+
+    def test_rejects_a_one_vertex_space_past_the_limit_at_once(self):
+        # (W+1)^1 = 10^9 is within the limit, but the census would walk 5*10^8 chunks
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds"):
+            search_min_k(make_path(1), SearchConfig(max_weight=999999999))
+        assert time.perf_counter() - start < 1
 
 
 class TestReporting:

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -227,18 +228,54 @@ class TestOracleAgainstReference:
 
     def test_span_rule_takes_both_paths(self, monkeypatch):
         squared = []
-        square = stars_mod._pair_sums_by_square
+        pair_counts = stars_mod._pair_counts
 
         def spy(*args):
             squared.append(args)
-            return square(*args)
+            return pair_counts(*args)
 
-        monkeypatch.setattr(stars_mod, "_pair_sums_by_square", spy)
+        monkeypatch.setattr(stars_mod, "_pair_counts", spy)
         g = make_path(40)
         min_intervals_for_weights(g, tuple(range(40)))  # span 39 <= 40^2 / 8
         assert len(squared) == 1
         min_intervals_for_weights(g, tuple(1 << i for i in range(40)))
         assert len(squared) == 1
+
+    def test_every_array_code_matches_the_reference(self):
+        # the square's slots are 'B' up to n * max(hist) = 255, 'H' up to
+        # 65535 and 'I' beyond: all-equal weights at n = 20 need 'H' and at
+        # n = 300 need 'I'; a weight repeated next to distinct weights meets
+        # both the diagonal subtraction and the halving in the same square
+        rng = random.Random(59)
+        seen = set()
+        for n in (5, 20, 300):
+            repeated = (7,) * (n // 2) + tuple(rng.sample(range(20, 20 + 4 * n), n - n // 2))
+            complete = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+            for w in ((3,) * n, repeated, tuple(rng.randint(0, n) for _ in range(n))):
+                for g in (Graph(n), complete, random_graph(rng, n_min=n, n_max=n), make_path(n)):
+                    res = min_intervals_for_weights(g, w)
+                    assert res == reference_min_intervals(g, w), (n, w, g.edges())
+                    seen.add(type(res).__name__)
+                hist = Counter(w)
+                seen.add(stars_mod._pair_counts(hist, min(w), max(w) - min(w)).typecode)
+        assert {"B", "H", "I", "Feasible", "Infeasible"} <= seen
+
+
+class TestPairCounts:
+    def test_slots_match_a_pair_loop(self):
+        rng = random.Random(61)
+        cases = [(0,), (4, 4), (0, 9), (2, 2, 2, 5), (1, 1, 3, 3, 3, 8)]
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            cases.append(random_weights(rng, n, rng.choice([0, 1, 3, n, 4 * n])))
+            cases.append(tuple(rng.choice([0, 6, 6, 6, rng.randint(0, 50)]) for _ in range(n)))
+        for w in cases:
+            low = min(w)
+            want = [0] * (2 * (max(w) - low) + 1)
+            for u in range(len(w)):
+                for v in range(u + 1, len(w)):
+                    want[w[u] + w[v] - 2 * low] += 1
+            assert list(stars_mod._pair_counts(Counter(w), low, max(w) - low)) == want, w
 
 
 class TestRealizeAgainstBruteForce:
