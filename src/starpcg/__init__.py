@@ -26,7 +26,6 @@ from .graphs import (
 from .obstruction import (
     Certificate,
     CertificateError,
-    KIND_CYCLE_TRIANGLE_FREE,
     KIND_INTERLEAVING,
     check_certificate,
     cycle_star1_obstruction,
@@ -64,7 +63,6 @@ __all__ = [
     "Graph",
     "GridShape",
     "Infeasible",
-    "KIND_CYCLE_TRIANGLE_FREE",
     "KIND_INTERLEAVING",
     "MODE_EXHAUSTIVE",
     "MODE_RANDOM",

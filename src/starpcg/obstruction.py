@@ -19,7 +19,6 @@ from .graphs import Graph, GridShape, _check_int, make_cycle, make_grid
 from .stars import _check_weight_count
 
 KIND_INTERLEAVING = "interleaving"
-KIND_CYCLE_TRIANGLE_FREE = "cycle-triangle-free"
 
 
 class CertificateError(ValueError):
@@ -32,11 +31,6 @@ class Certificate:
 
     kind "interleaving": len(vs) == k+1 neighbors of x and len(us) == k
     non-neighbors with weights interleaving, ruling out k intervals.
-
-    kind "cycle-triangle-free": vs is exactly N(x) = {v, v'} on a cycle, us is
-    empty, and x itself is the separator: w(v) <= w(x) <= w(v'), so the
-    non-edge sum w(v) + w(v') sits between the two edge sums at x.  Rules out
-    a single interval (k == 1).
     """
 
     kind: str
@@ -96,32 +90,19 @@ def check_certificate(cert: Certificate, graph: Graph, weights: Sequence[int]) -
     for u in cert.us:
         if u == cert.x or u in nb:
             raise CertificateError(f"{u} is not outside N({cert.x}) + pivot")
+        if u >= graph.n:
+            raise CertificateError(f"separator {u} out of range")
 
-    if cert.kind == KIND_INTERLEAVING:
-        if len(cert.vs) != cert.k + 1 or len(cert.us) != cert.k:
-            raise CertificateError("interleaving needs k+1 neighbors and k non-neighbors")
-        for i, u in enumerate(cert.us):
-            if not (w[cert.vs[i]] <= w[u] <= w[cert.vs[i + 1]]):
-                raise CertificateError(
-                    f"weights do not interleave at position {i}: "
-                    f"{w[cert.vs[i]]}, {w[u]}, {w[cert.vs[i + 1]]}"
-                )
-    elif cert.kind == KIND_CYCLE_TRIANGLE_FREE:
-        if cert.k != 1:
-            raise CertificateError("triangle-free cycle certificate always has k == 1")
-        if cert.us:
-            raise CertificateError("triangle-free cycle certificate carries no us")
-        if len(cert.vs) != 2 or set(cert.vs) != set(nb):
-            raise CertificateError(f"vs must be exactly N({cert.x})")
-        v, vp = cert.vs
-        if graph.has_edge(v, vp):
-            raise CertificateError(f"{{{v}, {vp}}} must be a non-edge")
-        if not (w[v] <= w[cert.x] <= w[vp]):
-            raise CertificateError(
-                f"pivot weight {w[cert.x]} not between neighbor weights {w[v]}, {w[vp]}"
-            )
-    else:
+    if cert.kind != KIND_INTERLEAVING:
         raise CertificateError(f"unknown certificate kind {cert.kind!r}")
+    if len(cert.vs) != cert.k + 1 or len(cert.us) != cert.k:
+        raise CertificateError("interleaving needs k+1 neighbors and k non-neighbors")
+    for i, u in enumerate(cert.us):
+        if not (w[cert.vs[i]] <= w[u] <= w[cert.vs[i + 1]]):
+            raise CertificateError(
+                f"weights do not interleave at position {i}: "
+                f"{w[cert.vs[i]]}, {w[u]}, {w[cert.vs[i + 1]]}"
+            )
 
 
 def _first_interleaving(
@@ -183,24 +164,21 @@ def interleaving_certificate(graph: Graph, weights: Sequence[int], k: int) -> Ce
 def cycle_star1_obstruction(n: int, weights: Sequence[int]) -> Certificate:
     """Certificate that the cycle on n >= 5 vertices beats one interval.
 
-    Either some pivot has a plain interleaving, or a counting argument over
-    the weight order guarantees a vertex that lies between its own two
-    neighbors: the n neighborhoods are distinct two-sets but only n-1 pairs
-    are adjacent in the sorted weight order, so some neighborhood {v, v'}
-    straddles another vertex u; when no u outside the neighborhood works, u is
-    the pivot itself and the triangle-free certificate applies.
+    Some neighbor of a lightest vertex a always interleaves.  The pivot a+1
+    has neighbors a and a+2, and no vertex weighs less than a, so it fails
+    only if every vertex outside {a, a+1, a+2} weighs more than a+2.
+    Likewise a-1 fails only if every vertex outside {a, a-1, a-2} weighs more
+    than a-2.  For n >= 5, a-2 lies outside the first set and a+2 outside the
+    second, so both failing would give w(a+2) < w(a-2) < w(a+2).  The greedy
+    chain is complete for each pivot, so the scan always returns a
+    certificate; the raise below only flags a fault.
     """
     _check_int(n, "n", 5)
     w = _check_weight_count(weights, n)
-    graph = make_cycle(n)
-    cert = interleaving_certificate(graph, w, 1)
-    if cert is not None:
-        return cert
-    for x in range(n):
-        v, vp = sorted(graph.neighbors(x), key=lambda t: (w[t], t))
-        if w[v] <= w[x] <= w[vp]:
-            return Certificate(KIND_CYCLE_TRIANGLE_FREE, x, (v, vp), (), 1)
-    raise RuntimeError("no star-1 obstruction found for a cycle; this should be unreachable")
+    cert = interleaving_certificate(make_cycle(n), w, 1)
+    if cert is None:
+        raise RuntimeError("no star-1 obstruction found for a cycle; this should be unreachable")
+    return cert
 
 
 @lru_cache(maxsize=1)

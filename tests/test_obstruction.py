@@ -1,5 +1,6 @@
 """Interleaving certificates, the cycle obstruction, and the 4-d grid certificate."""
 
+import itertools
 import random
 import time
 
@@ -12,7 +13,6 @@ from starpcg import (
     Graph,
     GridShape,
     Infeasible,
-    KIND_CYCLE_TRIANGLE_FREE,
     KIND_INTERLEAVING,
     check_certificate,
     cycle_star1_obstruction,
@@ -208,9 +208,13 @@ class TestCheckCertificate:
         check_certificate(self.good, self.g, self.w)
 
     def test_rejects_unknown_kind(self):
-        bad = Certificate("made-up", 0, (1, 4), (2,), 1)
-        with pytest.raises(CertificateError, match="kind"):
-            check_certificate(bad, self.g, self.w)
+        # the second is the retired cycle kind, refused like any other
+        for bad in (
+            Certificate("made-up", 0, (1, 4), (2,), 1),
+            Certificate("cycle-triangle-free", 1, (0, 2), (), 1),
+        ):
+            with pytest.raises(CertificateError, match="unknown certificate kind"):
+                check_certificate(bad, self.g, self.w)
 
     def test_rejects_non_neighbor_in_vs(self):
         bad = Certificate(KIND_INTERLEAVING, 0, (2, 4), (3,), 1)
@@ -244,36 +248,18 @@ class TestCheckCertificate:
 
     def test_rejects_out_of_range_pivot(self):
         bad = Certificate(KIND_INTERLEAVING, 9, (1, 4), (2,), 1)
-        with pytest.raises(CertificateError, match="out of range"):
+        with pytest.raises(CertificateError, match="pivot 9 out of range"):
             check_certificate(bad, self.g, self.w)
+        # a separator past the last vertex is no neighbor, so only the range
+        # check keeps it from the weight lookup
+        for u in (99, 5):
+            bad = Certificate(KIND_INTERLEAVING, 0, (1, 4), (u,), 1)
+            with pytest.raises(CertificateError, match=f"separator {u} out of range"):
+                check_certificate(bad, self.g, self.w)
 
     def test_rejects_weight_count_mismatch(self):
         with pytest.raises(CertificateError):
             check_certificate(self.good, self.g, (1, 2, 3))
-
-    def test_triangle_free_valid_and_invalid(self):
-        g = make_cycle(5)
-        w = (1, 1, 1, 1, 1)
-        ok = Certificate(KIND_CYCLE_TRIANGLE_FREE, 0, (1, 4), (), 1)
-        check_certificate(ok, g, w)
-        with pytest.raises(CertificateError, match="k == 1"):
-            check_certificate(Certificate(KIND_CYCLE_TRIANGLE_FREE, 0, (1, 4), (), 2), g, w)
-        with pytest.raises(CertificateError, match="no us"):
-            check_certificate(Certificate(KIND_CYCLE_TRIANGLE_FREE, 0, (1, 4), (2,), 1), g, w)
-        with pytest.raises(CertificateError, match="exactly N"):
-            check_certificate(Certificate(KIND_CYCLE_TRIANGLE_FREE, 0, (1,), (), 1), g, w)
-        # pivot weight outside the sandwich
-        with pytest.raises(CertificateError, match="not between"):
-            check_certificate(
-                Certificate(KIND_CYCLE_TRIANGLE_FREE, 0, (1, 4), (), 1), g, (9, 1, 1, 1, 2)
-            )
-
-    def test_triangle_free_rejects_adjacent_vs(self):
-        # on C_3 the two neighbors of any vertex are themselves adjacent
-        g = make_cycle(3)
-        bad = Certificate(KIND_CYCLE_TRIANGLE_FREE, 0, (1, 2), (), 1)
-        with pytest.raises(CertificateError, match="non-edge"):
-            check_certificate(bad, g, (1, 1, 1))
 
     def test_json_round_trip(self):
         d = self.good.to_dict()
@@ -351,20 +337,28 @@ class TestCycleObstruction:
         with pytest.raises(ValueError):
             cycle_star1_obstruction(5, (1, 2, 3))
 
-    def test_triangle_free_branch(self, monkeypatch):
-        # no bounded weighting has been found where the interleaving search
-        # fails on a cycle, so force that path to pin the fallback's output
-        monkeypatch.setattr(obstruction_mod, "interleaving_certificate", lambda *a: None)
-        w = (1, 1, 1, 1, 1)
-        cert = cycle_star1_obstruction(5, w)
-        assert cert.kind == KIND_CYCLE_TRIANGLE_FREE and cert.x == 0
-        check_certificate(cert, make_cycle(5), w)
-
     def test_flags_when_no_obstruction_applies(self, monkeypatch):
         monkeypatch.setattr(obstruction_mod, "interleaving_certificate", lambda *a: None)
-        # alternating weights admit no sandwich at any vertex
+        # a scan that finds nothing is a fault, flagged instead of returned
         with pytest.raises(RuntimeError, match="unreachable"):
             cycle_star1_obstruction(6, (0, 9, 0, 9, 0, 9))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_every_weak_order_interleaves(self, n):
+        # rank vectors in {0..n-1}^n cover every weak order of the n vertices
+        for w in itertools.product(range(n), repeat=n):
+            assert cycle_star1_obstruction(n, w).kind == KIND_INTERLEAVING, w
+
+    def test_a_neighbor_of_a_lightest_vertex_interleaves(self):
+        # the two pivots of the proof in cycle_star1_obstruction's docstring
+        rng = random.Random(29)
+        for n in range(5, 41):
+            g = make_cycle(n)
+            for _ in range(50):
+                w = random_weights(rng, n, rng.choice([3, n, 1000]))
+                a = w.index(min(w))
+                pivots = ((a - 1) % n, (a + 1) % n)
+                assert obstruction_mod._first_interleaving(g, w, 1, pivots) is not None, w
 
 
 class TestGrid4dCertificate:
