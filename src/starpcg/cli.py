@@ -47,7 +47,7 @@ EDGE_BUDGET = 10**6
 STEP_BUDGET = 10**7
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -261,8 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target-k", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--prune-symmetry", action="store_true")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="census worker processes (random mode runs in-process)"
+    )
+    p.add_argument(
+        "--prune-symmetry", action="store_true", help="census only (random mode never prunes)"
+    )
     p.add_argument("--human", action="store_true", help="render a text summary instead of JSON")
     p.add_argument("-o", "--output", default="-")
 
@@ -283,11 +287,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             "mink": _cmd_mink,
         }[args.command]
         return handler(args)
-    except _UsageError as exc:
-        print(f"starpcg: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
-        # domain errors (bad sizes, malformed JSON payloads, oversized search)
+        # usage errors and domain errors (bad sizes, malformed JSON payloads, oversized search)
         print(f"starpcg: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -10,10 +10,8 @@ from __future__ import annotations
 import os
 import random
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from multiprocessing import Pool
-from threading import Event, Semaphore
+from itertools import islice
 from typing import Iterable
 
 from .graphs import Graph, _check_int
@@ -36,7 +34,9 @@ class SearchConfig:
     their mirror images.  jobs > 1 spreads the scanned chunks over min(jobs,
     scanned chunks, cpu count) processes; the merge reproduces the serial
     scan exactly.  Random mode draws `trials` vectors and reads a vertex's
-    adjacency only once some vector gets that far without a tie.
+    adjacency only once some vector gets that far without a tie.  It ignores
+    jobs and prune_symmetry: it always runs in-process and never prunes by
+    symmetry, though `search_report` echoes both fields.
     """
 
     max_weight: int | None = None
@@ -64,7 +64,8 @@ class _ChunkStats:
     explored: int = 0
     infeasible: int = 0
     histogram: dict[int, int] = field(default_factory=dict)
-    first_hit: tuple[int, ...] | None = None
+    # a target_k hit is always `best`: every earlier leaf has k > target_k
+    hit: bool = False
 
     def add_counts(self, other: _ChunkStats) -> None:
         self.explored += other.explored
@@ -79,9 +80,8 @@ class _ChunkStats:
         if self.best is None or (k, vec) < self.best:
             self.best = (k, vec)
         if target_k is not None and k <= target_k:
-            self.first_hit = vec
-            return True
-        return False
+            self.hit = True
+        return self.hit
 
 
 def _earlier_split(graph: Graph, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -203,12 +203,11 @@ def _scan_chunk(args) -> _ChunkStats:
     return stats
 
 
-def _merge_chunks(chunks: Iterable[_ChunkStats], twinned: int, folded) -> _ChunkStats:
+def _merge_chunks(chunks: Iterable[_ChunkStats], twinned: int) -> _ChunkStats:
     """Fold per-chunk stats in scan order, drawing none past the first target hit.
 
     When no chunk hits the target, the first `twinned` chunks count twice:
     once for themselves and once for their unscanned mirror chunks.
-    `folded` is called after each chunk that did not hit.
     """
     total = _ChunkStats()
     twins = _ChunkStats()
@@ -216,12 +215,11 @@ def _merge_chunks(chunks: Iterable[_ChunkStats], twinned: int, folded) -> _Chunk
         total.add_counts(chunk)
         if chunk.best is not None and (total.best is None or chunk.best < total.best):
             total.best = chunk.best
-        if chunk.first_hit is not None:
-            total.first_hit = chunk.first_hit
+        if chunk.hit:
+            total.hit = True
             return total
         if w0 < twinned:
             twins.add_counts(chunk)
-        folded()
     total.add_counts(twins)
     return total
 
@@ -297,8 +295,10 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
 
     Exhaustive mode is a census in lexicographic order: one chunk per first
     weight, scanned in turn or by a pool of min(jobs, scanned chunks, cpu
-    count) workers fed at most two chunks each ahead of the fold, and folded
-    as it arrives, so the scan stops at the first target hit.  A chunk places
+    count) processes.  The pool keeps at most two chunks per worker in flight,
+    submitting one more for each result it takes in w0 order, and a worker
+    that dies raises `BrokenProcessPool`.  Chunks are folded as they arrive,
+    so the scan stops at the first target hit.  A chunk places
     weights vertex by vertex, and a prefix whose edge and non-edge sums
     already tie is skipped, with all its completions counted as explored and
     infeasible.  Its cost therefore grows with the number of tie-free
@@ -325,28 +325,26 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
         mirror = len(orbit) <= 1
         last = bound // 2 if mirror else bound
         workers = min(cfg.jobs, last + 1, os.cpu_count() or 1)
-        stop = Event()
-        slots = Semaphore(2 * workers)
+        tasks = ((rows, bound, w0, cfg.target_k, orbit) for w0 in range(last + 1))
+        twinned = (bound + 1) // 2 if mirror else 0
+        if workers == 1:
+            total = _merge_chunks(map(_scan_chunk, tasks), twinned)
+        else:
+            # imported here: loading concurrent.futures.process costs every process about 30 ms
+            from concurrent.futures import ProcessPoolExecutor
 
-        def feed():
-            for w0 in range(last + 1):
-                slots.acquire()
-                if stop.is_set():
-                    return
-                yield rows, bound, w0, cfg.target_k, orbit
+            # leaving the block waits for the chunks still in flight after an early stop
+            with ProcessPoolExecutor(workers) as pool:
+                window = deque(pool.submit(_scan_chunk, t) for t in islice(tasks, 2 * workers))
 
-        with Pool(workers) if workers > 1 else nullcontext() as pool:
-            chunks = (pool.imap if pool is not None else map)(_scan_chunk, feed())
-            try:
-                total = _merge_chunks(chunks, (bound + 1) // 2 if mirror else 0, slots.release)
-            finally:
-                # feed no more chunks, waking a feeder that waits for a slot
-                stop.set()
-                slots.release()
-            # drain the pool: ending it while a worker writes a result can
-            # leave the result queue locked and hang
-            deque(chunks, maxlen=0)
-        complete = total.first_hit is None
+                def in_order():
+                    while window:
+                        chunk = window.popleft().result()
+                        window.extend(pool.submit(_scan_chunk, t) for t in islice(tasks, 1))
+                        yield chunk
+
+                total = _merge_chunks(in_order(), twinned)
+        complete = not total.hit
     else:
         rng = random.Random(cfg.rng_seed)
         vectors = (

@@ -562,3 +562,14 @@ class TestDeterminismAndEntryPoints:
             text=True,
         )
         assert proc.returncode == EXIT_USAGE
+
+    def test_import_starts_no_pool_machinery(self):
+        # only a census with jobs > 1 loads the process pool
+        script = (
+            "import sys\n"
+            "import starpcg.cli\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -1,12 +1,12 @@
 """Bounded exhaustive and randomized weight-space search."""
 
+import concurrent.futures
 import math
+import multiprocessing
 import os
-import queue
 import random
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -217,6 +217,28 @@ class TestRunCount:
             assert len(starpcg.stars._edge_runs(classes, slots)) == want, (sorted(edges), sorted(nonedges))
 
 
+def inline_executor(sizes, submitted):
+    """A ProcessPoolExecutor stand-in: records its size and each chunk's w0, and scans in-process."""
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, func, task):
+            submitted.append(task[2])
+            future = concurrent.futures.Future()
+            future.set_result(func(task))
+            return future
+
+    return InlineExecutor
+
+
 class TestDeterminismAndJobs:
     def test_identical_configs_identical_results(self):
         cfg = SearchConfig(max_weight=4)
@@ -238,22 +260,9 @@ class TestDeterminismAndJobs:
         assert not serial.exhaustive_within_bound
 
     def test_pool_size_is_capped(self, monkeypatch):
-        # no process starts: the pool is replaced by a recorder that maps in-process
+        # no process starts: the executor is replaced by a recorder that scans in-process
         sizes = []
-
-        class RecordingPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            imap = staticmethod(map)
-
-        monkeypatch.setattr(starpcg.search, "Pool", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_executor(sizes, []))
         g = make_cycle(4)
         serial = search_min_k(g, SearchConfig(max_weight=3, jobs=1))
         assert sizes == []
@@ -270,51 +279,21 @@ class TestDeterminismAndJobs:
         assert sizes == [3 + 1]
 
     def test_pool_feed_stays_near_the_fold(self, monkeypatch):
-        # the stand-in pool pulls tasks on a background thread as fast as it
-        # can, like Pool.imap's feeder, and scans them in-process
-        pulled = []
-
-        class EagerPool:
-            def __init__(self, processes):
-                self.feeder = None
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.feeder.join(timeout=10)
-                assert not self.feeder.is_alive(), "feeder still waits for a slot"
-                return False
-
-            def imap(self, func, tasks):
-                box = queue.Queue()
-
-                def pull():
-                    for task in tasks:
-                        pulled.append(task[2])
-                        box.put(task)
-                    box.put(None)
-
-                self.feeder = threading.Thread(target=pull, daemon=True)
-                self.feeder.start()
-                while (task := box.get(timeout=10)) is not None:
-                    time.sleep(0.001)  # let the feeder run ahead
-                    yield func(task)
-
-        monkeypatch.setattr(starpcg.search, "Pool", EagerPool)
+        submitted = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_executor([], submitted))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         for graph, bound, target_k in ((make_path(1), 300, 0), (make_cycle(5), 30, 2)):
-            pulled.clear()
+            submitted.clear()
             res = search_min_k(graph, SearchConfig(max_weight=bound, target_k=target_k, jobs=2))
             assert not res.exhaustive_within_bound
             hit = res.best_witness.weights[0]
-            assert pulled == list(range(len(pulled)))
-            assert hit < len(pulled) <= hit + 1 + 2 * 2
-        # with no hit every scanned chunk is fed, and the feeder ends
-        pulled.clear()
+            assert submitted == list(range(len(submitted)))
+            assert hit < len(submitted) <= hit + 1 + 2 * 2
+        # with no hit every scanned chunk is submitted
+        submitted.clear()
         res = search_min_k(make_cycle(5), SearchConfig(max_weight=6, jobs=2))
         assert res == search_min_k(make_cycle(5), SearchConfig(max_weight=6))
-        assert pulled == list(range(6 // 2 + 1))
+        assert submitted == list(range(6 // 2 + 1))
 
     def test_early_stops_in_a_pool_shut_down(self):
         # ending a pool while a worker writes a result can hang its shutdown,
@@ -333,6 +312,35 @@ class TestDeterminismAndJobs:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only a forked worker sees the patched chunk scan",
+    )
+    def test_dead_worker_raises_instead_of_hanging(self):
+        script = (
+            "import os\n"
+            "import starpcg.search\n"
+            "from concurrent.futures.process import BrokenProcessPool\n"
+            "from starpcg import SearchConfig, make_cycle, search_min_k\n"
+            "scan = starpcg.search._scan_chunk\n"
+            "def dying_scan(args):\n"
+            "    if args[2] == 1:\n"
+            "        os._exit(1)\n"
+            "    return scan(args)\n"
+            "starpcg.search._scan_chunk = dying_scan\n"
+            "try:\n"
+            "    search_min_k(make_cycle(5), SearchConfig(max_weight=6, jobs=2))\n"
+            "except BrokenProcessPool:\n"
+            "    print('BrokenProcessPool')\n"
+        )
+        src = os.path.dirname(os.path.dirname(starpcg.search.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "BrokenProcessPool\n"
 
     def test_census_holds_one_chunk_at_a_time(self):
         # one chunk per first weight: 2*10^4 + 1 chunks must not all be kept
