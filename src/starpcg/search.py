@@ -18,6 +18,11 @@ from .graphs import Graph, _check_int
 from .stars import Feasible, Witness, min_intervals_for_weights
 
 SPACE_LIMIT = 10**9
+# Bounds random mode's trials * n(n+1)/2 * (1 + (2W+1)//64) word operations.
+# The slowest request it accepts, measured on a 2-vCPU x86-64 host, is
+# 5*10^6 trials on one vertex, about 16 s; the most memory, 87 MB peak,
+# goes to one trial on two vertices at W = 5.3*10^7.
+RANDOM_WORK_LIMIT = 5 * 10**6
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_RANDOM = "random"
@@ -36,7 +41,9 @@ class SearchConfig:
     scan exactly.  Random mode draws `trials` vectors and reads a vertex's
     adjacency only once some vector gets that far without a tie.  It ignores
     jobs and prune_symmetry: it always runs in-process and never prunes by
-    symmetry, though `search_report` echoes both fields.
+    symmetry, though `search_report` echoes both fields.  It refuses
+    trials * n(n+1)/2 * (1 + (2W+1)//64) above RANDOM_WORK_LIMIT, as the
+    census refuses (W+1)^n above SPACE_LIMIT.
     """
 
     max_weight: int | None = None
@@ -98,7 +105,11 @@ def _earlier_split(graph: Graph, i: int) -> tuple[tuple[int, ...], tuple[int, ..
 # weight x adds the edge sums (ae << x) and the non-edge sums (an << x), where
 # ae and an have bit w[j] set for the earlier neighbours and non-neighbours j
 # of i; it ties when one of them meets the other table, or when ae & an is
-# non-zero (two earlier vertices of equal weight that i splits).
+# non-zero (two earlier vertices of equal weight that i splits).  The census
+# finds every tying x of a level at once: its tie mask T ORs N >> w[j] over
+# the earlier neighbours and E >> w[j] over the earlier non-neighbours, so
+# bit x of T is set exactly when w[j] + x is a sum of the other kind.  The
+# free weights are the allowed ones outside T; T misses the ae & an case.
 
 
 def _run_count(E: int, N: int) -> int:
@@ -153,51 +164,90 @@ def _scan_chunk(args) -> _ChunkStats:
     """Depth-first census of every vector whose first weight is w0.
 
     Prefixes are extended in lexicographic order, so leaves arrive in the
-    order of a plain scan of {0..W}^n.  A prefix whose sums already tie is
-    not descended: all its completions are counted as explored and
-    infeasible at once.  With symmetry pruning, the vertices of vertex 0's
-    orbit other than 0 only take weights >= w0; the skipped vectors are not
-    counted.
+    order of a plain scan of {0..W}^n.  Each level builds one tie mask, the
+    weights at which the vertex would tie, and descends only the free
+    weights, lowest first; the tied weights' completions are counted as
+    explored and infeasible with one popcount.  A target hit at weight x
+    counts only the tied weights below x, which a plain scan reaches before
+    it stops.  The last level scores its free weights in the loop itself;
+    as leaves arrive in scan order, a leaf improves the chunk's best exactly
+    when its k is smaller, and only then is its weight tuple built.  With
+    symmetry pruning, the vertices of vertex 0's orbit other than 0 only
+    take weights >= w0; the skipped vectors are not counted.
     """
     rows, bound, w0, target_k, orbit = args
     n = len(rows)
     stats = _ChunkStats()
-    w = [w0] + [0] * (n - 1)
+    if n == 1:
+        # no level to place: the chunk is its own leaf
+        stats.record(_run_count(0, 0), (w0,), target_k)
+        return stats
+    run_count = _run_count
+    histogram = stats.histogram
+    stop = -1 if target_k is None else target_k
+    last = n - 1
+    w = [w0] + [0] * last
     lows = [w0 if v in orbit else 0 for v in range(n)]
+    # spans[i]: bit x set for every weight x vertex i may take
+    spans = [(1 << (bound + 1)) - (1 << low) for low in lows]
     # completions[i]: vectors sharing one prefix of length i
     completions = [1] * (n + 1)
-    for v in range(n - 1, 0, -1):
+    for v in range(last, 0, -1):
         completions[v] = completions[v + 1] * (bound + 1 - lows[v])
 
     def descend(i: int, E: int, N: int) -> bool:
-        if i == n:
-            return stats.record(_run_count(E, N), tuple(w), target_k)
         nb, non = rows[i]
-        ae = an = 0
+        ae = an = T = 0
         for j in nb:
-            ae |= 1 << w[j]
+            wj = w[j]
+            ae |= 1 << wj
+            T |= N >> wj
         for j in non:
-            an |= 1 << w[j]
-        subtree = completions[i + 1]
+            wj = w[j]
+            an |= 1 << wj
+            T |= E >> wj
         if ae & an:
             stats.explored += completions[i]
             stats.infeasible += completions[i]
             return False
-        ties = 0
-        hit = False
-        for x in range(lows[i], bound + 1):
-            e = ae << x
-            nn = an << x
-            if e & N or nn & E:
-                ties += 1
-                continue
-            w[i] = x
-            hit = descend(i + 1, E | e, N | nn)
-            if hit:
-                break
-        stats.explored += ties * subtree
-        stats.infeasible += ties * subtree
-        return hit
+        span = spans[i]
+        tied = T & span
+        free = span ^ tied
+        if i < last:
+            subtree = completions[i + 1]
+            while free:
+                low = free & -free
+                x = low.bit_length() - 1
+                w[i] = x
+                if descend(i + 1, E | ae << x, N | an << x):
+                    # the tied weights above x are never reached
+                    tied &= low - 1
+                    break
+                free ^= low
+            ties = tied.bit_count() * subtree
+            stats.explored += ties
+            stats.infeasible += ties
+            return stats.hit
+        best_k = n * n if stats.best is None else stats.best[0]  # n * n exceeds any k
+        while free:
+            low = free & -free
+            # ae * low is ae << x, without finding x
+            k = run_count(E | ae * low, N | an * low)
+            histogram[k] = histogram.get(k, 0) + 1
+            if k < best_k:
+                best_k = k
+                w[i] = low.bit_length() - 1
+                stats.best = (k, tuple(w))
+                if k <= stop:
+                    stats.hit = True
+                    # the weights above x are never reached
+                    span &= (low << 1) - 1
+                    tied &= low - 1
+                    break
+            free ^= low
+        stats.explored += span.bit_count()
+        stats.infeasible += tied.bit_count()
+        return stats.hit
 
     descend(1, 0, 0)
     return stats
@@ -262,6 +312,11 @@ def _orbit_of_zero(graph: Graph) -> tuple[int, ...]:
     )
 
 
+def _bound(graph: Graph, cfg: SearchConfig) -> int:
+    """cfg.max_weight, or 2n when it is unset."""
+    return cfg.max_weight if cfg.max_weight is not None else 2 * graph.n
+
+
 def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
     """`cfg` with every field checked and max_weight resolved (2n when unset)."""
     if graph.n == 0:
@@ -276,7 +331,7 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
         _check_int(cfg.target_k, "target_k", 0)
     if type(cfg.prune_symmetry) is not bool:
         raise ValueError(f"prune_symmetry must be a bool, got {cfg.prune_symmetry!r}")
-    bound = cfg.max_weight if cfg.max_weight is not None else 2 * graph.n
+    bound = _bound(graph, cfg)
     _check_int(bound, "max_weight", 1)
     if cfg.mode == MODE_EXHAUSTIVE:
         # one vertex still costs one chunk per first weight, so the bound
@@ -286,6 +341,15 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
             raise ValueError(
                 f"exhaustive space (W+1)^n = {space} exceeds {SPACE_LIMIT}; "
                 "lower max_weight or use random mode"
+            )
+    else:
+        # a trial draws n weights and ORs one bit per vertex pair into bitsets
+        # of up to 2W+1 bits
+        work = cfg.trials * (graph.n * (graph.n + 1) // 2) * (1 + (2 * bound + 1) // 64)
+        if work > RANDOM_WORK_LIMIT:
+            raise ValueError(
+                f"random work trials * n(n+1)/2 * (1 + (2W+1)//64) = {work} exceeds "
+                f"{RANDOM_WORK_LIMIT}; lower trials or max_weight"
             )
     return replace(cfg, max_weight=bound)
 
@@ -303,9 +367,13 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
     already tie is skipped, with all its completions counted as explored and
     infeasible.  Its cost therefore grows with the number of tie-free
     prefixes, not with (W+1)^n.  The edge sums and the non-edge sums are two
-    integer bitsets: placing a weight is one shift and one test per set,
-    backing out of a prefix undoes nothing, and a leaf's interval count is a
-    few whole-integer operations (`_run_count`).  Mapping every weight w to
+    integer bitsets.  Entering a level costs one shifted OR per earlier
+    vertex into a tie mask that marks every tying weight at once, so the
+    level counts its ties with one popcount and visits only its free
+    weights; backing out of a prefix undoes nothing.  The last level scores
+    its free weights in the same loop, each with a few whole-integer
+    operations (`_run_count`), and builds a weight tuple only when the
+    chunk's best improves.  Mapping every weight w to
     W - w maps each sum s to 2W - s and keeps every tie and run count, so
     chunk W - w0 has the counts of chunk w0 and only lexicographically larger
     vectors: unless symmetry pruning moves vertex 0, only chunks w0 <= W//2
@@ -324,7 +392,7 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
         # the orbit bound w >= w0 does not survive the mirror, so pruned scans are full
         mirror = len(orbit) <= 1
         last = bound // 2 if mirror else bound
-        workers = min(cfg.jobs, last + 1, os.cpu_count() or 1)
+        workers = min(cfg.jobs, last + 1, os.cpu_count() or 1) if cfg.jobs > 1 else 1
         tasks = ((rows, bound, w0, cfg.target_k, orbit) for w0 in range(last + 1))
         twinned = (bound + 1) // 2 if mirror else 0
         if workers == 1:
@@ -377,11 +445,12 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
 
 def search_report(graph: Graph, cfg: SearchConfig | None = None) -> dict:
     """Run a search and package the result as a JSON-ready summary."""
-    cfg = _validated(graph, cfg if cfg is not None else SearchConfig())
+    cfg = cfg if cfg is not None else SearchConfig()
+    # search_min_k validates cfg; the report only resolves the default bound
     result = search_min_k(graph, cfg)
     return {
         "config": {
-            "max_weight": cfg.max_weight,
+            "max_weight": _bound(graph, cfg),
             "mode": cfg.mode,
             "trials": cfg.trials if cfg.mode == MODE_RANDOM else None,
             "seed": cfg.rng_seed if cfg.mode == MODE_RANDOM else None,

@@ -169,6 +169,28 @@ class TestExhaustive:
                         )
                         assert search_min_k(graph, cfg) == want, (graph.edges(), cfg)
 
+    def test_matches_direct_enumeration_past_one_machine_word(self):
+        # sums reach 2W, so at these bounds the tie masks and sum bitsets span
+        # several machine words; on the 4-vertex graphs a target hit stops a
+        # level that still has tied weights above the hit, which stay uncounted
+        pendant = sweep_graphs()[0]
+        cases = (
+            (Graph(2, [(0, 1)]), 100, (None, 1)),
+            (Graph(2), 100, (None, 0)),
+            (make_path(3), 32, (None, 1)),
+            (Graph(3, [(0, 2)]), 33, (None, 0)),
+            (make_cycle(4), 6, (1,)),
+            (make_path(4), 7, (1,)),
+            (pendant, 8, (1, 2)),
+            (Graph(4, [(0, 1), (0, 2), (0, 3)]), 7, (1,)),
+        )
+        for graph, bound, targets in cases:
+            for target_k in targets:
+                for prune in (False, True):
+                    want = reference_census(graph, bound, target_k, prune)
+                    cfg = SearchConfig(max_weight=bound, target_k=target_k, prune_symmetry=prune)
+                    assert search_min_k(graph, cfg) == want, (graph.edges(), cfg)
+
     def test_kernel_disagreeing_with_oracle_raises(self, monkeypatch):
         # the oracle cross-check on the best witness is a real check, not an
         # assert, so it also runs under python -O; only the search's leaf run
@@ -539,6 +561,50 @@ class TestValidation:
         with pytest.raises(ValueError, match="exceeds"):
             search_min_k(make_path(1), SearchConfig(max_weight=999999999))
         assert time.perf_counter() - start < 1
+
+
+    def test_rejects_oversized_random_work_at_once(self):
+        # unbounded, the first ran 4.5 s at 299 MB peak and the others ran
+        # until killed: bitsets of 2W+1 bits, or trials that never hit the target
+        cases = (
+            (make_cycle(5), 10, 10**8, None),
+            (make_cycle(5), 10, 10**9, None),
+            (make_path(2000), 3, 10**9, None),
+            (make_cycle(5), 10**11, 3, 5),
+        )
+        for graph, trials, bound, target_k in cases:
+            cfg = SearchConfig(mode=MODE_RANDOM, trials=trials, max_weight=bound, target_k=target_k)
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="random work .* exceeds"):
+                search_min_k(graph, cfg)
+            with pytest.raises(ValueError, match="random work .* exceeds"):
+                search_report(graph, cfg)
+            assert time.perf_counter() - start < 1
+
+    def test_random_work_limit_boundary(self):
+        # one vertex holds no bitset, so its work at the limit runs at once
+        limit = starpcg.search.RANDOM_WORK_LIMIT
+        bound = (limit - 1) * 32  # 1 + (2W+1)//64 == limit
+        cfg = SearchConfig(mode=MODE_RANDOM, trials=1, max_weight=bound)
+        assert search_min_k(Graph(1), cfg).explored == 1
+        with pytest.raises(ValueError, match=f"= {limit + 1} exceeds {limit}"):
+            search_min_k(Graph(1), replace(cfg, max_weight=bound + 32))
+
+    def test_cli_refuses_oversized_random_work(self):
+        src = os.path.dirname(os.path.dirname(starpcg.search.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv in (
+            ("cycle", "5", "--trials", "10", "--max-weight", "100000000"),
+            ("cycle", "5", "--trials", "10", "--max-weight", "1000000000"),
+            ("path", "2000", "--trials", "3", "--max-weight", "1000000000"),
+            ("cycle", "5", "--trials", "100000000000", "--max-weight", "3", "--target-k", "5"),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "starpcg", "mink", *argv, "--mode", "random"],
+                env=env, capture_output=True, text=True, timeout=30,
+            )
+            assert proc.returncode == 64, (argv, proc.stderr)
+            assert "exceeds" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
 
 class TestReporting:
