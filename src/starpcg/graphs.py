@@ -164,12 +164,15 @@ def make_path(n: int) -> Graph:
 def make_grid(shape: GridShape | Sequence[int]) -> Graph:
     """Grid graph: vertices are coordinates, edges join coords at L1 distance 1."""
     s = shape if isinstance(shape, GridShape) else GridShape(tuple(shape))
+    # strides[j]: the flat-id step of one unit along dimension j
+    strides = [1] * s.d
+    for j in range(s.d - 2, -1, -1):
+        strides[j] = strides[j + 1] * s.dims[j + 1]
     edges = []
-    for coord in s.coords():
-        u = s.flat_id(coord)
-        for j in range(s.d):
-            if coord[j] + 1 < s.dims[j]:
-                edges.append((u, s.flat_id(coord[:j] + (coord[j] + 1,) + coord[j + 1 :])))
+    for u, coord in enumerate(s.coords()):
+        for c, m, stride in zip(coord, s.dims, strides):
+            if c + 1 < m:
+                edges.append((u, u + stride))
     return Graph(s.num_vertices, edges)
 
 

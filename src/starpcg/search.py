@@ -17,6 +17,14 @@ from typing import Iterable
 from .graphs import Graph, _check_int
 from .stars import Feasible, Witness, min_intervals_for_weights
 
+# Bounds the census's (W+1)^n * (1 + (2W+1)//64) leaf word operations, or
+# (W+1)^2 on one vertex.  It does not see tie pruning, so the slowest
+# censuses it accepts are on graphs that seldom tie.  Measured on a 2-vCPU
+# x86-64 host: Graph(2) at W = 3167, the largest two-vertex census, takes
+# about 12 s; path 3 at W = 415 about 34 s; path 4 at W = 124 about 90 s;
+# path 5 at W = 53 about 130 s, the slowest measured with edges.  An
+# edgeless graph never ties: Graph(9) at W = 9 takes about 4.7 minutes, and
+# only a node budget that the walk counts would bound it.
 SPACE_LIMIT = 10**9
 # Bounds random mode's trials * n(n+1)/2 * (1 + (2W+1)//64) word operations.
 # The slowest request it accepts, measured on a 2-vCPU x86-64 host, is
@@ -43,7 +51,8 @@ class SearchConfig:
     jobs and prune_symmetry: it always runs in-process and never prunes by
     symmetry, though `search_report` echoes both fields.  It refuses
     trials * n(n+1)/2 * (1 + (2W+1)//64) above RANDOM_WORK_LIMIT, as the
-    census refuses (W+1)^n above SPACE_LIMIT.
+    census refuses (W+1)^n * (1 + (2W+1)//64) above SPACE_LIMIT ((W+1)^2 on
+    one vertex).
     """
 
     max_weight: int | None = None
@@ -109,7 +118,8 @@ def _earlier_split(graph: Graph, i: int) -> tuple[tuple[int, ...], tuple[int, ..
 # finds every tying x of a level at once: its tie mask T ORs N >> w[j] over
 # the earlier neighbours and E >> w[j] over the earlier non-neighbours, so
 # bit x of T is set exactly when w[j] + x is a sum of the other kind.  The
-# free weights are the allowed ones outside T; T misses the ae & an case.
+# free weights are the allowed ones outside T, or none when ae & an ties the
+# whole level.
 
 
 def _run_count(E: int, N: int) -> int:
@@ -161,39 +171,30 @@ def _scan_random(
 
 
 def _scan_chunk(args) -> _ChunkStats:
-    """Depth-first census of every vector whose first weight is w0.
+    """Depth-first census of a box: the vectors w with bit w[i] of spans[i] set for every i.
 
     Prefixes are extended in lexicographic order, so leaves arrive in the
-    order of a plain scan of {0..W}^n.  Each level builds one tie mask, the
+    order of a plain scan of the box.  Each level builds one tie mask, the
     weights at which the vertex would tie, and descends only the free
     weights, lowest first; the tied weights' completions are counted as
     explored and infeasible with one popcount.  A target hit at weight x
     counts only the tied weights below x, which a plain scan reaches before
     it stops.  The last level scores its free weights in the loop itself;
     as leaves arrive in scan order, a leaf improves the chunk's best exactly
-    when its k is smaller, and only then is its weight tuple built.  With
-    symmetry pruning, the vertices of vertex 0's orbit other than 0 only
-    take weights >= w0; the skipped vectors are not counted.
+    when its k is smaller, and only then is its weight tuple built.
     """
-    rows, bound, w0, target_k, orbit = args
+    rows, spans, target_k = args
     n = len(rows)
     stats = _ChunkStats()
-    if n == 1:
-        # no level to place: the chunk is its own leaf
-        stats.record(_run_count(0, 0), (w0,), target_k)
-        return stats
     run_count = _run_count
     histogram = stats.histogram
     stop = -1 if target_k is None else target_k
     last = n - 1
-    w = [w0] + [0] * last
-    lows = [w0 if v in orbit else 0 for v in range(n)]
-    # spans[i]: bit x set for every weight x vertex i may take
-    spans = [(1 << (bound + 1)) - (1 << low) for low in lows]
+    w = [0] * n
     # completions[i]: vectors sharing one prefix of length i
     completions = [1] * (n + 1)
     for v in range(last, 0, -1):
-        completions[v] = completions[v + 1] * (bound + 1 - lows[v])
+        completions[v] = completions[v + 1] * spans[v].bit_count()
 
     def descend(i: int, E: int, N: int) -> bool:
         nb, non = rows[i]
@@ -206,12 +207,8 @@ def _scan_chunk(args) -> _ChunkStats:
             wj = w[j]
             an |= 1 << wj
             T |= E >> wj
-        if ae & an:
-            stats.explored += completions[i]
-            stats.infeasible += completions[i]
-            return False
         span = spans[i]
-        tied = T & span
+        tied = span if ae & an else T & span
         free = span ^ tied
         if i < last:
             subtree = completions[i + 1]
@@ -249,7 +246,7 @@ def _scan_chunk(args) -> _ChunkStats:
         stats.infeasible += tied.bit_count()
         return stats.hit
 
-    descend(1, 0, 0)
+    descend(0, 0, 0)
     return stats
 
 
@@ -334,12 +331,14 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
     bound = _bound(graph, cfg)
     _check_int(bound, "max_weight", 1)
     if cfg.mode == MODE_EXHAUSTIVE:
-        # one vertex still costs one chunk per first weight, so the bound
-        # counts it as two: W = 999999999 is refused rather than walked
-        space = (bound + 1) ** max(graph.n, 2)
-        if space > SPACE_LIMIT:
+        # each of the (W+1)^n leaves reads sum bitsets of up to 2W+1 bits; one vertex
+        # has no sums but one chunk per first weight, so it counts as (W+1)^2
+        words = 1 + (2 * bound + 1) // 64 if graph.n > 1 else bound + 1
+        work = (bound + 1) ** graph.n * words
+        if work > SPACE_LIMIT:
             raise ValueError(
-                f"exhaustive space (W+1)^n = {space} exceeds {SPACE_LIMIT}; "
+                f"exhaustive work {work} exceeds {SPACE_LIMIT}: (W+1)^n vectors times "
+                "1 + (2W+1)//64 words each, or (W+1)^2 on one vertex; "
                 "lower max_weight or use random mode"
             )
     else:
@@ -362,8 +361,11 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
     count) processes.  The pool keeps at most two chunks per worker in flight,
     submitting one more for each result it takes in w0 order, and a worker
     that dies raises `BrokenProcessPool`.  Chunks are folded as they arrive,
-    so the scan stops at the first target hit.  A chunk places
-    weights vertex by vertex, and a prefix whose edge and non-edge sums
+    so the scan stops at the first target hit.  This function alone decides
+    what a chunk covers: chunk w0 is the box with vertex 0 at w0 and every
+    other vertex at 0..W, except that symmetry pruning holds the rest of
+    vertex 0's orbit at w0..W (the skipped vectors are not counted).  A chunk
+    places weights vertex by vertex, and a prefix whose edge and non-edge sums
     already tie is skipped, with all its completions counted as explored and
     infeasible.  Its cost therefore grows with the number of tie-free
     prefixes, not with (W+1)^n.  The edge sums and the non-edge sums are two
@@ -393,7 +395,12 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
         mirror = len(orbit) <= 1
         last = bound // 2 if mirror else bound
         workers = min(cfg.jobs, last + 1, os.cpu_count() or 1) if cfg.jobs > 1 else 1
-        tasks = ((rows, bound, w0, cfg.target_k, orbit) for w0 in range(last + 1))
+        # chunk w0's box: vertex 0 at w0, the rest of its orbit at w0..W, others at 0..W
+        full, rest = (1 << (bound + 1)) - 1, range(1, graph.n)
+        tasks = (
+            (rows, [1 << w0] + [full >> w0 << w0 if v in orbit else full for v in rest], cfg.target_k)
+            for w0 in range(last + 1)
+        )
         twinned = (bound + 1) // 2 if mirror else 0
         if workers == 1:
             total = _merge_chunks(map(_scan_chunk, tasks), twinned)

@@ -323,6 +323,10 @@ class TestMink:
         code, _ = run_cli(capsys, "mink", "path", "1", "--max-weight", "999999999")
         assert code == EXIT_USAGE
 
+    def test_two_vertices_past_the_word_limit_is_usage_error(self, capsys):
+        code, _ = run_cli(capsys, "mink", "path", "2", "--max-weight", "31621")
+        assert code == EXIT_USAGE
+
     def test_bad_target_words(self, capsys):
         code, _ = run_cli(capsys, "mink", "nonsense", "words")
         assert code == EXIT_USAGE
@@ -524,6 +528,54 @@ class TestInputBoundary:
                 # a mismatch is only reported between two well-formed payloads
                 Graph.from_dict(graph_obj)
                 Witness.from_dict(witness_obj)
+
+
+class TestUnwritableOutput:
+    # exit 1 would read as a verify mismatch, so a failed write is a usage error
+    def _argvs(self, tmp_path):
+        c5 = tmp_path / "c5.json"
+        c5.write_text(json.dumps({"n": 5, "edges": [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]]}))
+        p5 = tmp_path / "p5.json"
+        p5.write_text(json.dumps({"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}))
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps([1, 2, 3, 4, 5]))
+        triangle = tmp_path / "k3.json"
+        triangle.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
+        triangle_weights = tmp_path / "k3_weights.json"
+        triangle_weights.write_text(json.dumps([0, 1, 2]))
+        witness = tmp_path / "witness.json"
+        assert main(["witness", "cycle", "5", "-o", str(witness)]) == EXIT_OK
+        return (
+            ("generate", "cycle", "3"),
+            ("generate", "grid", "2", "2", "--dot"),
+            ("witness", "cycle", "5"),
+            ("verify", str(c5), str(witness)),
+            ("verify", str(p5), str(witness)),  # a mismatch
+            ("obstruct", str(c5), str(weights), "1"),
+            ("obstruct", str(triangle), str(triangle_weights), "1"),  # no certificate
+            ("mink", "cycle", "3", "--max-weight", "2"),
+            ("mink", "cycle", "3", "--max-weight", "2", "--human"),
+        )
+
+    @pytest.mark.parametrize("target", ["missing/out.json", "."])
+    def test_every_command_exits_usage(self, capsys, tmp_path, target):
+        out = str(tmp_path / target)
+        for argv in self._argvs(tmp_path):
+            capsys.readouterr()
+            assert main([*argv, "-o", out]) == EXIT_USAGE, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"starpcg: cannot write output to {out}: "), argv
+
+    def test_no_traceback_via_subprocess(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "starpcg", "generate", "cycle", "3",
+             "-o", str(tmp_path / "missing" / "x")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert "cannot write output" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
 
 class TestDeterminismAndEntryPoints:

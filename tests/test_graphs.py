@@ -144,6 +144,23 @@ class TestFamilies:
         assert make_grid([1, 1, 1]).n == 1
         assert make_grid([1, 4]) == make_path(4)
 
+    @pytest.mark.parametrize(
+        "dims", [[1], [6], [1, 1], [1, 5], [5, 1], [2, 3], [4, 4], [2, 1, 3], [3, 3, 3, 3], [2, 3, 1, 2]]
+    )
+    def test_grid_matches_l1_distance_adjacency(self, dims):
+        shape = GridShape(tuple(dims))
+        coords = list(shape.coords())
+        want = Graph(
+            len(coords),
+            [
+                (u, v)
+                for u in range(len(coords))
+                for v in range(u + 1, len(coords))
+                if sum(abs(a - b) for a, b in zip(coords[u], coords[v])) == 1
+            ],
+        )
+        assert make_grid(dims) == want
+
     def test_grid_rejects_empty_dims(self):
         with pytest.raises(ValueError):
             make_grid([])

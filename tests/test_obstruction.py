@@ -226,6 +226,16 @@ class TestCheckCertificate:
         with pytest.raises(CertificateError, match="repeated|outside"):
             check_certificate(bad, self.g, self.w)
 
+    def test_rejects_repeated_vertices(self):
+        # each would interleave if a vertex could stand in twice
+        star = Graph(5, [(0, 1), (0, 2), (0, 3)])
+        for bad, graph, weights in (
+            (Certificate(KIND_INTERLEAVING, 0, (1, 1), (2,), 1), self.g, (1, 3, 3, 4, 5)),
+            (Certificate(KIND_INTERLEAVING, 0, (1, 2, 3), (4, 4), 2), star, (0, 1, 2, 3, 2)),
+        ):
+            with pytest.raises(CertificateError, match="repeated vertex in vs or us"):
+                check_certificate(bad, graph, weights)
+
     def test_rejects_pivot_in_us(self):
         bad = Certificate(KIND_INTERLEAVING, 1, (0, 2), (1,), 1)
         with pytest.raises(CertificateError):
@@ -288,6 +298,14 @@ class TestCheckCertificate:
         )
         with pytest.raises(CertificateError, match=field):
             check_certificate(cert, self.g, self.w)
+
+    def test_non_list_chains_are_rejected(self):
+        for bad, name in (
+            (Certificate(KIND_INTERLEAVING, 0, 5, (), 1), "vs"),
+            (Certificate(KIND_INTERLEAVING, 0, (1, 4), 2, 1), "us"),
+        ):
+            with pytest.raises(CertificateError, match=f"{name} must be a list of vertices"):
+                check_certificate(bad, self.g, self.w)
 
     @pytest.mark.parametrize("field", ["k", "us"])
     def test_bool_k_and_bool_us_entry_are_rejected(self, field):

@@ -253,7 +253,7 @@ def inline_executor(sizes, submitted):
             return False
 
         def submit(self, func, task):
-            submitted.append(task[2])
+            submitted.append(task[1][0].bit_length() - 1)
             future = concurrent.futures.Future()
             future.set_result(func(task))
             return future
@@ -347,7 +347,7 @@ class TestDeterminismAndJobs:
             "from starpcg import SearchConfig, make_cycle, search_min_k\n"
             "scan = starpcg.search._scan_chunk\n"
             "def dying_scan(args):\n"
-            "    if args[2] == 1:\n"
+            "    if args[1][0].bit_length() - 1 == 1:\n"
             "        os._exit(1)\n"
             "    return scan(args)\n"
             "starpcg.search._scan_chunk = dying_scan\n"
@@ -383,7 +383,7 @@ class TestDeterminismAndJobs:
         scan = starpcg.search._scan_chunk
 
         def recording_scan(args):
-            scanned.append(args[2])
+            scanned.append(args[1][0].bit_length() - 1)
             return scan(args)
 
         monkeypatch.setattr(starpcg.search, "_scan_chunk", recording_scan)
@@ -490,6 +490,17 @@ class TestSymmetryPruning:
             assert pruned.explored < plain.explored
             assert verify(pruned.best_witness, graph).equal
 
+    def test_orbit_backtracker_matches_every_permutation(self):
+        # a vertex tried as an image and then given up must be freed again:
+        # without that, 0 -> 2 on edges (0,3), (1,4), (2,3) is never found
+        assert starpcg.search._orbit_of_zero(Graph(5, [(0, 3), (1, 4), (2, 3)])) == (0, 2)
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(4, 7)
+            p = rng.random()
+            graph = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            assert set(starpcg.search._orbit_of_zero(graph)) == orbit_of_zero(graph), graph.edges()
+
     def test_asymmetric_graph_prunes_nothing(self):
         # a pendant triangle has no automorphism moving vertex 0
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
@@ -561,6 +572,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="exceeds"):
             search_min_k(make_path(1), SearchConfig(max_weight=999999999))
         assert time.perf_counter() - start < 1
+
+    def test_rejects_a_two_vertex_census_past_the_word_limit_at_once(self):
+        # (W+1)^2 < 10^9 here, but every leaf reads 63,000-bit sum tables
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds"):
+            search_min_k(Graph(2), SearchConfig(max_weight=31621))
+        assert time.perf_counter() - start < 1
+
+    def test_census_work_limit_boundary(self):
+        # (W+1)^n * (1 + (2W+1)//64) on two or more vertices, (W+1)^2 on one
+        limit = starpcg.search.SPACE_LIMIT
+        for graph, bound in ((Graph(2), 3167), (make_path(3), 415), (make_grid([3, 3]), 9)):
+            starpcg.search._validated(graph, SearchConfig(max_weight=bound))
+            with pytest.raises(ValueError, match=f"exceeds {limit}"):
+                starpcg.search._validated(graph, SearchConfig(max_weight=bound + 1))
+        starpcg.search._validated(make_path(1), SearchConfig(max_weight=31621))
+        with pytest.raises(ValueError, match=f"work {31623**2} exceeds {limit}"):
+            starpcg.search._validated(make_path(1), SearchConfig(max_weight=31622))
 
 
     def test_rejects_oversized_random_work_at_once(self):
