@@ -7,6 +7,7 @@ all vectors up to a bound only rules out witnesses within that bound.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from collections import deque
@@ -24,7 +25,10 @@ from .stars import Feasible, Witness, min_intervals_for_weights
 # about 12 s; path 3 at W = 415 about 34 s; path 4 at W = 124 about 90 s;
 # path 5 at W = 53 about 130 s, the slowest measured with edges.  An
 # edgeless graph never ties: Graph(9) at W = 9 takes about 4.7 minutes, and
-# only a node budget that the walk counts would bound it.
+# only a node budget that the walk counts would bound it.  These figures
+# predate the derived census counts; re-timed, best of two, on a busier host
+# of the same kind, Graph(2) at W = 3167 took 20 s and path 3 at W = 415
+# 50 s, against 18.5 and 57 s for the counting kernel on that host.
 SPACE_LIMIT = 10**9
 # Bounds random mode's trials * n(n+1)/2 * (1 + (2W+1)//64) word operations.
 # The slowest request it accepts, measured on a 2-vCPU x86-64 host, is
@@ -78,20 +82,17 @@ class SearchResult:
 class _ChunkStats:
     best: tuple[int, tuple[int, ...]] | None = None
     explored: int = 0
-    infeasible: int = 0
     histogram: dict[int, int] = field(default_factory=dict)
     # a target_k hit is always `best`: every earlier leaf has k > target_k
     hit: bool = False
 
     def add_counts(self, other: _ChunkStats) -> None:
         self.explored += other.explored
-        self.infeasible += other.infeasible
         for k, c in other.histogram.items():
             self.histogram[k] = self.histogram.get(k, 0) + c
 
     def record(self, k: int, vec: tuple[int, ...], target_k: int | None) -> bool:
         """Count one feasible vector; True when it is the first target_k hit."""
-        self.explored += 1
         self.histogram[k] = self.histogram.get(k, 0) + 1
         if self.best is None or (k, vec) < self.best:
             self.best = (k, vec)
@@ -146,6 +147,7 @@ def _scan_random(
     stats = _ChunkStats()
     rows = [((), ())]
     for vec in vectors:
+        stats.explored += 1
         E = N = 0
         for i in range(1, len(vec)):
             if i == len(rows):
@@ -159,8 +161,6 @@ def _scan_random(
             e = ae << vec[i]
             nn = an << vec[i]
             if ae & an or e & N or nn & E:
-                stats.explored += 1
-                stats.infeasible += 1
                 break
             E |= e
             N |= nn
@@ -176,12 +176,12 @@ def _scan_chunk(args) -> _ChunkStats:
     Prefixes are extended in lexicographic order, so leaves arrive in the
     order of a plain scan of the box.  Each level builds one tie mask, the
     weights at which the vertex would tie, and descends only the free
-    weights, lowest first; the tied weights' completions are counted as
-    explored and infeasible with one popcount.  A target hit at weight x
-    counts only the tied weights below x, which a plain scan reaches before
-    it stops.  The last level scores its free weights in the loop itself;
-    as leaves arrive in scan order, a leaf improves the chunk's best exactly
-    when its k is smaller, and only then is its weight tuple built.
+    weights, lowest first.  The last level scores its free weights in the
+    loop itself; as leaves arrive in scan order, a leaf improves the chunk's
+    best exactly when its k is smaller, and only then is its weight tuple
+    built.  The walk counts only feasible leaves: `explored` is the box's
+    size, or on a target hit the number of box vectors up to the hit, which
+    is what a plain scan visits before it stops.
     """
     rows, spans, target_k = args
     n = len(rows)
@@ -191,10 +191,6 @@ def _scan_chunk(args) -> _ChunkStats:
     stop = -1 if target_k is None else target_k
     last = n - 1
     w = [0] * n
-    # completions[i]: vectors sharing one prefix of length i
-    completions = [1] * (n + 1)
-    for v in range(last, 0, -1):
-        completions[v] = completions[v + 1] * spans[v].bit_count()
 
     def descend(i: int, E: int, N: int) -> bool:
         nb, non = rows[i]
@@ -207,24 +203,16 @@ def _scan_chunk(args) -> _ChunkStats:
             wj = w[j]
             an |= 1 << wj
             T |= E >> wj
-        span = spans[i]
-        tied = span if ae & an else T & span
-        free = span ^ tied
+        free = 0 if ae & an else spans[i] & ~T
         if i < last:
-            subtree = completions[i + 1]
             while free:
                 low = free & -free
                 x = low.bit_length() - 1
                 w[i] = x
                 if descend(i + 1, E | ae << x, N | an << x):
-                    # the tied weights above x are never reached
-                    tied &= low - 1
-                    break
+                    return True
                 free ^= low
-            ties = tied.bit_count() * subtree
-            stats.explored += ties
-            stats.infeasible += ties
-            return stats.hit
+            return False
         best_k = n * n if stats.best is None else stats.best[0]  # n * n exceeds any k
         while free:
             low = free & -free
@@ -237,16 +225,18 @@ def _scan_chunk(args) -> _ChunkStats:
                 stats.best = (k, tuple(w))
                 if k <= stop:
                     stats.hit = True
-                    # the weights above x are never reached
-                    span &= (low << 1) - 1
-                    tied &= low - 1
-                    break
+                    return True
             free ^= low
-        stats.explored += span.bit_count()
-        stats.infeasible += tied.bit_count()
-        return stats.hit
+        return False
 
-    descend(0, 0, 0)
+    if descend(0, 0, 0):
+        # the hit's rank in the box's lexicographic order, in mixed radix
+        rank = 0
+        for span, x in zip(spans, w):
+            rank = rank * span.bit_count() + (span & ((1 << x) - 1)).bit_count()
+        stats.explored = rank + 1
+    else:
+        stats.explored = math.prod(span.bit_count() for span in spans)
     return stats
 
 
@@ -272,26 +262,51 @@ def _merge_chunks(chunks: Iterable[_ChunkStats], twinned: int) -> _ChunkStats:
 
 
 def _automorphism_maps_zero_to(graph: Graph, target: int) -> bool:
-    """Backtracking check for an adjacency-preserving bijection sending 0 to target."""
+    """Backtracking check for an adjacency-preserving bijection sending 0 to target.
+
+    Vertices are placed in breadth-first order from vertex 0, each further
+    component from its lowest vertex.  A vertex with a parent in that order
+    must map to a neighbour of its parent's image, so its candidates are
+    those neighbours; a component's root may map to any unused vertex.  Each
+    candidate must have the vertex's degree and its adjacency to every placed
+    vertex.  Seeded random 3- and 4-regular graphs on 16 to 29 vertices take
+    milliseconds each; graphs whose every vertex looks alike from any
+    breadth-first search, such as asymmetric strongly regular graphs, are
+    unmeasured and may take exponential time.
+    """
     n = graph.n
+    order: list[int] = []
+    parent = [-1] * n
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for v in sorted(graph.neighbors(u)):
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v] = u
+                    order.append(v)
     image = [-1] * n
     used = [False] * n
 
-    def extend(u: int) -> bool:
-        if u == n:
+    def extend(pos: int) -> bool:
+        if pos == n:
             return True
-        for cand in range(n):
+        u = order[pos]
+        p = parent[u]
+        for cand in range(n) if p < 0 else sorted(graph.neighbors(image[p])):
             if used[cand] or graph.degree(cand) != graph.degree(u):
                 continue
-            ok = True
-            for t in range(u):
-                if graph.has_edge(u, t) != graph.has_edge(cand, image[t]):
-                    ok = False
-                    break
-            if ok:
+            if all(graph.has_edge(u, t) == graph.has_edge(cand, image[t]) for t in order[:pos]):
                 image[u] = cand
                 used[cand] = True
-                if extend(u + 1):
+                if extend(pos + 1):
                     return True
                 used[cand] = False
         return False
@@ -365,22 +380,23 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
     what a chunk covers: chunk w0 is the box with vertex 0 at w0 and every
     other vertex at 0..W, except that symmetry pruning holds the rest of
     vertex 0's orbit at w0..W (the skipped vectors are not counted).  A chunk
-    places weights vertex by vertex, and a prefix whose edge and non-edge sums
-    already tie is skipped, with all its completions counted as explored and
-    infeasible.  Its cost therefore grows with the number of tie-free
+    places weights vertex by vertex and skips every prefix whose edge and
+    non-edge sums already tie, so its cost grows with the number of tie-free
     prefixes, not with (W+1)^n.  The edge sums and the non-edge sums are two
     integer bitsets.  Entering a level costs one shifted OR per earlier
     vertex into a tie mask that marks every tying weight at once, so the
-    level counts its ties with one popcount and visits only its free
-    weights; backing out of a prefix undoes nothing.  The last level scores
+    level visits only its free weights; backing out of a prefix undoes
+    nothing.  The last level scores
     its free weights in the same loop, each with a few whole-integer
     operations (`_run_count`), and builds a weight tuple only when the
     chunk's best improves.  Mapping every weight w to
     W - w maps each sum s to 2W - s and keeps every tie and run count, so
     chunk W - w0 has the counts of chunk w0 and only lexicographically larger
     vectors: unless symmetry pruning moves vertex 0, only chunks w0 <= W//2
-    are scanned, and those below W/2 count twice when no target is hit.  Every
-    count, the histogram and the witness match a plain vector-by-vector scan.
+    are scanned, and those below W/2 count twice when no target is hit.  The
+    explored count follows from the boxes and the hit, and every explored
+    vector outside the histogram is infeasible; every count, the histogram
+    and the witness match a plain vector-by-vector scan.
     Random mode draws `trials` vectors from a seeded generator and scores
     each with the same bitsets, stopping at its first tie.  Ties on the
     interval count are broken toward the lexicographically smallest vector,
@@ -446,7 +462,8 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
         explored=total.explored,
         exhaustive_within_bound=complete and cfg.mode == MODE_EXHAUSTIVE,
         k_histogram=dict(sorted(total.histogram.items())),
-        infeasible_count=total.infeasible,
+        # every explored vector is either feasible, in the histogram, or infeasible
+        infeasible_count=total.explored - sum(total.histogram.values()),
     )
 
 

@@ -22,3 +22,17 @@ NOT_INTS = (True, 2.0, "3", None)
 
 def random_weights(rng: random.Random, n: int, bound: int) -> tuple[int, ...]:
     return tuple(rng.randint(0, bound) for _ in range(n))
+
+
+def random_regular(rng: random.Random, n: int, d: int) -> Graph:
+    """Random d-regular simple graph on n vertices, by the configuration model.
+
+    Pairs up n*d shuffled vertex stubs and redraws until no pair is a loop
+    or a repeated edge; n*d must be even.
+    """
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(stubs[i:i + 2])) for i in range(0, len(stubs), 2)}
+        if len(pairs) == n * d // 2 and all(u != v for u, v in pairs):
+            return Graph(n, pairs)

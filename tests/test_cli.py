@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_regular
 from starpcg import Graph, Witness
 from starpcg import cli
 from starpcg.cli import (
@@ -314,6 +316,19 @@ class TestMink:
             capsys, "mink", "cycle", "4", "--max-weight", "4", "--prune-symmetry"
         )
         assert code == EXIT_OK and obj["best_k"] == 1
+
+    def test_prune_symmetry_on_an_asymmetric_cubic_graph_finishes(self, tmp_path):
+        # the automorphism search once ran for over 45 s on this 24-vertex graph
+        target = tmp_path / "g.json"
+        target.write_text(json.dumps(random_regular(random.Random(24), 24, 3).to_dict()))
+        proc = subprocess.run(
+            [sys.executable, "-m", "starpcg", "mink", str(target), "--max-weight", "1", "--prune-symmetry"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["exhaustive_within_bound"] is True
 
     def test_oversized_space_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "mink", "cycle", "3", "--max-weight", "1000")

@@ -13,6 +13,7 @@ from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
+from helpers import random_regular
 
 import starpcg.search
 import starpcg.stars
@@ -88,6 +89,11 @@ def reference_census(graph, bound, target_k=None, prune_symmetry=False):
         target_k,
         skip=lambda vec: any(vec[v] < vec[0] for v in orbit),
     )
+
+
+def half_dense_graph(n, rng):
+    """A random graph with each pair an edge with probability 1/2, as the benchmark draws them."""
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
 
 
 def sweep_graphs():
@@ -190,6 +196,23 @@ class TestExhaustive:
                     want = reference_census(graph, bound, target_k, prune)
                     cfg = SearchConfig(max_weight=bound, target_k=target_k, prune_symmetry=prune)
                     assert search_min_k(graph, cfg) == want, (graph.edges(), cfg)
+
+    @pytest.mark.parametrize(
+        "graph, bound",
+        [
+            (make_cycle(5), 6),
+            (make_path(5), 6),
+            (make_cycle(6), 4),
+            (make_grid([2, 3]), 4),
+            (make_grid([3, 3]), 2),
+            (half_dense_graph(6, random.Random(6)), 4),
+        ],
+        ids=["cycle5-W6", "path5-W6", "cycle6-W4", "grid2x3-W4", "grid3x3-W2", "random6-W4"],
+    )
+    def test_matches_direct_enumeration_on_benchmark_shapes(self, graph, bound):
+        # one graph of each search-census benchmark family at its benchmark
+        # bound, so the histogram and infeasible count it reports are checked
+        assert search_min_k(graph, SearchConfig(max_weight=bound)) == reference_census(graph, bound)
 
     def test_kernel_disagreeing_with_oracle_raises(self, monkeypatch):
         # the oracle cross-check on the best witness is a real check, not an
@@ -500,6 +523,22 @@ class TestSymmetryPruning:
             p = rng.random()
             graph = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
             assert set(starpcg.search._orbit_of_zero(graph)) == orbit_of_zero(graph), graph.edges()
+
+    def test_orbit_backtracker_is_fast_on_asymmetric_cubic_graphs(self):
+        # placing vertices in id order with only a degree filter took 4.5 s
+        # at n = 20 and over 45 s at n = 24 on these graphs
+        for n in (20, 24):
+            graph = random_regular(random.Random(n), n, 3)
+            start = time.perf_counter()
+            orbit = starpcg.search._orbit_of_zero(graph)
+            assert time.perf_counter() - start < 1, n
+            # relabeling the graph with vertex 0 fixed relabels the orbit
+            perm = [0] + random.Random(n).sample(range(1, n), n - 1)
+            relabeled = Graph(n, [(perm[u], perm[v]) for u, v in graph.edges()])
+            start = time.perf_counter()
+            moved = starpcg.search._orbit_of_zero(relabeled)
+            assert time.perf_counter() - start < 1, n
+            assert set(moved) == {perm[v] for v in orbit}, n
 
     def test_asymmetric_graph_prunes_nothing(self):
         # a pendant triangle has no automorphism moving vertex 0
