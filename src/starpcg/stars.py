@@ -28,6 +28,10 @@ def check_weights(weights: Sequence[int]) -> tuple[int, ...]:
         out = tuple(weights)
     except TypeError:
         raise ValueError(f"weights must be a sequence of integers, got {weights!r}") from None
+    # one pass at C speed settles a vector of plain ints, the common case;
+    # anything else goes through the per-item loop, the only place that raises
+    if {*map(type, out)} <= {int} and (not out or min(out) >= 0):
+        return out
     for i, w in enumerate(out):
         if not isinstance(w, int) or isinstance(w, bool) or w < 0:
             raise ValueError(f"weight {i} must be a non-negative integer, got {w!r}")

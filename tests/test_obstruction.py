@@ -271,6 +271,11 @@ class TestCheckCertificate:
         with pytest.raises(CertificateError):
             check_certificate(self.good, self.g, (1, 2, 3))
 
+    @pytest.mark.parametrize("bad", [True, -1])
+    def test_rejects_bool_and_negative_weights(self, bad):
+        with pytest.raises(CertificateError, match=f"weight 3 must be a non-negative integer, got {bad}"):
+            check_certificate(self.good, self.g, (1, 2, 3, bad, 5))
+
     def test_json_round_trip(self):
         d = self.good.to_dict()
         assert d == {"kind": "interleaving", "x": 0, "vs": [1, 4], "us": [2], "k": 1}
@@ -356,7 +361,7 @@ class TestCycleObstruction:
             cycle_star1_obstruction(5, (1, 2, 3))
 
     def test_flags_when_no_obstruction_applies(self, monkeypatch):
-        monkeypatch.setattr(obstruction_mod, "interleaving_certificate", lambda *a: None)
+        monkeypatch.setattr(obstruction_mod, "_first_interleaving", lambda *a: None)
         # a scan that finds nothing is a fault, flagged instead of returned
         with pytest.raises(RuntimeError, match="unreachable"):
             cycle_star1_obstruction(6, (0, 9, 0, 9, 0, 9))
@@ -366,6 +371,17 @@ class TestCycleObstruction:
         # rank vectors in {0..n-1}^n cover every weak order of the n vertices
         for w in itertools.product(range(n), repeat=n):
             assert cycle_star1_obstruction(n, w).kind == KIND_INTERLEAVING, w
+
+    def test_matches_the_generic_scan(self):
+        # the cached cycle gives the certificate a fresh cycle gives
+        rng = random.Random(41)
+        for n in range(5, 41):
+            for _ in range(20):
+                w = random_weights(rng, n, rng.choice([3, 2 * n, 1000]))
+                assert cycle_star1_obstruction(n, w) == interleaving_certificate(make_cycle(n), w, 1), w
+
+    def test_cycle_cache_is_bounded(self):
+        assert obstruction_mod._cycle.cache_info().maxsize == 64
 
     def test_a_neighbor_of_a_lightest_vertex_interleaves(self):
         # the two pivots of the proof in cycle_star1_obstruction's docstring
@@ -428,6 +444,15 @@ class TestGrid4dCertificate:
             assert cert.k == 2
             check_certificate(cert, GRID4, w)
             assert _oracle_needs_at_least(GRID4, w, 3)
+
+    def test_matches_a_fresh_scan(self):
+        # the cached grid and pivot order give the certificate of a plain scan
+        # on a freshly built grid, center (flat id 40) first
+        grid, pivots = make_grid((3, 3, 3, 3)), (40, *range(81))
+        rng = random.Random(53)
+        for i in range(60):
+            w = random_weights(rng, 81, 4 if i % 3 == 0 else 1000)
+            assert grid4d_certificate(w) == obstruction_mod._first_interleaving(grid, w, 2, pivots), w
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):

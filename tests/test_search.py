@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from itertools import permutations, product
 
@@ -20,6 +21,7 @@ import starpcg.stars
 from starpcg import (
     Feasible,
     Graph,
+    Infeasible,
     MODE_EXHAUSTIVE,
     MODE_RANDOM,
     SearchConfig,
@@ -223,8 +225,18 @@ class TestExhaustive:
             search_min_k(make_cycle(4), SearchConfig(max_weight=3))
 
     def test_histogram_accounts_for_everything(self):
-        res = search_min_k(make_cycle(4), SearchConfig(max_weight=3))
-        assert sum(res.k_histogram.values()) + res.infeasible_count == res.explored
+        # each of the 4^4 weightings of C_4 at W = 3 lands in one bucket,
+        # counted here straight from the oracle's answers
+        graph = make_cycle(4)
+        buckets = Counter()
+        for vec in product(range(4), repeat=4):
+            res = min_intervals_for_weights(graph, vec)
+            buckets["infeasible" if isinstance(res, Infeasible) else res.k] += 1
+        infeasible = buckets.pop("infeasible")
+        res = search_min_k(graph, SearchConfig(max_weight=3))
+        assert res.explored == 4**4
+        assert res.infeasible_count == infeasible
+        assert res.k_histogram == dict(buckets)
 
 
 class TestRunCount:

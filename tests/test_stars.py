@@ -3,6 +3,7 @@
 import json
 import random
 from collections import Counter
+from enum import IntEnum
 
 import pytest
 from hypothesis import given
@@ -44,6 +45,39 @@ class TestValidation:
             check_weights([1.5])
         with pytest.raises(ValueError):
             check_weights([True])
+
+    def test_matches_the_per_item_rule(self):
+        # a vector of plain ints is settled in one pass; every vector must
+        # still be accepted or refused exactly as this per-item rule says,
+        # with the same message
+        class Level(IntEnum):
+            TWO = 2
+
+        def per_item(weights):
+            out = tuple(weights)
+            for i, w in enumerate(out):
+                if not isinstance(w, int) or isinstance(w, bool) or w < 0:
+                    return f"weight {i} must be a non-negative integer, got {w!r}"
+            return out
+
+        good = tuple(range(80))
+        cases = [(), (0,), (2**200,), (3, 2**200, 0), good, (Level.TWO,), (*good, Level.TWO)]
+        for bad in (True, False, -1, -(2**200), 1.5, 2.0, None, "3"):
+            cases += [(bad,), (*good, bad), (bad, *good), (*good, bad, 2**200)]
+        for case in cases:
+            want = per_item(case)
+            if isinstance(want, str):
+                with pytest.raises(ValueError) as exc:
+                    check_weights(list(case))
+                assert str(exc.value) == want
+            else:
+                got = check_weights(iter(case))
+                assert got == want and list(map(type, got)) == list(map(type, want))
+
+    @pytest.mark.parametrize("bad", [True, -1])
+    def test_witness_refuses_bool_and_negative_weights(self, bad):
+        with pytest.raises(ValueError, match=f"weight 1 must be a non-negative integer, got {bad}"):
+            Witness((0, bad, 2), ((1, 2),))
 
     def test_intervals_validated(self):
         assert check_intervals([(1, 2), (4, 4)]) == ((1, 2), (4, 4))
