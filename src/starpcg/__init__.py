@@ -8,88 +8,73 @@ fixed weights, produces certificates that a weighting needs more intervals,
 and searches bounded integer weight spaces.
 """
 
-from .constructions import (
-    cycle_witness,
-    grid2_witness,
-    grid_square_witness,
-    grid_witness,
-    path_witness,
-)
-from .graphs import (
-    Graph,
-    GridShape,
-    induced_subgraph,
-    make_cycle,
-    make_grid,
-    make_path,
-)
-from .obstruction import (
-    Certificate,
-    CertificateError,
-    KIND_INTERLEAVING,
-    check_certificate,
-    cycle_star1_obstruction,
-    grid4d_certificate,
-    interleaving_certificate,
-)
-from .search import (
-    MODE_EXHAUSTIVE,
-    MODE_RANDOM,
-    SearchConfig,
-    SearchResult,
-    format_search_report,
-    search_min_k,
-    search_report,
-)
-from .stars import (
-    Feasible,
-    Infeasible,
-    VerifyReport,
-    Witness,
-    check_intervals,
-    check_weights,
-    min_intervals_for_weights,
-    realize,
-    universal_witness,
-    verify,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Certificate",
-    "CertificateError",
-    "Feasible",
-    "Graph",
-    "GridShape",
-    "Infeasible",
-    "KIND_INTERLEAVING",
-    "MODE_EXHAUSTIVE",
-    "MODE_RANDOM",
-    "SearchConfig",
-    "SearchResult",
-    "VerifyReport",
-    "Witness",
-    "check_certificate",
-    "check_intervals",
-    "check_weights",
-    "cycle_star1_obstruction",
-    "cycle_witness",
-    "format_search_report",
-    "grid2_witness",
-    "grid4d_certificate",
-    "grid_square_witness",
-    "grid_witness",
-    "induced_subgraph",
-    "interleaving_certificate",
-    "make_cycle",
-    "make_grid",
-    "make_path",
-    "min_intervals_for_weights",
-    "path_witness",
-    "realize",
-    "search_min_k",
-    "search_report",
-    "universal_witness",
-    "verify",
-]
+# Each public name and the layer it lives in.  A layer is imported the first
+# time one of its names is read, so `import starpcg` (and the CLI, which
+# imports only what its subcommand calls) loads no layer it does not use.
+_LAYERS = {
+    "constructions": (
+        "cycle_witness",
+        "grid2_witness",
+        "grid_square_witness",
+        "grid_witness",
+        "path_witness",
+    ),
+    "graphs": (
+        "Graph",
+        "GridShape",
+        "check_weights",
+        "induced_subgraph",
+        "make_cycle",
+        "make_grid",
+        "make_path",
+    ),
+    "obstruction": (
+        "Certificate",
+        "CertificateError",
+        "KIND_INTERLEAVING",
+        "check_certificate",
+        "cycle_star1_obstruction",
+        "grid4d_certificate",
+        "interleaving_certificate",
+    ),
+    "search": (
+        "MODE_EXHAUSTIVE",
+        "MODE_RANDOM",
+        "SearchConfig",
+        "SearchResult",
+        "format_search_report",
+        "search_min_k",
+        "search_report",
+    ),
+    "stars": (
+        "Feasible",
+        "Infeasible",
+        "VerifyReport",
+        "Witness",
+        "check_intervals",
+        "min_intervals_for_weights",
+        "realize",
+        "universal_witness",
+        "verify",
+    ),
+}
+_HOME = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    layer = _HOME.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{layer}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -12,19 +12,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .constructions import cycle_witness, grid_witness, path_witness
 from .graphs import Graph, make_cycle, make_grid, make_path
-from .obstruction import interleaving_certificate
-from .search import (
-    MODE_EXHAUSTIVE,
-    MODE_RANDOM,
-    SearchConfig,
-    format_search_report,
-    search_report,
-)
-from .stars import Witness, realized_edge_count, verify
+
+# Each handler imports the layers it calls once its input files have loaded,
+# so a process loads only what its subcommand needs: `generate` stops at graphs.
+if TYPE_CHECKING:
+    from .stars import Witness
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -45,6 +40,9 @@ EDGE_BUDGET = 10**6
 # At the limit, weights 0, 2, ..., 6322 under 6324 odd singletons realize no
 # edge yet take about 5.7 s on the same host (10^5 under 100 intervals: 6 s).
 STEP_BUDGET = 10**7
+# search.MODE_EXHAUSTIVE and search.MODE_RANDOM, spelled out so that building
+# the parser does not import the search layer.
+SEARCH_MODES = ("exhaustive", "random")
 
 
 class _UsageError(ValueError):
@@ -90,16 +88,22 @@ def _load_graph(path: str) -> Graph:
 
 
 def _cycle_witness(params: list[int]) -> tuple[str, dict, Witness]:
+    from .constructions import cycle_witness
+
     (n,) = params
     return ("cycle-even" if n % 2 == 0 else "cycle-odd"), {"n": n}, cycle_witness(n)
 
 
 def _path_witness(params: list[int]) -> tuple[str, dict, Witness]:
+    from .constructions import path_witness
+
     (n,) = params
     return "path", {"n": n}, path_witness(n)
 
 
 def _grid_witness(params: list[int]) -> tuple[str, dict, Witness]:
+    from .constructions import grid_witness
+
     if len(params) != 2:
         raise _UsageError("witness generation supports grids with exactly two dimensions")
     n1, n2 = params
@@ -164,6 +168,8 @@ def _cmd_witness(args) -> int:
 
 def _cmd_verify(args) -> int:
     graph = _load_graph(args.graph)
+    from .stars import Witness, realized_edge_count, verify
+
     witness = Witness.from_dict(_load_json(args.witness, "witness"))
     steps = witness.n * min(witness.k, witness.n)
     if steps > STEP_BUDGET:
@@ -187,6 +193,8 @@ def _load_weights(path: str) -> list[int]:
 def _cmd_obstruct(args) -> int:
     graph = _load_graph(args.graph)
     weights = _load_weights(args.weights)
+    from .obstruction import interleaving_certificate
+
     cert = interleaving_certificate(graph, weights, args.k)
     if cert is None:
         _write_text(args.output, "none\n")
@@ -204,6 +212,8 @@ def _cmd_mink(args) -> int:
         graph = _load_graph(target[0])
     else:
         raise _UsageError("mink expects a graph file, '-', or a family with sizes")
+    from .search import SearchConfig, format_search_report, search_report
+
     cfg = SearchConfig(
         max_weight=args.max_weight,
         mode=args.mode,
@@ -258,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mink", help="search weight vectors for the fewest intervals")
     p.add_argument("target", nargs="+", help="graph file, '-', or family with sizes")
     p.add_argument("--max-weight", type=int, default=None)
-    p.add_argument("--mode", choices=(MODE_EXHAUSTIVE, MODE_RANDOM), default=MODE_EXHAUSTIVE)
+    p.add_argument("--mode", choices=SEARCH_MODES, default=SEARCH_MODES[0])
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target-k", type=int, default=None)

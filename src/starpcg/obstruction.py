@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .graphs import Graph, GridShape, _check_int, make_cycle, make_grid
-from .stars import _check_weight_count
+from .graphs import Graph, GridShape, _check_int, _check_weight_count, make_cycle, make_grid
 
 KIND_INTERLEAVING = "interleaving"
 

@@ -17,33 +17,9 @@ from dataclasses import dataclass
 from itertools import combinations, repeat
 from typing import Sequence
 
-from .graphs import Edge, Graph
+from .graphs import Edge, Graph, _check_weight_count, check_weights
 
 Interval = tuple[int, int]
-
-
-def check_weights(weights: Sequence[int]) -> tuple[int, ...]:
-    """Validate and normalize a weight vector: integers >= 0."""
-    try:
-        out = tuple(weights)
-    except TypeError:
-        raise ValueError(f"weights must be a sequence of integers, got {weights!r}") from None
-    # one pass at C speed settles a vector of plain ints, the common case;
-    # anything else goes through the per-item loop, the only place that raises
-    if {*map(type, out)} <= {int} and (not out or min(out) >= 0):
-        return out
-    for i, w in enumerate(out):
-        if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-            raise ValueError(f"weight {i} must be a non-negative integer, got {w!r}")
-    return out
-
-
-def _check_weight_count(weights: Sequence[int], n: int) -> tuple[int, ...]:
-    """`check_weights`, plus one weight per vertex of an n-vertex graph."""
-    w = check_weights(weights)
-    if len(w) != n:
-        raise ValueError(f"{len(w)} weights for a graph on {n} vertices")
-    return w
 
 
 def check_intervals(intervals: Sequence[Sequence[int]]) -> tuple[Interval, ...]:

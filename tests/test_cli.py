@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_regular
-from starpcg import Graph, Witness
+from starpcg import MODE_EXHAUSTIVE, MODE_RANDOM, Graph, Witness, cycle_witness, make_cycle
 from starpcg import cli
 from starpcg.cli import (
     EDGE_BUDGET,
@@ -284,6 +284,43 @@ class TestMink:
         assert code == EXIT_OK
         assert "best: 1 interval(s)" in out
         assert "covered all vectors" in out
+
+    @staticmethod
+    def _reference_parser():
+        # the mink options as declared with the search layer's own mode names
+        p = cli._Parser(prog="starpcg mink")
+        p.add_argument("target", nargs="+", help="graph file, '-', or family with sizes")
+        p.add_argument("--max-weight", type=int, default=None)
+        p.add_argument("--mode", choices=(MODE_EXHAUSTIVE, MODE_RANDOM), default=MODE_EXHAUSTIVE)
+        p.add_argument("--trials", type=int, default=1000)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--target-k", type=int, default=None)
+        p.add_argument(
+            "--jobs", type=int, default=1, help="census worker processes (random mode runs in-process)"
+        )
+        p.add_argument(
+            "--prune-symmetry", action="store_true", help="census only (random mode never prunes)"
+        )
+        p.add_argument("--human", action="store_true", help="render a text summary instead of JSON")
+        p.add_argument("-o", "--output", default="-")
+        return p
+
+    def test_help_and_mode_choices_match_the_search_layer(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["mink", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out == self._reference_parser().format_help()
+        assert "[--mode {exhaustive,random}]" in out
+        assert cli.SEARCH_MODES == (MODE_EXHAUSTIVE, MODE_RANDOM)
+
+    def test_unknown_mode_is_usage_error(self, capsys):
+        assert main(["mink", "cycle", "5", "--mode", "bogus"]) == EXIT_USAGE
+        with pytest.raises(cli._UsageError) as want:
+            self._reference_parser().parse_args(["cycle", "5", "--mode", "bogus"])
+        assert capsys.readouterr().err == f"starpcg: {want.value}\n"
+        assert "invalid choice: 'bogus'" in str(want.value)
 
     def test_random_mode_flags(self, capsys):
         code, obj = run_json(
@@ -629,6 +666,60 @@ class TestDeterminismAndEntryPoints:
             text=True,
         )
         assert proc.returncode == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv, code, layers",
+        [
+            (["generate", "cycle", "5"], EXIT_OK, {"cli", "graphs"}),
+            (["witness", "grid", "4", "5"], EXIT_OK, {"cli", "graphs", "constructions", "stars"}),
+            (["verify", "{g}", "{w}"], EXIT_OK, {"cli", "graphs", "stars"}),
+            (["obstruct", "{g}", "{weights}", "1"], EXIT_OK, {"cli", "graphs", "obstruction"}),
+            (["mink", "cycle", "5", "--max-weight", "3"], EXIT_OK, {"cli", "graphs", "search", "stars"}),
+            (["verify", "{bad}", "{w}"], EXIT_USAGE, {"cli", "graphs"}),
+        ],
+    )
+    def test_each_command_loads_only_its_layers(self, tmp_path, argv, code, layers):
+        files = {
+            "g": json.dumps(make_cycle(5).to_dict()),
+            "w": json.dumps(cycle_witness(5).to_dict()),
+            "weights": "[0, 1, 0, 2, 2]",
+            "bad": '{"n": 4, "edges": [[0, 1], [1',
+        }
+        for name, text in files.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        argv = [arg.format(**{name: tmp_path / f"{name}.json" for name in files}) for arg in argv]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import starpcg\n"
+            "def layers():\n"
+            "    return sorted(k[len('starpcg.'):] for k in sys.modules if k.startswith('starpcg.'))\n"
+            "bare = layers()\n"
+            "from starpcg import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([bare, code, layers()]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[], code, sorted(layers)]
+
+    def test_module_entry_point_imports_only_graphs(self):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "starpcg", "generate", "cycle", "5"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert {m for m in imported if m.startswith("starpcg")} == {
+            "starpcg",
+            "starpcg.cli",
+            "starpcg.graphs",
+        }
 
     def test_import_starts_no_pool_machinery(self):
         # only a census with jobs > 1 loads the process pool

@@ -1,0 +1,96 @@
+"""The package namespace: lazy layer loading keeps every public name in place."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import starpcg
+
+# the public names as the package listed them when it imported every layer eagerly
+PUBLIC = [
+    "Certificate",
+    "CertificateError",
+    "Feasible",
+    "Graph",
+    "GridShape",
+    "Infeasible",
+    "KIND_INTERLEAVING",
+    "MODE_EXHAUSTIVE",
+    "MODE_RANDOM",
+    "SearchConfig",
+    "SearchResult",
+    "VerifyReport",
+    "Witness",
+    "check_certificate",
+    "check_intervals",
+    "check_weights",
+    "cycle_star1_obstruction",
+    "cycle_witness",
+    "format_search_report",
+    "grid2_witness",
+    "grid4d_certificate",
+    "grid_square_witness",
+    "grid_witness",
+    "induced_subgraph",
+    "interleaving_certificate",
+    "make_cycle",
+    "make_grid",
+    "make_path",
+    "min_intervals_for_weights",
+    "path_witness",
+    "realize",
+    "search_min_k",
+    "search_report",
+    "universal_witness",
+    "verify",
+]
+
+
+def test_all_lists_the_public_names():
+    assert starpcg.__all__ == PUBLIC
+
+
+def test_star_import_binds_every_name_to_its_home_object():
+    ns = {}
+    exec("from starpcg import *", ns)
+    assert set(PUBLIC) <= set(ns)
+    for name in PUBLIC:
+        home = importlib.import_module(f"starpcg.{starpcg._HOME[name]}")
+        assert ns[name] is getattr(home, name) is getattr(starpcg, name), name
+
+
+def test_dir_lists_every_name():
+    assert set(PUBLIC) | {"__version__"} <= set(dir(starpcg))
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        starpcg.no_such_name
+    assert not hasattr(starpcg, "no_such_name")
+
+
+def test_submodule_imports_still_work():
+    from starpcg import cli
+
+    import starpcg.stars as m
+
+    assert cli.main is sys.modules["starpcg.cli"].main
+    assert m is sys.modules["starpcg.stars"]
+    # the weight checks live in graphs; stars still offers them under their old name
+    assert m.check_weights is starpcg.check_weights is starpcg.graphs.check_weights
+    assert m._check_weight_count is starpcg.graphs._check_weight_count
+
+
+def test_a_name_loads_only_its_layer_on_first_use():
+    script = (
+        "import sys\n"
+        "import starpcg\n"
+        "print(sorted(k for k in sys.modules if k.startswith('starpcg')))\n"
+        "starpcg.make_cycle\n"
+        "print(sorted(k for k in sys.modules if k.startswith('starpcg')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['starpcg']\n['starpcg', 'starpcg.graphs']\n"

@@ -500,11 +500,15 @@ class TestExhaustiveEvidence:
     """Whole-space scans that a vector-by-vector census could not afford."""
 
     def test_grid33_never_one_interval_up_to_space_limit(self):
-        res = search_min_k(make_grid([3, 3]), SearchConfig(max_weight=9))
+        grid = make_grid([3, 3])
+        res = search_min_k(grid, SearchConfig(max_weight=9))
         assert res.explored == 10**9
         assert res.exhaustive_within_bound
         assert res.k_histogram and min(res.k_histogram) > 1
-        assert sum(res.k_histogram.values()) + res.infeasible_count == res.explored
+        assert res.best_witness.k == res.best_k
+        assert verify(res.best_witness, grid).equal
+        oracle = min_intervals_for_weights(grid, res.best_witness.weights)
+        assert isinstance(oracle, Feasible) and oracle.k == res.best_k
 
     def test_c8_never_one_interval(self):
         g = make_cycle(8)
