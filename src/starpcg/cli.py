@@ -12,14 +12,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
-
-from .graphs import Graph, make_cycle, make_grid, make_path
+from typing import Callable, Sequence
 
 # Each handler imports the layers it calls once its input files have loaded,
 # so a process loads only what its subcommand needs: `generate` stops at graphs.
-if TYPE_CHECKING:
-    from .stars import Witness
+from .graphs import Graph, make_cycle, make_grid, make_path
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -87,52 +84,19 @@ def _load_graph(path: str) -> Graph:
     return Graph.from_dict(obj)
 
 
-def _cycle_witness(params: list[int]) -> tuple[str, dict, Witness]:
-    from .constructions import cycle_witness
-
-    (n,) = params
-    return ("cycle-even" if n % 2 == 0 else "cycle-odd"), {"n": n}, cycle_witness(n)
-
-
-def _path_witness(params: list[int]) -> tuple[str, dict, Witness]:
-    from .constructions import path_witness
-
-    (n,) = params
-    return "path", {"n": n}, path_witness(n)
-
-
-def _grid_witness(params: list[int]) -> tuple[str, dict, Witness]:
-    from .constructions import grid_witness
-
-    if len(params) != 2:
-        raise _UsageError("witness generation supports grids with exactly two dimensions")
-    n1, n2 = params
-    extra = {"n1": n1, "n2": n2}
-    if min(n1, n2) == 1:
-        name = "path"
-    elif min(n1, n2) == 2:
-        name = "grid-two-columns"
-    elif n1 == n2:
-        name, extra = "grid-square", {"h": n1, **extra}
-    else:
-        name, extra = "grid-square-restricted", {"h": max(n1, n2), **extra}
-    return name, extra, grid_witness(n1, n2)
-
-
 @dataclass(frozen=True)
 class _Family:
-    """How one graph family turns size parameters into a graph or a witness."""
+    """How many size parameters one graph family takes, and how it builds its graph."""
 
     arity: str  # usage text for the accepted parameter count
     max_params: int | None  # None: any count >= 1
     graph: Callable[[list[int]], Graph]
-    witness: Callable[[list[int]], tuple[str, dict, Witness]]
 
 
 _FAMILIES = {
-    "cycle": _Family("exactly one size parameter", 1, lambda p: make_cycle(p[0]), _cycle_witness),
-    "path": _Family("exactly one size parameter", 1, lambda p: make_path(p[0]), _path_witness),
-    "grid": _Family("one or more dimension sizes", None, make_grid, _grid_witness),
+    "cycle": _Family("exactly one size parameter", 1, lambda p: make_cycle(p[0])),
+    "path": _Family("exactly one size parameter", 1, lambda p: make_path(p[0])),
+    "grid": _Family("one or more dimension sizes", None, make_grid),
 }
 FAMILIES = tuple(_FAMILIES)
 
@@ -161,7 +125,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    name, extra, wit = _family(args.family, args.params).witness(args.params)
+    _family(args.family, args.params)
+    from .constructions import _construction
+
+    name, extra, wit = _construction(args.family, args.params)
     _write_text(args.output, _dump({"construction": name, **extra, "k": wit.k, **wit.to_dict()}))
     return EXIT_OK
 

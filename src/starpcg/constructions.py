@@ -7,6 +7,8 @@ row-major flat ids).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .graphs import _check_int
 from .stars import Witness
 
@@ -83,19 +85,40 @@ def grid_witness(n1: int, n2: int) -> Witness:
     otherwise the square witness for h = max(n1, n2) is restricted to the
     occupied coordinate box, keeping both intervals.
     """
+    return _construction("grid", (n1, n2))[2]
+
+
+def _construction(family: str, sizes: Sequence[int]) -> tuple[str, dict, Witness]:
+    """(name, size fields, witness) of the construction for `family` at `sizes`.
+
+    The one place that picks and names a construction: `grid_witness` and
+    the CLI's `witness` record both come from here.  Grids must have exactly
+    two dimensions.
+    """
+    if family == "cycle":
+        (n,) = sizes
+        return ("cycle-even" if n % 2 == 0 else "cycle-odd"), {"n": n}, cycle_witness(n)
+    if family == "path":
+        (n,) = sizes
+        return "path", {"n": n}, path_witness(n)
+    if len(sizes) != 2:
+        raise ValueError("witness generation supports grids with exactly two dimensions")
+    n1, n2 = sizes
     _check_int(n1, "n1", 1)
     _check_int(n2, "n2", 1)
+    fields = {"n1": n1, "n2": n2}
     if min(n1, n2) == 1:
-        return path_witness(max(n1, n2))
+        return "path", fields, path_witness(max(n1, n2))
     if n2 == 2:
-        return grid2_witness(n1)
+        return "grid-two-columns", fields, grid2_witness(n1)
     if n1 == 2:
         # transpose of the two-column layout: vertex (i, j) takes the weight
         # of (j, i) in the n2-row witness
         base = grid2_witness(n2)
         weights = tuple(base.weights[j * 2 + i] for i in range(2) for j in range(n2))
-        return Witness(weights, base.intervals)
+        return "grid-two-columns", fields, Witness(weights, base.intervals)
     h = max(n1, n2)
     full = grid_square_witness(h)
+    name = "grid-square" if n1 == n2 else "grid-square-restricted"
     weights = tuple(full.weights[i * h + j] for i in range(n1) for j in range(n2))
-    return Witness(weights, full.intervals)
+    return name, {"h": h, **fields}, Witness(weights, full.intervals)

@@ -21,14 +21,12 @@ from .stars import Feasible, Witness, min_intervals_for_weights
 # Bounds the census's (W+1)^n * (1 + (2W+1)//64) leaf word operations, or
 # (W+1)^2 on one vertex.  It does not see tie pruning, so the slowest
 # censuses it accepts are on graphs that seldom tie.  Measured on a 2-vCPU
-# x86-64 host: Graph(2) at W = 3167, the largest two-vertex census, takes
-# about 12 s; path 3 at W = 415 about 34 s; path 4 at W = 124 about 90 s;
-# path 5 at W = 53 about 130 s, the slowest measured with edges.  An
-# edgeless graph never ties: Graph(9) at W = 9 takes about 4.7 minutes, and
-# only a node budget that the walk counts would bound it.  These figures
-# predate the derived census counts; re-timed, best of two, on a busier host
-# of the same kind, Graph(2) at W = 3167 took 20 s and path 3 at W = 415
-# 50 s, against 18.5 and 57 s for the counting kernel on that host.
+# x86-64 host, with figures that vary with the host's load: Graph(2) at
+# W = 3167, the largest two-vertex census, took 12 to 20 s; path 3 at
+# W = 415 took 34 to 57 s, path 4 at W = 124 about 90 s, and path 5 at
+# W = 53 about 130 s, the slowest measured with edges.  An edgeless graph
+# never ties: Graph(9) at W = 9 takes about 4.7 minutes, and only a node
+# budget that the walk counts would bound it.
 SPACE_LIMIT = 10**9
 # Bounds random mode's trials * n(n+1)/2 * (1 + (2W+1)//64) word operations.
 # The slowest request it accepts, measured on a 2-vCPU x86-64 host, is
@@ -261,18 +259,21 @@ def _merge_chunks(chunks: Iterable[_ChunkStats], twinned: int) -> _ChunkStats:
     return total
 
 
-def _automorphism_maps_zero_to(graph: Graph, target: int) -> bool:
-    """Backtracking check for an adjacency-preserving bijection sending 0 to target.
+def _orbit_of_zero(graph: Graph) -> tuple[int, ...]:
+    """Images of vertex 0 under the graph's automorphisms, in increasing order.
 
-    Vertices are placed in breadth-first order from vertex 0, each further
-    component from its lowest vertex.  A vertex with a parent in that order
-    must map to a neighbour of its parent's image, so its candidates are
-    those neighbours; a component's root may map to any unused vertex.  Each
-    candidate must have the vertex's degree and its adjacency to every placed
-    vertex.  Seeded random 3- and 4-regular graphs on 16 to 29 vertices take
-    milliseconds each; graphs whose every vertex looks alike from any
-    breadth-first search, such as asymmetric strongly regular graphs, are
-    unmeasured and may take exponential time.
+    Vertex 0 is its own image.  Every other vertex of its degree gets one
+    backtracking search for an adjacency-preserving bijection sending 0
+    there, all over one placement order: vertices in breadth-first order
+    from vertex 0, each further component from its lowest vertex.  A vertex
+    with a parent in that order must map to a neighbour of its parent's
+    image, so its candidates are those neighbours; a component's root may
+    map to any unused vertex.  Each candidate must have the vertex's degree
+    and its adjacency to every placed vertex.  Seeded random 3- and
+    4-regular graphs on 16 to 29 vertices take milliseconds each; graphs
+    whose every vertex looks alike from any breadth-first search, such as
+    asymmetric strongly regular graphs, are unmeasured and may take
+    exponential time.
     """
     n = graph.n
     order: list[int] = []
@@ -292,8 +293,6 @@ def _automorphism_maps_zero_to(graph: Graph, target: int) -> bool:
                     seen[v] = True
                     parent[v] = u
                     order.append(v)
-    image = [-1] * n
-    used = [False] * n
 
     def extend(pos: int) -> bool:
         if pos == n:
@@ -311,17 +310,17 @@ def _automorphism_maps_zero_to(graph: Graph, target: int) -> bool:
                 used[cand] = False
         return False
 
-    if graph.degree(0) != graph.degree(target):
-        return False
-    image[0] = target
-    used[target] = True
-    return extend(1)
-
-
-def _orbit_of_zero(graph: Graph) -> tuple[int, ...]:
-    return tuple(
-        v for v in range(graph.n) if v == 0 or _automorphism_maps_zero_to(graph, v)
-    )
+    orbit = [0] if n else []
+    for target in range(1, n):
+        if graph.degree(target) != graph.degree(0):
+            continue
+        image = [-1] * n
+        used = [False] * n
+        image[0] = target
+        used[target] = True
+        if extend(1):
+            orbit.append(target)
+    return tuple(orbit)
 
 
 def _bound(graph: Graph, cfg: SearchConfig) -> int:

@@ -142,6 +142,41 @@ class TestWitness:
         code, _ = run_cli(capsys, "witness", "grid", "2", "2", "2")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "sizes, record",
+        [
+            ("cycle 5", '"cycle-odd", "n": 5, "k": 2, "weights": [6, 3, 8, 1, 4], '
+                        '"intervals": [[9, 11], [5, 5]]'),
+            ("cycle 6", '"cycle-even", "n": 6, "k": 2, "weights": [9, 1, 8, 2, 7, 3], '
+                        '"intervals": [[9, 10], [12, 12]]'),
+            ("path 4", '"path", "n": 4, "k": 1, "weights": [8, 2, 6, 4], "intervals": [[8, 10]]'),
+            ("grid 1 3", '"path", "n1": 1, "n2": 3, "k": 1, "weights": [6, 2, 4], '
+                         '"intervals": [[6, 8]]'),
+            ("grid 3 1", '"path", "n1": 3, "n2": 1, "k": 1, "weights": [6, 2, 4], '
+                         '"intervals": [[6, 8]]'),
+            ("grid 3 2", '"grid-two-columns", "n1": 3, "n2": 2, "k": 1, '
+                         '"weights": [6, 1, 2, 5, 4, 3], "intervals": [[6, 8]]'),
+            ("grid 2 3", '"grid-two-columns", "n1": 2, "n2": 3, "k": 1, '
+                         '"weights": [6, 2, 4, 1, 5, 3], "intervals": [[6, 8]]'),
+            ("grid 2 2", '"grid-two-columns", "n1": 2, "n2": 2, "k": 1, '
+                         '"weights": [4, 1, 2, 3], "intervals": [[4, 6]]'),
+            ("grid 3 3", '"grid-square", "h": 3, "n1": 3, "n2": 3, "k": 2, '
+                         '"weights": [16, 0, 13, 1, 12, 4, 11, 5, 8], '
+                         '"intervals": [[12, 13], [16, 17]]'),
+            ("grid 3 4", '"grid-square-restricted", "h": 4, "n1": 3, "n2": 4, "k": 2, '
+                         '"weights": [29, 0, 25, 4, 1, 24, 5, 20, 23, 6, 19, 10], '
+                         '"intervals": [[24, 25], [29, 30]]'),
+            ("grid 4 3", '"grid-square-restricted", "h": 4, "n1": 4, "n2": 3, "k": 2, '
+                         '"weights": [29, 0, 25, 1, 24, 5, 23, 6, 19, 7, 18, 11], '
+                         '"intervals": [[24, 25], [29, 30]]'),
+        ],
+    )
+    def test_record_is_pinned(self, capsys, sizes, record):
+        # the whole stdout, key order included, for each case the constructions name
+        code, out = run_cli(capsys, "witness", *sizes.split())
+        assert code == EXIT_OK
+        assert out == '{"construction": ' + record + "}\n"
+
 
 class TestVerify:
     def _write(self, capsys, tmp_path, name, *argv):

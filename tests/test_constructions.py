@@ -3,6 +3,7 @@
 import pytest
 
 from starpcg.constructions import (
+    _construction,
     cycle_witness,
     grid2_witness,
     grid_square_witness,
@@ -139,3 +140,9 @@ class TestGridRouting:
                 grid_witness(bad, 3)
             with pytest.raises(ValueError, match="n2 must be an integer >= 1"):
                 grid_witness(3, bad)
+
+    @pytest.mark.parametrize("sizes", [(5,), (2, 2, 2)])
+    def test_only_two_dimensions(self, sizes):
+        with pytest.raises(ValueError) as info:
+            _construction("grid", sizes)
+        assert str(info.value) == "witness generation supports grids with exactly two dimensions"
