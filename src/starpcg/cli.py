@@ -11,8 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 # Each handler imports the layers it calls once its input files have loaded,
 # so a process loads only what its subcommand needs: `generate` stops at graphs.
@@ -84,33 +83,35 @@ def _load_graph(path: str) -> Graph:
     return Graph.from_dict(obj)
 
 
-@dataclass(frozen=True)
-class _Family:
-    """How many size parameters one graph family takes, and how it builds its graph."""
-
-    arity: str  # usage text for the accepted parameter count
-    max_params: int | None  # None: any count >= 1
-    graph: Callable[[list[int]], Graph]
-
-
+# family: (graph builder taking the sizes, most sizes or None for any count)
 _FAMILIES = {
-    "cycle": _Family("exactly one size parameter", 1, lambda p: make_cycle(p[0])),
-    "path": _Family("exactly one size parameter", 1, lambda p: make_path(p[0])),
-    "grid": _Family("one or more dimension sizes", None, make_grid),
+    "cycle": (make_cycle, 1),
+    "path": (make_path, 1),
+    "grid": (lambda *dims: make_grid(dims), None),
 }
-FAMILIES = tuple(_FAMILIES)
 
 
-def _family(family: str, params: list[int]) -> _Family:
-    """The registry entry for `family`, once its parameters pass arity and budget."""
-    fam = _FAMILIES[family]
-    if not params or (fam.max_params is not None and len(params) > fam.max_params):
-        raise _UsageError(f"{family} takes {fam.arity}")
-    vertices = math.prod(params)
-    if min(params) > 0 and vertices > VERTEX_BUDGET:
-        sizes = " ".join(map(str, params))
-        raise _UsageError(f"{family} {sizes} has {vertices} vertices; the limit is {VERTEX_BUDGET}")
-    return fam
+def _sizes(family: str, raw: Sequence[str]) -> list[int]:
+    """`raw` as integer sizes, once their count and vertex total suit `family`."""
+    sizes = []
+    for item in raw:
+        try:
+            sizes.append(int(item))
+        except ValueError:
+            raise _UsageError(f"expected an integer size, got {item!r}") from None
+    most = _FAMILIES[family][1]
+    if not sizes or (most is not None and len(sizes) > most):
+        arity = "exactly one size parameter" if most == 1 else "one or more dimension sizes"
+        raise _UsageError(f"{family} takes {arity}")
+    vertices = math.prod(sizes)
+    if min(sizes) > 0 and vertices > VERTEX_BUDGET:
+        shown = " ".join(map(str, sizes))
+        raise _UsageError(f"{family} {shown} has {vertices} vertices; the limit is {VERTEX_BUDGET}")
+    return sizes
+
+
+def _family_graph(family: str, raw: Sequence[str]) -> Graph:
+    return _FAMILIES[family][0](*_sizes(family, raw))
 
 
 def _dump(obj) -> str:
@@ -118,17 +119,17 @@ def _dump(obj) -> str:
 
 
 def _cmd_generate(args) -> int:
-    graph = _family(args.family, args.params).graph(args.params)
+    graph = _family_graph(args.family, args.params)
     text = graph.to_dot() if args.dot else _dump(graph.to_dict())
     _write_text(args.output, text)
     return EXIT_OK
 
 
 def _cmd_witness(args) -> int:
-    _family(args.family, args.params)
+    sizes = _sizes(args.family, args.params)
     from .constructions import _construction
 
-    name, extra, wit = _construction(args.family, args.params)
+    name, extra, wit = _construction(args.family, sizes)
     _write_text(args.output, _dump({"construction": name, **extra, "k": wit.k, **wit.to_dict()}))
     return EXIT_OK
 
@@ -172,9 +173,8 @@ def _cmd_obstruct(args) -> int:
 
 def _cmd_mink(args) -> int:
     target = args.target
-    if target[0] in FAMILIES:
-        params = _int_params(target[1:])
-        graph = _family(target[0], params).graph(params)
+    if target[0] in _FAMILIES:
+        graph = _family_graph(target[0], target[1:])
     elif len(target) == 1:
         graph = _load_graph(target[0])
     else:
@@ -196,28 +196,18 @@ def _cmd_mink(args) -> int:
     return EXIT_OK
 
 
-def _int_params(raw: Sequence[str]) -> list[int]:
-    out = []
-    for item in raw:
-        try:
-            out.append(int(item))
-        except ValueError:
-            raise _UsageError(f"expected an integer size, got {item!r}") from None
-    return out
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="starpcg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="emit a graph as JSON or DOT")
-    p.add_argument("family", choices=FAMILIES)
+    p.add_argument("family", choices=_FAMILIES)
     p.add_argument("params", nargs="+")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     p.add_argument("-o", "--output", default="-")
 
     p = sub.add_parser("witness", help="emit a construction witness for a family")
-    p.add_argument("family", choices=FAMILIES)
+    p.add_argument("family", choices=_FAMILIES)
     p.add_argument("params", nargs="+")
     p.add_argument("-o", "--output", default="-")
 
@@ -255,8 +245,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv) if argv is not None else None)
-        if args.command in ("generate", "witness"):
-            args.params = _int_params(args.params)
         handler = {
             "generate": _cmd_generate,
             "witness": _cmd_witness,

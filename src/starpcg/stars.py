@@ -248,26 +248,15 @@ def _pair_counts(hist: Counter, low: int, span: int) -> array:
     return array(code, x.to_bytes((2 * span + 1) * slots.itemsize, sys.byteorder))
 
 
-def _classes_by_loop(hist: Counter, edge_sums: Counter) -> tuple[bytearray, list[int], int | None]:
-    """(classes, ascending sums, None) by a loop over the distinct-weight pairs.
-
-    The classification stops at the smallest sum an edge and a non-edge
-    share, and that sum takes the place of None.
-    """
+def _pair_counts_by_loop(hist: Counter) -> dict[int, int]:
+    """Vertex pairs u < v per occupied weight sum, by a loop over the distinct-weight pairs."""
     counts: dict[int, int] = {}
     for a, ca in hist.items():
         if ca > 1:
             counts[2 * a] = counts.get(2 * a, 0) + ca * (ca - 1) // 2
     for (a, ca), (b, cb) in combinations(hist.items(), 2):
         counts[a + b] = counts.get(a + b, 0) + ca * cb
-    sums = sorted(counts)
-    classes = bytearray()
-    for s in sums:
-        edges = edge_sums.get(s, 0)
-        if 0 < edges < counts[s]:
-            return classes, sums, s
-        classes.append(1 if edges else 2)
-    return classes, sums, None
+    return counts
 
 
 def _first_pairs_at(graph: Graph, w: tuple[int, ...], s: int) -> Infeasible:
@@ -296,7 +285,7 @@ def min_intervals_for_weights(graph: Graph, weights: Sequence[int]) -> Feasible 
     Each pair sum s gets one class byte: no pair, edges only, or non-edges
     only.  The number of edges E[s] comes from one pass over the edges and
     the number of vertex pairs P[s] from the weight histogram (`_pair_counts`,
-    or `_classes_by_loop` for a wide weight span); s has a non-edge exactly
+    or `_pair_counts_by_loop` for a wide weight span); s has a non-edge exactly
     when P[s] > E[s].  If an edge and a non-edge share a sum no interval set
     can separate them, and the lexicographically first such edge and
     non-edge at the smallest such sum are returned.  Otherwise every maximal
@@ -314,7 +303,11 @@ def min_intervals_for_weights(graph: Graph, weights: Sequence[int]) -> Feasible 
     low = min(hist)
     span = max(hist) - low
     if span * _SQUARE_SPAN_DIVISOR > len(hist) ** 2:
-        classes, sums, tie = _classes_by_loop(hist, edge_sums)
+        counts = _pair_counts_by_loop(hist)
+        tie = min((s for s, c in edge_sums.items() if c < counts[s]), default=None)
+        if tie is None:
+            sums = sorted(counts)
+            classes = bytearray(1 if s in edge_sums else 2 for s in sums)
     else:
         pairs = _pair_counts(hist, low, span)
         base = 2 * low

@@ -100,6 +100,28 @@ class TestGenerate:
         assert code == EXIT_OK and obj["n"] == VERTEX_BUDGET
 
 
+class TestFamilyRefusals:
+    @pytest.mark.parametrize("command", ["generate", "witness", "mink"])
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            (("cycle", "x"), "expected an integer size, got 'x'"),
+            (("cycle", "4", "5"), "cycle takes exactly one size parameter"),
+            (("grid",), "grid takes one or more dimension sizes"),
+            (("grid", "316", "317"), "grid 316 317 has 100172 vertices; the limit is 100000"),
+            (("path", "100001"), "path 100001 has 100001 vertices; the limit is 100000"),
+        ],
+    )
+    def test_exact_message(self, capsys, command, target, message):
+        if command != "mink" and len(target) == 1:
+            # generate and witness declare their sizes nargs="+", so argparse
+            # refuses an empty size list before the family check sees it
+            message = "the following arguments are required: params"
+        code = main([command, *target])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (EXIT_USAGE, "", f"starpcg: {message}\n")
+
+
 class TestWitness:
     def test_cycle_odd(self, capsys):
         code, obj = run_json(capsys, "witness", "cycle", "7")

@@ -311,6 +311,25 @@ class TestPairCounts:
                     want[w[u] + w[v] - 2 * low] += 1
             assert list(stars_mod._pair_counts(Counter(w), low, max(w) - low)) == want, w
 
+    def test_loop_counter_agrees_with_the_square(self):
+        # all-equal weights (span 0) at n = 5, 20 and 300 give the square's
+        # 'B', 'H' and 'I' slots; a repeated weight next to distinct ones
+        # meets the loop's same-weight pairs and its cross pairs together
+        rng = random.Random(67)
+        codes = set()
+        for n in (5, 20, 300):
+            repeated = (7,) * (n // 2) + tuple(rng.sample(range(20, 20 + 4 * n), n - n // 2))
+            for w in ((3,) * n, repeated, random_weights(rng, n, n), random_weights(rng, n, 4 * n)):
+                hist = Counter(w)
+                low = min(w)
+                square = stars_mod._pair_counts(hist, low, max(w) - low)
+                codes.add(square.typecode)
+                dense = [0] * len(square)
+                for s, c in stars_mod._pair_counts_by_loop(hist).items():
+                    dense[s - 2 * low] = c
+                assert list(square) == dense, (n, w)
+        assert codes == {"B", "H", "I"}
+
 
 class TestRealizeAgainstBruteForce:
     def test_few_intervals(self):
