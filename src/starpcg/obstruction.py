@@ -13,9 +13,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Collection, Sequence
 
-from .graphs import Graph, GridShape, _check_int, _check_weight_count, make_cycle, make_grid
+from .graphs import Graph, GridShape, _check_int, _check_weight_count, make_grid
 
 KIND_INTERLEAVING = "interleaving"
 
@@ -105,9 +105,12 @@ def check_certificate(cert: Certificate, graph: Graph, weights: Sequence[int]) -
 
 
 def _first_interleaving(
-    graph: Graph, w: tuple[int, ...], k: int, pivots: Sequence[int]
+    n: int, neighbors: Callable[[int], Collection[int]],
+    w: tuple[int, ...], k: int, pivots: Sequence[int],
 ) -> Certificate | None:
     """Interleaving certificate at the first pivot in `pivots` that has one, or None.
+
+    The graph has vertices 0..n-1 and `neighbors(x)` is x's neighbor set.
 
     The chain alternates between the pivot's neighbors and its non-neighbors,
     each step taking the first unused one, in (weight, id) order, whose weight
@@ -117,12 +120,12 @@ def _first_interleaving(
     once per call, at the last weight, so a pivot costs O(deg log deg + k log n).
     """
     # sorting by weight alone is stable, so ids in ascending order give (weight, id)
-    order = sorted(range(graph.n), key=w.__getitem__)
+    order = sorted(range(n), key=w.__getitem__)
     ws = sorted(w)
     for x in pivots:
-        nb_set = graph.neighbors(x)
+        nb_set = neighbors(x)
         nb = sorted(sorted(nb_set), key=w.__getitem__)
-        if len(nb) < k + 1 or graph.n - 1 - len(nb) < k:
+        if len(nb) < k + 1 or n - 1 - len(nb) < k:
             continue
         vs: list[int] = []
         us: list[int] = []
@@ -157,7 +160,7 @@ def interleaving_certificate(graph: Graph, weights: Sequence[int], k: int) -> Ce
     """
     _check_int(k, "k", 1)
     w = _check_weight_count(weights, graph.n)
-    return _first_interleaving(graph, w, k, range(graph.n))
+    return _first_interleaving(graph.n, graph.neighbors, w, k, range(graph.n))
 
 
 def cycle_star1_obstruction(n: int, weights: Sequence[int]) -> Certificate:
@@ -174,22 +177,10 @@ def cycle_star1_obstruction(n: int, weights: Sequence[int]) -> Certificate:
     """
     _check_int(n, "n", 5)
     w = _check_weight_count(weights, n)
-    cert = _first_interleaving(_cycle(n), w, 1, range(n))
+    cert = _first_interleaving(n, lambda x: {(x - 1) % n, (x + 1) % n}, w, 1, range(n))
     if cert is None:
         raise RuntimeError("no star-1 obstruction found for a cycle; this should be unreachable")
     return cert
-
-
-@lru_cache(maxsize=64)
-def _cycle(n: int) -> Graph:
-    """The cycle on n vertices, built once per n.
-
-    Keeps the 64 most recently used sizes.  A cycle costs about 300 B per
-    vertex, so the cache holds at most about 64 * 300 B * n_max for the
-    largest size n_max it keeps: about 0.2 MB for the sizes 5 to 40, but
-    about 2 GB if 64 sizes near 10^5 are all in use.
-    """
-    return make_cycle(n)
 
 
 @lru_cache(maxsize=1)
@@ -211,7 +202,7 @@ def grid4d_certificate(weights: Sequence[int]) -> Certificate:
     """
     graph, pivots = _grid4()
     w = _check_weight_count(weights, graph.n)
-    cert = _first_interleaving(graph, w, 2, pivots)
+    cert = _first_interleaving(graph.n, graph.neighbors, w, 2, pivots)
     if cert is None:
         raise RuntimeError(
             "no star-2 obstruction certificate found for this 3x3x3x3 weighting; "

@@ -89,15 +89,6 @@ class _ChunkStats:
         for k, c in other.histogram.items():
             self.histogram[k] = self.histogram.get(k, 0) + c
 
-    def record(self, k: int, vec: tuple[int, ...], target_k: int | None) -> bool:
-        """Count one feasible vector; True when it is the first target_k hit."""
-        self.histogram[k] = self.histogram.get(k, 0) + 1
-        if self.best is None or (k, vec) < self.best:
-            self.best = (k, vec)
-        if target_k is not None and k <= target_k:
-            self.hit = True
-        return self.hit
-
 
 def _earlier_split(graph: Graph, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The vertices j < i adjacent to i, and those not adjacent to i."""
@@ -163,7 +154,12 @@ def _scan_random(
             E |= e
             N |= nn
         else:
-            if stats.record(_run_count(E, N), vec, target_k):
+            k = _run_count(E, N)
+            stats.histogram[k] = stats.histogram.get(k, 0) + 1
+            if stats.best is None or (k, vec) < stats.best:
+                stats.best = (k, vec)
+            if target_k is not None and k <= target_k:
+                stats.hit = True
                 break
     return stats
 
@@ -459,7 +455,7 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
         best_k=best_k,
         best_witness=best_witness,
         explored=total.explored,
-        exhaustive_within_bound=complete and cfg.mode == MODE_EXHAUSTIVE,
+        exhaustive_within_bound=complete,
         k_histogram=dict(sorted(total.histogram.items())),
         # every explored vector is either feasible, in the histogram, or infeasible
         infeasible_count=total.explored - sum(total.histogram.values()),

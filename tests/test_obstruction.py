@@ -373,15 +373,26 @@ class TestCycleObstruction:
             assert cycle_star1_obstruction(n, w).kind == KIND_INTERLEAVING, w
 
     def test_matches_the_generic_scan(self):
-        # the cached cycle gives the certificate a fresh cycle gives
+        # the i +- 1 mod n neighbor rule gives the certificate a built cycle gives
         rng = random.Random(41)
         for n in range(5, 41):
             for _ in range(20):
                 w = random_weights(rng, n, rng.choice([3, 2 * n, 1000]))
                 assert cycle_star1_obstruction(n, w) == interleaving_certificate(make_cycle(n), w, 1), w
 
-    def test_cycle_cache_is_bounded(self):
-        assert obstruction_mod._cycle.cache_info().maxsize == 64
+    def test_builds_no_graph(self, monkeypatch):
+        built = []
+        init = Graph.__init__
+
+        def recording_init(self, n, *args, **kwargs):
+            built.append(n)
+            init(self, n, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", recording_init)
+        rng = random.Random(17)
+        for n in (5, 40, 4099):
+            cycle_star1_obstruction(n, random_weights(rng, n, 1000))
+        assert built == []
 
     def test_a_neighbor_of_a_lightest_vertex_interleaves(self):
         # the two pivots of the proof in cycle_star1_obstruction's docstring
@@ -392,7 +403,7 @@ class TestCycleObstruction:
                 w = random_weights(rng, n, rng.choice([3, n, 1000]))
                 a = w.index(min(w))
                 pivots = ((a - 1) % n, (a + 1) % n)
-                assert obstruction_mod._first_interleaving(g, w, 1, pivots) is not None, w
+                assert obstruction_mod._first_interleaving(n, g.neighbors, w, 1, pivots) is not None, w
 
 
 class TestGrid4dCertificate:
@@ -452,7 +463,15 @@ class TestGrid4dCertificate:
         rng = random.Random(53)
         for i in range(60):
             w = random_weights(rng, 81, 4 if i % 3 == 0 else 1000)
-            assert grid4d_certificate(w) == obstruction_mod._first_interleaving(grid, w, 2, pivots), w
+            assert grid4d_certificate(w) == obstruction_mod._first_interleaving(
+                grid.n, grid.neighbors, w, 2, pivots
+            ), w
+
+    def test_flags_when_no_pivot_interleaves(self, monkeypatch):
+        monkeypatch.setattr(obstruction_mod, "_first_interleaving", lambda *a: None)
+        # a scan that finds nothing is flagged instead of guessed
+        with pytest.raises(RuntimeError, match="flagging instead of guessing"):
+            grid4d_certificate(_grid4_weights({}))
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):

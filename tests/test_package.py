@@ -1,8 +1,10 @@
 """The package namespace: lazy layer loading keeps every public name in place."""
 
+import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,3 +96,18 @@ def test_a_name_loads_only_its_layer_on_first_use():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['starpcg']\n['starpcg', 'starpcg.graphs']\n"
+
+
+def test_the_package_imports_only_the_standard_library():
+    files = sorted(Path(starpcg.__file__).parent.glob("*.py"))
+    assert files
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
