@@ -50,13 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -70,7 +63,10 @@ def _write_text(path: str, text: str) -> None:
 
 def _load_json(path: str, what: str):
     try:
-        return json.loads(_read_text(path))
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise _UsageError(f"cannot read {what} from {path}: {exc}") from exc
 
@@ -118,23 +114,20 @@ def _dump(obj) -> str:
     return json.dumps(obj) + "\n"
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> tuple[str, int]:
     graph = _family_graph(args.family, args.params)
-    text = graph.to_dot() if args.dot else _dump(graph.to_dict())
-    _write_text(args.output, text)
-    return EXIT_OK
+    return (graph.to_dot() if args.dot else _dump(graph.to_dict())), EXIT_OK
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> tuple[str, int]:
     sizes = _sizes(args.family, args.params)
     from .constructions import _construction
 
     name, extra, wit = _construction(args.family, sizes)
-    _write_text(args.output, _dump({"construction": name, **extra, "k": wit.k, **wit.to_dict()}))
-    return EXIT_OK
+    return _dump({"construction": name, **extra, "k": wit.k, **wit.to_dict()}), EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     graph = _load_graph(args.graph)
     from .stars import Witness, realized_edge_count, verify
 
@@ -145,8 +138,7 @@ def _cmd_verify(args) -> int:
     if realized_edge_count(witness, EDGE_BUDGET) > EDGE_BUDGET:
         raise _UsageError(f"witness realizes too many edges; the limit is {EDGE_BUDGET}")
     report = verify(witness, graph)
-    _write_text(args.output, _dump(report.to_dict()))
-    return EXIT_OK if report.equal else EXIT_MISMATCH
+    return _dump(report.to_dict()), (EXIT_OK if report.equal else EXIT_MISMATCH)
 
 
 def _load_weights(path: str) -> list[int]:
@@ -158,20 +150,18 @@ def _load_weights(path: str) -> list[int]:
     return obj
 
 
-def _cmd_obstruct(args) -> int:
+def _cmd_obstruct(args) -> tuple[str, int]:
     graph = _load_graph(args.graph)
     weights = _load_weights(args.weights)
     from .obstruction import interleaving_certificate
 
     cert = interleaving_certificate(graph, weights, args.k)
     if cert is None:
-        _write_text(args.output, "none\n")
-        return EXIT_NO_CERTIFICATE
-    _write_text(args.output, _dump(cert.to_dict()))
-    return EXIT_OK
+        return "none\n", EXIT_NO_CERTIFICATE
+    return _dump(cert.to_dict()), EXIT_OK
 
 
-def _cmd_mink(args) -> int:
+def _cmd_mink(args) -> tuple[str, int]:
     target = args.target
     if target[0] in _FAMILIES:
         graph = _family_graph(target[0], target[1:])
@@ -191,9 +181,7 @@ def _cmd_mink(args) -> int:
         prune_symmetry=args.prune_symmetry,
     )
     report = search_report(graph, cfg)
-    text = format_search_report(report) if args.human else _dump(report)
-    _write_text(args.output, text)
-    return EXIT_OK
+    return (format_search_report(report) if args.human else _dump(report)), EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,23 +192,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=_FAMILIES)
     p.add_argument("params", nargs="+")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-    p.add_argument("-o", "--output", default="-")
+    p.set_defaults(run=_cmd_generate)
 
     p = sub.add_parser("witness", help="emit a construction witness for a family")
     p.add_argument("family", choices=_FAMILIES)
     p.add_argument("params", nargs="+")
-    p.add_argument("-o", "--output", default="-")
+    p.set_defaults(run=_cmd_witness)
 
     p = sub.add_parser("verify", help="check that a witness realizes a graph")
     p.add_argument("graph")
     p.add_argument("witness")
-    p.add_argument("-o", "--output", default="-")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("obstruct", help="search for an interleaving certificate")
     p.add_argument("graph")
     p.add_argument("weights")
     p.add_argument("k", type=int)
-    p.add_argument("-o", "--output", default="-")
+    p.set_defaults(run=_cmd_obstruct)
 
     p = sub.add_parser("mink", help="search weight vectors for the fewest intervals")
     p.add_argument("target", nargs="+", help="graph file, '-', or family with sizes")
@@ -236,8 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--prune-symmetry", action="store_true", help="census only (random mode never prunes)"
     )
     p.add_argument("--human", action="store_true", help="render a text summary instead of JSON")
-    p.add_argument("-o", "--output", default="-")
+    p.set_defaults(run=_cmd_mink)
 
+    # last, so that -o closes every command's usage line and option list
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output", default="-")
     return parser
 
 
@@ -245,14 +236,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv) if argv is not None else None)
-        handler = {
-            "generate": _cmd_generate,
-            "witness": _cmd_witness,
-            "verify": _cmd_verify,
-            "obstruct": _cmd_obstruct,
-            "mink": _cmd_mink,
-        }[args.command]
-        return handler(args)
+        text, code = args.run(args)
+        _write_text(args.output, text)
+        return code
     except ValueError as exc:
         # usage errors and domain errors (bad sizes, malformed JSON payloads, oversized search)
         print(f"starpcg: {exc}", file=sys.stderr)

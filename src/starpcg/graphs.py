@@ -29,9 +29,13 @@ def _check_int(value, name: str, minimum: int | None) -> int:
 def check_weights(weights: Sequence[int]) -> tuple[int, ...]:
     """Validate and normalize a weight vector: integers >= 0."""
     try:
+        if isinstance(weights, (dict, set, frozenset)):  # keys or hash order, not weights
+            raise TypeError
         out = tuple(weights)
     except TypeError:
-        raise ValueError(f"weights must be a sequence of integers, got {weights!r}") from None
+        raise ValueError(
+            f"weights must be a sequence of integers, got {reprlib.repr(weights)}"
+        ) from None
     # one pass at C speed settles a vector of plain ints, the common case;
     # anything else goes through the per-item loop, the only place that raises
     if {*map(type, out)} <= {int} and (not out or min(out) >= 0):
@@ -130,7 +134,12 @@ class GridShape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(self.dims)
+        try:
+            dims = tuple(self.dims)
+        except TypeError:
+            raise ValueError(
+                f"grid shape must be a sequence of dimension sizes, got {reprlib.repr(self.dims)}"
+            ) from None
         if len(dims) < 1:
             raise ValueError("grid shape needs at least one dimension")
         for m in dims:
@@ -187,7 +196,7 @@ def make_path(n: int) -> Graph:
 
 def make_grid(shape: GridShape | Sequence[int]) -> Graph:
     """Grid graph: vertices are coordinates, edges join coords at L1 distance 1."""
-    s = shape if isinstance(shape, GridShape) else GridShape(tuple(shape))
+    s = shape if isinstance(shape, GridShape) else GridShape(shape)
     # strides[j]: the flat-id step of one unit along dimension j
     strides = [1] * s.d
     for j in range(s.d - 2, -1, -1):

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, round trips, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -637,6 +638,14 @@ class TestInputBoundary:
                 # a mismatch is only reported between two well-formed payloads
                 Graph.from_dict(graph_obj)
                 Witness.from_dict(witness_obj)
+
+
+def test_every_command_names_its_handler_and_takes_output():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == ["generate", "mink", "obstruct", "verify", "witness"]
+    for name, p in sub.choices.items():
+        assert callable(p.get_default("run")), name
+        assert p._option_string_actions["-o"].dest == "output", name
 
 
 class TestUnwritableOutput:

@@ -192,6 +192,13 @@ class TestGridShape:
         with pytest.raises(ValueError, match="dimension sizes"):
             make_grid(dims)
 
+    @pytest.mark.parametrize("dims", [5, None])
+    def test_rejects_non_iterable_shape(self, dims):
+        with pytest.raises(ValueError, match="grid shape must be a sequence of dimension sizes"):
+            GridShape(dims)
+        with pytest.raises(ValueError, match="grid shape must be a sequence of dimension sizes"):
+            make_grid(dims)
+
     def test_bounds_errors(self):
         s = GridShape((3, 3))
         with pytest.raises(ValueError):

@@ -111,3 +111,13 @@ def test_the_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    # pyproject requires Python >= 3.10: syntax new in later versions
+    # (such as except*) must fail here too, not only on the 3.10 CI job
+    root = Path(__file__).resolve().parent.parent
+    files = [p for d in ("src/starpcg", "tests", "bench") for p in sorted((root / d).rglob("*.py"))]
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

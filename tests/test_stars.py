@@ -19,6 +19,7 @@ from starpcg import (
     cycle_witness,
     grid_witness,
     induced_subgraph,
+    interleaving_certificate,
     make_cycle,
     make_grid,
     make_path,
@@ -73,6 +74,25 @@ class TestValidation:
             else:
                 got = check_weights(iter(case))
                 assert got == want and list(map(type, got)) == list(map(type, want))
+
+    @pytest.mark.parametrize(
+        "weights", [{9: 0, 0: 1, 5: 2}, {9, 0, 5}, frozenset({9, 0, 5}), set(range(10**4))]
+    )
+    def test_refuses_mappings_and_sets(self, weights):
+        # a dict would give its keys, a set its hash order, as the weights;
+        # the message shows a huge one shortened
+        msg = "weights must be a sequence of integers, got "
+        path = make_path(3)
+        calls = (
+            lambda: check_weights(weights),
+            lambda: min_intervals_for_weights(path, weights),
+            lambda: Witness(weights, [[9, 9]]),
+            lambda: interleaving_certificate(path, weights, 1),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=msg) as exc:
+                call()
+            assert len(str(exc.value)) < 100
 
     @pytest.mark.parametrize("bad", [True, -1])
     def test_witness_refuses_bool_and_negative_weights(self, bad):
