@@ -37,21 +37,21 @@ def cycle_witness(n: int) -> Witness:
     return Witness(weights, intervals)
 
 
+def _ladder_weight(m: int, r: int, s: int) -> int:
+    # rung r of an m-rung ladder, on the high band when s = i + j is even
+    return 2 * m - r if s % 2 == 0 else r + 1
+
+
 def path_witness(n: int) -> Witness:
-    """One-interval witness for the path on n >= 1 vertices."""
+    """One-interval witness for the path on n >= 1 vertices (the ladder's column 0)."""
     _check_int(n, "n", 1)
-    weights = tuple(2 * n - i if i % 2 == 0 else i + 1 for i in range(n))
-    return Witness(weights, ((2 * n, 2 * n + 2),))
+    return Witness(tuple(_ladder_weight(n, i, i) for i in range(n)), ((2 * n, 2 * n + 2),))
 
 
 def grid2_witness(n1: int) -> Witness:
     """One-interval witness for the grid with n1 rows and 2 columns."""
     _check_int(n1, "n1", 1)
-    weights = tuple(
-        2 * n1 - i if (i + j) % 2 == 0 else i + 1
-        for i in range(n1)
-        for j in range(2)
-    )
+    weights = tuple(_ladder_weight(n1, i, i + j) for i in range(n1) for j in range(2))
     return Witness(weights, ((2 * n1, 2 * n1 + 2),))
 
 
@@ -65,6 +65,13 @@ def _square_weight(h: int, i: int, j: int) -> int:
     return (2 * h - 1) * h - (i + j) * h // 2 - i + 1
 
 
+def _square(h: int, n1: int, n2: int) -> Witness:
+    """The h x h square weighting on its first n1 rows and n2 columns."""
+    weights = tuple(_square_weight(h, i, j) for i in range(n1) for j in range(n2))
+    lo = 2 * h * (h - 1)
+    return Witness(weights, ((lo, lo + 1), (lo + h + 1, lo + h + 2)))
+
+
 def grid_square_witness(h: int) -> Witness:
     """Two-interval witness for the h x h grid, h >= 1.
 
@@ -73,9 +80,7 @@ def grid_square_witness(h: int) -> Witness:
     in one of two short windows while diagonal and farther pairs miss both.
     """
     _check_int(h, "h", 1)
-    weights = tuple(_square_weight(h, i, j) for i in range(h) for j in range(h))
-    lo = 2 * h * (h - 1)
-    return Witness(weights, ((lo, lo + 1), (lo + h + 1, lo + h + 2)))
+    return _square(h, h, h)
 
 
 def grid_witness(n1: int, n2: int) -> Witness:
@@ -107,18 +112,12 @@ def _construction(family: str, sizes: Sequence[int]) -> tuple[str, dict, Witness
     _check_int(n1, "n1", 1)
     _check_int(n2, "n2", 1)
     fields = {"n1": n1, "n2": n2}
-    if min(n1, n2) == 1:
-        return "path", fields, path_witness(max(n1, n2))
-    if n2 == 2:
-        return "grid-two-columns", fields, grid2_witness(n1)
-    if n1 == 2:
-        # transpose of the two-column layout: vertex (i, j) takes the weight
-        # of (j, i) in the n2-row witness
-        base = grid2_witness(n2)
-        weights = tuple(base.weights[j * 2 + i] for i in range(2) for j in range(n2))
-        return "grid-two-columns", fields, Witness(weights, base.intervals)
+    if min(n1, n2) <= 2:
+        # the ladder runs along the longer side; a 2 x 2 grid takes grid2_witness's rows
+        m, rows = max(n1, n2), n1 >= n2
+        weights = tuple(_ladder_weight(m, i if rows else j, i + j) for i in range(n1) for j in range(n2))
+        name = "path" if min(n1, n2) == 1 else "grid-two-columns"
+        return name, fields, Witness(weights, ((2 * m, 2 * m + 2),))
     h = max(n1, n2)
-    full = grid_square_witness(h)
     name = "grid-square" if n1 == n2 else "grid-square-restricted"
-    weights = tuple(full.weights[i * h + j] for i in range(n1) for j in range(n2))
-    return name, {"h": h, **fields}, Witness(weights, full.intervals)
+    return name, {"h": h, **fields}, _square(h, n1, n2)

@@ -42,7 +42,7 @@ def check_weights(weights: Sequence[int]) -> tuple[int, ...]:
         return out
     for i, w in enumerate(out):
         if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-            raise ValueError(f"weight {i} must be a non-negative integer, got {w!r}")
+            raise ValueError(f"weight {i} must be a non-negative integer, got {reprlib.repr(w)}")
     return out
 
 
@@ -68,7 +68,7 @@ class Graph:
             except (TypeError, ValueError):
                 u = v = None
             if type(u) is not int or type(v) is not int:  # also rejects bools
-                raise ValueError(f"edge {e!r} is not a pair of integer vertices")
+                raise ValueError(f"edge {reprlib.repr(e)} is not a pair of integer vertices")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):

@@ -324,6 +324,17 @@ def _bound(graph: Graph, cfg: SearchConfig) -> int:
     return cfg.max_weight if cfg.max_weight is not None else 2 * graph.n
 
 
+def _shown(work: int) -> str:
+    """`work` in digits up to 256 bits, past that as a power of two.
+
+    Python 3.11 refuses to print an int of more than 4300 digits by default
+    and 3.10 prints a million-digit one, so a refusal names a larger work by
+    its bit length and stays short on every interpreter.
+    """
+    bits = work.bit_length()
+    return str(work) if bits <= 256 else f"2^{bits - 1} or more"
+
+
 def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
     """`cfg` with every field checked and max_weight resolved (2n when unset)."""
     if graph.n == 0:
@@ -347,7 +358,7 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
         work = (bound + 1) ** graph.n * words
         if work > SPACE_LIMIT:
             raise ValueError(
-                f"exhaustive work {work} exceeds {SPACE_LIMIT}: (W+1)^n vectors times "
+                f"exhaustive work {_shown(work)} exceeds {SPACE_LIMIT}: (W+1)^n vectors times "
                 "1 + (2W+1)//64 words each, or (W+1)^2 on one vertex; "
                 "lower max_weight or use random mode"
             )
@@ -357,7 +368,7 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
         work = cfg.trials * (graph.n * (graph.n + 1) // 2) * (1 + (2 * bound + 1) // 64)
         if work > RANDOM_WORK_LIMIT:
             raise ValueError(
-                f"random work trials * n(n+1)/2 * (1 + (2W+1)//64) = {work} exceeds "
+                f"random work trials * n(n+1)/2 * (1 + (2W+1)//64) = {_shown(work)} exceeds "
                 f"{RANDOM_WORK_LIMIT}; lower trials or max_weight"
             )
     return replace(cfg, max_weight=bound)

@@ -9,6 +9,7 @@ one of the intervals.
 from __future__ import annotations
 
 import re
+import reprlib
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
@@ -29,14 +30,16 @@ def check_intervals(intervals: Sequence[Sequence[int]]) -> tuple[Interval, ...]:
     natural emission order rather than sorted.
     """
     if not isinstance(intervals, (list, tuple)):
-        raise ValueError(f"intervals must be a list of [lo, hi] pairs, got {intervals!r}")
+        raise ValueError(
+            f"intervals must be a list of [lo, hi] pairs, got {reprlib.repr(intervals)}"
+        )
     out = []
     for item in intervals:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ValueError(f"interval {item!r} is not a [lo, hi] pair")
+            raise ValueError(f"interval {reprlib.repr(item)} is not a [lo, hi] pair")
         lo, hi = item
         if type(lo) is not int or type(hi) is not int:  # also rejects bools
-            raise ValueError(f"interval endpoints must be integers, got {item!r}")
+            raise ValueError(f"interval endpoints must be integers, got {reprlib.repr(item)}")
         if lo < 0 or lo > hi:
             raise ValueError(f"interval [{lo}, {hi}] is not a valid range")
         out.append((lo, hi))

@@ -10,6 +10,11 @@ import subprocess
 import sys
 import time
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +32,7 @@ from starpcg.cli import (
     VERTEX_BUDGET,
     main,
 )
+from starpcg.search import SPACE_LIMIT
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +105,39 @@ class TestGenerate:
     def test_vertex_budget_is_inclusive(self, capsys):
         code, obj = run_json(capsys, "generate", "path", str(VERTEX_BUDGET))
         assert code == EXIT_OK and obj["n"] == VERTEX_BUDGET
+
+    @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("witness", "grid", "3", "33333"),
+            ("witness", "grid", "33333", "3"),
+            ("witness", "grid", "2", "50000"),
+            ("witness", "grid", "50000", "2"),
+            ("witness", "path", "100000"),
+            ("witness", "cycle", "100000"),
+            ("generate", "grid", "3", "33333"),
+        ],
+    )
+    def test_accepted_request_at_the_budget_runs_in_512_mb(self, argv):
+        # a witness for a 3 x 33333 grid once built the 33333 x 33333 square's
+        # 1.1 * 10^9 weights first and died with a MemoryError traceback
+        def cap_address_space():  # runs in the child only
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            limit = 512 * 2**20
+            if hard != resource.RLIM_INFINITY:
+                limit = min(limit, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "starpcg", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == EXIT_OK and "Traceback" not in proc.stderr, proc.stderr[-2000:]
+        assert json.loads(proc.stdout)["n" if argv[0] == "generate" else "weights"]
 
 
 class TestFamilyRefusals:
@@ -437,6 +476,20 @@ class TestMink:
         code, _ = run_cli(capsys, "mink", "path", "2", "--max-weight", "31621")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("target", [["grid", "60", "60"], ["path", "3000"], ["{edgeless}"]])
+    def test_work_past_the_int_print_limit_is_refused_briefly(self, capsys, tmp_path, target):
+        # (W+1)^n runs to over 10^4 digits here, which Python 3.11 refuses to print
+        graph = tmp_path / "edgeless.json"
+        graph.write_text(json.dumps({"n": 50_000, "edges": []}))
+        start = time.perf_counter()
+        code = main(["mink", *(arg.format(edgeless=graph) for arg in target)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert f"or more exceeds {SPACE_LIMIT}" in captured.err, captured.err
+        assert len(captured.err) < 300 and "set_int_max_str_digits" not in captured.err
+        assert elapsed < 1
+
     def test_bad_target_words(self, capsys):
         code, _ = run_cli(capsys, "mink", "nonsense", "words")
         assert code == EXIT_USAGE
@@ -497,6 +550,35 @@ class TestMalformedWitness:
         captured = capsys.readouterr()
         assert code == EXIT_USAGE and captured.out == ""
         assert message in captured.err
+
+
+class TestLongValuesInRefusals:
+    LONG = "a" * 200_000
+
+    @pytest.mark.parametrize(
+        "graph, payload, command",
+        [
+            ({"n": 3, "edges": []}, {"weights": [LONG, 0, 0], "intervals": []}, "verify"),
+            ({"n": 3, "edges": []}, [LONG, 0, 0], "obstruct"),
+            ({"n": 3, "edges": [[LONG, 1]]}, {"weights": [0, 0, 0], "intervals": []}, "verify"),
+            ({"n": 3, "edges": []}, {"weights": [0, 0, 0], "intervals": LONG}, "verify"),
+            (
+                {"n": 3, "edges": []},
+                {"weights": [0, 0, 0], "intervals": [list(range(10**5))]},
+                "verify",
+            ),
+            ({"n": 3, "edges": []}, {"weights": [0, 0, 0], "intervals": [[LONG, 1]]}, "verify"),
+        ],
+        ids=["weight", "obstruct-weight", "edge", "intervals", "interval", "endpoint"],
+    )
+    def test_message_is_shortened(self, capsys, tmp_path, graph, payload, command):
+        (tmp_path / "g.json").write_text(json.dumps(graph))
+        (tmp_path / "p.json").write_text(json.dumps(payload))
+        argv = [command, str(tmp_path / "g.json"), str(tmp_path / "p.json")]
+        code = main(argv + ["1"] if command == "obstruct" else argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert 0 < len(captured.err) < 300, captured.err[:300]
 
 
 # small integers only, so no payload can ask for a large graph

@@ -1,5 +1,7 @@
 """Closed-form witnesses: pinned small cases, routing, and error guards."""
 
+import tracemalloc
+
 import pytest
 
 from starpcg.constructions import (
@@ -11,7 +13,7 @@ from starpcg.constructions import (
     path_witness,
 )
 from starpcg.graphs import make_cycle, make_grid, make_path
-from starpcg.stars import realize, verify
+from starpcg.stars import Witness, realize, verify
 
 from helpers import NOT_INTS
 
@@ -55,6 +57,10 @@ class TestPath:
 
     def test_single_vertex_is_edgeless(self):
         assert realize(path_witness(1)) == make_path(1)
+
+    def test_is_the_two_column_ladders_first_column(self):
+        for n in range(1, 51):
+            assert path_witness(n).weights == grid2_witness(n).weights[::2], n
 
     def test_too_small(self):
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
@@ -131,6 +137,44 @@ class TestGridRouting:
             square.weights[i * 5 + j] for i in range(3) for j in range(5)
         )
         assert verify(wit, make_grid([3, 5])).equal
+
+    def test_every_small_shape_matches_the_reference_layouts(self):
+        # the four layouts as first written: a path for one row or column, the
+        # two-column witness, its transpose for two rows, and the h x h square
+        # witness restricted to the requested rows and columns
+        def reference(n1, n2):
+            fields = {"n1": n1, "n2": n2}
+            if min(n1, n2) == 1:
+                return "path", fields, path_witness(max(n1, n2))
+            if n2 == 2:
+                return "grid-two-columns", fields, grid2_witness(n1)
+            if n1 == 2:
+                base = grid2_witness(n2)
+                weights = tuple(base.weights[j * 2 + i] for i in range(2) for j in range(n2))
+                return "grid-two-columns", fields, Witness(weights, base.intervals)
+            h = max(n1, n2)
+            full = grid_square_witness(h)
+            name = "grid-square" if n1 == n2 else "grid-square-restricted"
+            weights = tuple(full.weights[i * h + j] for i in range(n1) for j in range(n2))
+            return name, {"h": h, **fields}, Witness(weights, full.intervals)
+
+        for n1 in range(1, 16):
+            for n2 in range(1, 16):
+                got, want = _construction("grid", (n1, n2)), reference(n1, n2)
+                # the field order is the order of the CLI record's keys
+                assert (got[0], list(got[1].items())) == (want[0], list(want[1].items()))
+                assert got[2] == want[2], (n1, n2)
+
+    @pytest.mark.parametrize("sizes", [(3, 1000), (1000, 3)])
+    def test_thin_rectangle_builds_only_its_cells(self, sizes):
+        # the 1000 x 1000 square witness alone would hold 10^6 weights
+        tracemalloc.start()
+        try:
+            grid_witness(*sizes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
     def test_too_small(self):
         with pytest.raises(ValueError, match=">= 1"):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import reprlib
 from collections import Counter
 from enum import IntEnum
 
@@ -58,7 +59,7 @@ class TestValidation:
             out = tuple(weights)
             for i, w in enumerate(out):
                 if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-                    return f"weight {i} must be a non-negative integer, got {w!r}"
+                    return f"weight {i} must be a non-negative integer, got {reprlib.repr(w)}"
             return out
 
         good = tuple(range(80))
