@@ -67,8 +67,10 @@ def _load_json(path: str, what: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise _UsageError(f"cannot read {what} from {path}: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's digit limit for int(str)
+        raise _UsageError(f"cannot read {what} from {path}: a number in it is too long") from exc
 
 
 def _load_graph(path: str) -> Graph:

@@ -8,12 +8,32 @@ so for a two-dimensional shape (n1, n2) the vertex (i, j) has id i*n2 + j.
 from __future__ import annotations
 
 import reprlib
+from array import array
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 Coord = tuple[int, ...]
 Edge = tuple[int, int]
+
+
+class _Shown(reprlib.Repr):
+    """`reprlib.repr`, except that an int past 256 bits shows as a power of two.
+
+    Python 3.11 refuses to print an int of more than 4300 digits by default
+    and 3.10 prints a million-digit one, so a refusal names a larger int by
+    its bit length and stays short on every interpreter, also where the int
+    sits inside a list or tuple.
+    """
+
+    def repr_int(self, x: int, level: int) -> str:
+        bits = x.bit_length()
+        if bits <= 256:
+            return super().repr_int(x, level)
+        return f"2^{bits - 1} or more" if x > 0 else f"-2^{bits - 1} or less"
+
+
+_shown = _Shown().repr
 
 
 def _check_int(value, name: str, minimum: int | None) -> int:
@@ -23,7 +43,7 @@ def _check_int(value, name: str, minimum: int | None) -> int:
     if is_int and (minimum is None or value >= minimum):
         return value
     bound = "" if minimum is None else f" >= {minimum}"
-    raise ValueError(f"{name} must be an integer{bound}, got {reprlib.repr(value)}")
+    raise ValueError(f"{name} must be an integer{bound}, got {_shown(value)}")
 
 
 def check_weights(weights: Sequence[int]) -> tuple[int, ...]:
@@ -34,7 +54,7 @@ def check_weights(weights: Sequence[int]) -> tuple[int, ...]:
         out = tuple(weights)
     except TypeError:
         raise ValueError(
-            f"weights must be a sequence of integers, got {reprlib.repr(weights)}"
+            f"weights must be a sequence of integers, got {_shown(weights)}"
         ) from None
     # one pass at C speed settles a vector of plain ints, the common case;
     # anything else goes through the per-item loop, the only place that raises
@@ -42,7 +62,7 @@ def check_weights(weights: Sequence[int]) -> tuple[int, ...]:
         return out
     for i, w in enumerate(out):
         if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-            raise ValueError(f"weight {i} must be a non-negative integer, got {reprlib.repr(w)}")
+            raise ValueError(f"weight {i} must be a non-negative integer, got {_shown(w)}")
     return out
 
 
@@ -57,7 +77,8 @@ def _check_weight_count(weights: Sequence[int], n: int) -> tuple[int, ...]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_adj")
+    # _ends: the sorted edges as endpoint arrays (us, vs), built from _adj on first use
+    __slots__ = ("n", "_adj", "_ends")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         _check_int(n, "vertex count", 0)
@@ -68,15 +89,30 @@ class Graph:
             except (TypeError, ValueError):
                 u = v = None
             if type(u) is not int or type(v) is not int:  # also rejects bools
-                raise ValueError(f"edge {reprlib.repr(e)} is not a pair of integer vertices")
+                raise ValueError(f"edge {_shown(e)} is not a pair of integer vertices")
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise ValueError(f"self-loop at vertex {_shown(u)}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+                raise ValueError(f"edge ({_shown(u)}, {_shown(v)}) out of range for n={n}")
             adj[u].add(v)
             adj[v].add(u)
-        self.n = n
-        self._adj = tuple(frozenset(s) for s in adj)
+        self._freeze(adj)
+
+    def _freeze(self, adj: list[set[int]]) -> None:
+        """Take `adj` as the adjacency; it must be symmetric, loop-free and in range."""
+        self.n = len(adj)
+        self._adj = tuple(map(frozenset, adj))
+        self._ends = None
+
+    def _endpoints(self) -> tuple[array, array]:
+        """The edges sorted lexicographically, as endpoint arrays us and vs with us[i] < vs[i]."""
+        if self._ends is None:
+            adj = self._adj
+            # us repeats u once per later neighbour, so it needs no sort
+            us = array("q", [u for u in range(self.n) for v in adj[u] if u < v])
+            vs = array("q", [v for u in range(self.n) for v in sorted(adj[u]) if u < v])
+            self._ends = us, vs
+        return self._ends
 
     def neighbors(self, u: int) -> frozenset[int]:
         return self._adj[u]
@@ -89,11 +125,11 @@ class Graph:
 
     def edges(self) -> list[Edge]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
-        return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]
+        return list(zip(*self._endpoints()))
 
     @property
     def num_edges(self) -> int:
-        return sum(len(s) for s in self._adj) // 2
+        return len(self._endpoints()[0])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -138,12 +174,12 @@ class GridShape:
             dims = tuple(self.dims)
         except TypeError:
             raise ValueError(
-                f"grid shape must be a sequence of dimension sizes, got {reprlib.repr(self.dims)}"
+                f"grid shape must be a sequence of dimension sizes, got {_shown(self.dims)}"
             ) from None
         if len(dims) < 1:
             raise ValueError("grid shape needs at least one dimension")
         for m in dims:
-            _check_int(m, f"each of the dimension sizes {dims}", 1)
+            _check_int(m, f"each of the dimension sizes {_shown(dims)}", 1)
         object.__setattr__(self, "dims", dims)
 
     @property

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Iterable
 
-from .graphs import Graph, _check_int
+from .graphs import Graph, _check_int, _shown
 from .stars import Feasible, Witness, min_intervals_for_weights
 
 # Bounds the census's (W+1)^n * (1 + (2W+1)//64) leaf word operations, or
@@ -322,17 +322,6 @@ def _orbit_of_zero(graph: Graph) -> tuple[int, ...]:
 def _bound(graph: Graph, cfg: SearchConfig) -> int:
     """cfg.max_weight, or 2n when it is unset."""
     return cfg.max_weight if cfg.max_weight is not None else 2 * graph.n
-
-
-def _shown(work: int) -> str:
-    """`work` in digits up to 256 bits, past that as a power of two.
-
-    Python 3.11 refuses to print an int of more than 4300 digits by default
-    and 3.10 prints a million-digit one, so a refusal names a larger work by
-    its bit length and stays short on every interpreter.
-    """
-    bits = work.bit_length()
-    return str(work) if bits <= 256 else f"2^{bits - 1} or more"
 
 
 def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:

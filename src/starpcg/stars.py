@@ -9,16 +9,16 @@ one of the intervals.
 from __future__ import annotations
 
 import re
-import reprlib
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations, filterfalse
+from operator import add
 from typing import Sequence
 
-from .graphs import Edge, Graph, _check_weight_count, check_weights
+from .graphs import Edge, Graph, _check_weight_count, _shown, check_weights
 
 Interval = tuple[int, int]
 
@@ -31,22 +31,22 @@ def check_intervals(intervals: Sequence[Sequence[int]]) -> tuple[Interval, ...]:
     """
     if not isinstance(intervals, (list, tuple)):
         raise ValueError(
-            f"intervals must be a list of [lo, hi] pairs, got {reprlib.repr(intervals)}"
+            f"intervals must be a list of [lo, hi] pairs, got {_shown(intervals)}"
         )
     out = []
     for item in intervals:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ValueError(f"interval {reprlib.repr(item)} is not a [lo, hi] pair")
+            raise ValueError(f"interval {_shown(item)} is not a [lo, hi] pair")
         lo, hi = item
         if type(lo) is not int or type(hi) is not int:  # also rejects bools
-            raise ValueError(f"interval endpoints must be integers, got {reprlib.repr(item)}")
+            raise ValueError(f"interval endpoints must be integers, got {_shown(item)}")
         if lo < 0 or lo > hi:
-            raise ValueError(f"interval [{lo}, {hi}] is not a valid range")
+            raise ValueError(f"interval [{_shown(lo)}, {_shown(hi)}] is not a valid range")
         out.append((lo, hi))
     ordered = sorted(out)
     for (_, hi), (lo2, _) in zip(ordered, ordered[1:]):
         if lo2 <= hi:
-            raise ValueError(f"intervals overlap near [{lo2}, ...]")
+            raise ValueError(f"intervals overlap near [{_shown(lo2)}, ...]")
     return tuple(out)
 
 
@@ -141,10 +141,16 @@ def realized_edge_count(witness: Witness, limit: int) -> int:
 def realize(witness: Witness) -> Graph:
     """Graph realized by a witness: edge {u, v} iff w_u + w_v lies in an interval."""
     order, blocks = _accepted_blocks(witness)
-    edges: list[Edge] = []
+    adj: list[set[int]] = [set() for _ in range(witness.n)]
     for u, start, end in blocks:
-        edges.extend(zip(repeat(u), order[start:end]))
-    return Graph(witness.n, edges)
+        seg = order[start:end]
+        adj[u].update(seg)
+        for v in seg:
+            adj[v].add(u)
+    # the blocks hold distinct in-range vertices after u, so Graph's per-edge checks are skipped
+    graph = Graph.__new__(Graph)
+    graph._freeze(adj)
+    return graph
 
 
 @dataclass(frozen=True)
@@ -184,7 +190,9 @@ def verify(witness: Witness, graph: Graph) -> VerifyReport:
             else:
                 extra.append(e)
     extra.sort()
-    missing = [e for e in graph.edges() if e not in hit] if len(hit) < graph.num_edges else []
+    missing = []
+    if len(hit) < graph.num_edges:
+        missing = list(filterfalse(hit.__contains__, zip(*graph._endpoints())))
     equal = not missing and not extra
     if equal and realize(witness) != graph:
         raise RuntimeError("the streamed diff is empty, but the realized graph differs")
@@ -262,14 +270,15 @@ def _pair_counts_by_loop(hist: Counter) -> dict[int, int]:
     return counts
 
 
-def _first_pairs_at(graph: Graph, w: tuple[int, ...], s: int) -> Infeasible:
-    """The lexicographically first edge and first non-edge with weight sum s."""
+def _first_pairs_at(graph: Graph, w: tuple[int, ...], esums: list[int], s: int) -> Infeasible:
+    """The lexicographically first edge and first non-edge with weight sum s.
+
+    `esums[i]` is the weight sum of the i-th edge in `graph`'s sorted edge order.
+    """
+    us, vs = graph._endpoints()
+    at = esums.index(s)
+    edge = (us[at], vs[at])
     n = graph.n
-    for u in range(n):
-        vs = [v for v in graph.neighbors(u) if v > u and w[u] + w[v] == s]
-        if vs:
-            edge = (u, min(vs))
-            break
     buckets: dict[int, list[int]] = {}
     for v in range(n):
         buckets.setdefault(w[v], []).append(v)
@@ -301,7 +310,9 @@ def min_intervals_for_weights(graph: Graph, weights: Sequence[int]) -> Feasible 
     w = _check_weight_count(weights, graph.n)
     if graph.n < 2:
         return Feasible(k=0, intervals=())
-    edge_sums = Counter(w[u] + w[v] for u in range(graph.n) for v in graph.neighbors(u) if u < v)
+    us, vs = graph._endpoints()
+    esums = list(map(add, map(w.__getitem__, us), map(w.__getitem__, vs)))
+    edge_sums = Counter(esums)
     hist = Counter(w)
     low = min(hist)
     span = max(hist) - low
@@ -321,7 +332,7 @@ def min_intervals_for_weights(graph: Graph, weights: Sequence[int]) -> Feasible 
                 classes[s - base] = 1
             sums = range(base, base + len(classes))
     if tie is not None:
-        return _first_pairs_at(graph, w, tie)
+        return _first_pairs_at(graph, w, esums, tie)
     runs = _edge_runs(classes, sums)
     return Feasible(k=len(runs), intervals=tuple(runs))
 

@@ -580,6 +580,29 @@ class TestLongValuesInRefusals:
         assert code == EXIT_USAGE and captured.out == ""
         assert 0 < len(captured.err) < 300, captured.err[:300]
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit before Python 3.11"
+    )
+    def test_number_past_the_digit_limit_names_the_file(self, capsys, tmp_path):
+        (tmp_path / "g.json").write_text(json.dumps({"n": 1, "edges": []}))
+        witness = tmp_path / "w.json"
+        witness.write_text('{"weights": [' + "9" * 5000 + '], "intervals": []}')
+        code = main(["verify", str(tmp_path / "g.json"), str(witness)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith(f"starpcg: cannot read witness from {witness}: "), captured.err
+        assert "too long" in captured.err and "set_int_max_str_digits" not in captured.err
+        assert len(captured.err) < 300
+
+    def test_file_that_is_not_utf8_names_the_file(self, capsys, tmp_path):
+        (tmp_path / "g.json").write_text(json.dumps({"n": 1, "edges": []}))
+        witness = tmp_path / "w.json"
+        witness.write_bytes(b"\xff\xfe{")
+        code = main(["verify", str(tmp_path / "g.json"), str(witness)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith(f"starpcg: cannot read witness from {witness}: 'utf-8' codec")
+
 
 # small integers only, so no payload can ask for a large graph
 _json = st.recursive(

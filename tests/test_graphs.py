@@ -1,5 +1,7 @@
 """Graph container, family generators, and grid geometry."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from starpcg import (
     make_path,
 )
 
-from helpers import NOT_INTS
+from helpers import NOT_INTS, random_graph
 
 
 def _assert_simple(graph: Graph) -> None:
@@ -85,6 +87,35 @@ class TestGraph:
         assert dot.startswith("graph G {")
         assert "0 -- 1;" in dot
         assert dot.rstrip().endswith("}")
+
+
+class TestEdgeCache:
+    """edges() and num_edges read endpoint arrays built once from the adjacency."""
+
+    def test_edges_is_a_new_list_each_call(self):
+        g = make_grid([3, 4])
+        want = g.edges()
+        grown, emptied = g.edges(), g.edges()
+        assert grown is not emptied
+        grown.append((0, 11))
+        emptied.clear()
+        assert g.edges() == want and g.num_edges == len(want) == 17
+        assert g == make_grid([3, 4]) and hash(g) == hash(make_grid([3, 4]))
+
+    def test_filled_cache_compares_like_a_fresh_graph(self):
+        filled, fresh = make_cycle(7), make_cycle(7)
+        filled.edges()
+        assert fresh._ends is None and filled._ends is not None
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert len({filled, fresh}) == 1
+
+    def test_matches_the_adjacency_reference(self):
+        rng = random.Random(71)
+        for _ in range(200):
+            g = random_graph(rng, n_min=0, n_max=12)
+            adj = [g.neighbors(u) for u in range(g.n)]
+            assert g.edges() == [(u, v) for u in range(g.n) for v in sorted(adj[u]) if u < v]
+            assert g.num_edges == sum(map(len, adj)) // 2
 
 
 class TestFamilies:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from starpcg import (
     Feasible,
     Graph,
+    GridShape,
     Infeasible,
     Witness,
     check_intervals,
@@ -30,6 +31,7 @@ from starpcg import (
     verify,
 )
 import starpcg.stars as stars_mod
+from starpcg.graphs import _check_int
 
 from helpers import random_graph, random_weights
 from naive_oracle import INFEASIBLE, naive_min_intervals
@@ -99,6 +101,31 @@ class TestValidation:
     def test_witness_refuses_bool_and_negative_weights(self, bad):
         with pytest.raises(ValueError, match=f"weight 1 must be a non-negative integer, got {bad}"):
             Witness((0, bad, 2), ((1, 2),))
+
+    def test_refusals_name_huge_ints_by_bit_length(self):
+        # Python 3.11 refuses to print an int of more than 4300 digits, so a
+        # refusal shows an int past 256 bits as a power of two, nested or not
+        huge = 10**5000
+        big, neg = f"2^{huge.bit_length() - 1} or more", f"-2^{huge.bit_length() - 1} or less"
+        cases = [
+            (lambda: check_weights([0, -huge]), f"weight 1 must be a non-negative integer, got {neg}"),
+            (lambda: _check_int(-huge, "n", 1), f"n must be an integer >= 1, got {neg}"),
+            (lambda: Graph(3, [(0, huge)]), f"edge (0, {big}) out of range for n=3"),
+            (lambda: Graph(3, [(huge, 0.5)]), f"edge ({big}, 0.5) is not a pair of integer vertices"),
+            (lambda: Graph(3, [(huge, huge)]), f"self-loop at vertex {big}"),
+            (lambda: check_intervals([[3, -huge]]), f"interval [3, {neg}] is not a valid range"),
+            (lambda: check_intervals([[huge, 1.5]]), f"interval endpoints must be integers, got [{big}, 1.5]"),
+            (lambda: check_intervals([[0, huge], [huge, huge]]), f"intervals overlap near [{big}, ...]"),
+            (lambda: GridShape(huge), f"grid shape must be a sequence of dimension sizes, got {big}"),
+            (
+                lambda: GridShape((2, -huge)),
+                f"each of the dimension sizes (2, {neg}) must be an integer >= 1, got {neg}",
+            ),
+        ]
+        for call, message in cases:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
 
     def test_intervals_validated(self):
         assert check_intervals([(1, 2), (4, 4)]) == ((1, 2), (4, 4))
@@ -239,6 +266,22 @@ class TestOracle:
         with pytest.raises(ValueError):
             min_intervals_for_weights(make_cycle(3), (1, 2))
 
+    def test_one_graph_object_scores_many_weightings(self):
+        # the oracle reads the graph's cached endpoint arrays: weightings scored
+        # in turn on one graph object must match a fresh copy of the graph each time
+        seen = set()
+        for seed in range(30):
+            shared = random_graph(random.Random(seed), n_min=2, n_max=12)
+            rng = random.Random(1000 + seed)
+            for _ in range(8):
+                w = random_weights(rng, shared.n, rng.choice([2, shared.n, 50]))
+                fresh = random_graph(random.Random(seed), n_min=2, n_max=12)
+                res = min_intervals_for_weights(shared, w)
+                assert res == min_intervals_for_weights(fresh, w), (seed, w)
+                assert verify(Witness(w, ()), shared) == verify(Witness(w, ()), fresh)
+                seen.add(type(res).__name__)
+        assert seen == {"Feasible", "Infeasible"}
+
 
 def _weight_cases(rng):
     """Seeded (label, graph, weights) cases for every weight shape the sum table meets."""
@@ -314,6 +357,21 @@ class TestOracleAgainstReference:
                 hist = Counter(w)
                 seen.add(stars_mod._pair_counts(hist, min(w), max(w) - min(w)).typecode)
         assert {"B", "H", "I", "Feasible", "Infeasible"} <= seen
+
+    def test_infeasible_pairs_far_from_vertex_zero(self):
+        # the first tied edge is looked up by its place in the sorted edge
+        # order; an isolated prefix puts every edge far from vertex 0
+        rng = random.Random(73)
+        later = 0
+        for _ in range(150):
+            core = random_graph(rng, n_min=3, n_max=10)
+            offset = rng.randint(5, 20)
+            g = Graph(offset + core.n, [(u + offset, v + offset) for u, v in core.edges()])
+            w = random_weights(rng, g.n, rng.choice([3, 8, 20]))
+            res = min_intervals_for_weights(g, w)
+            assert res == reference_min_intervals(g, w), (g.to_dict(), w)
+            later += isinstance(res, Infeasible) and g.edges().index(res.edge) > 0
+        assert later >= 20
 
 
 class TestPairCounts:
@@ -396,6 +454,40 @@ class TestRealizeAgainstBruteForce:
         assert 10 < stars_mod.realized_edge_count(wit, 10) <= 10 + 49
         assert stars_mod.realized_edge_count(wit, 50 * 49 // 2) == 50 * 49 // 2
         assert stars_mod.realized_edge_count(wit, 10**9) == 50 * 49 // 2
+
+
+class TestRealizeUnchecked:
+    """`realize` builds its graph without Graph's per-edge checks; it must still be simple."""
+
+    @staticmethod
+    def _witnesses(rng):
+        for _ in range(80):
+            n = rng.randint(0, 30)
+            w = random_weights(rng, n, rng.choice([3, n + 1, 4 * n + 1]))
+            cuts = sorted(rng.sample(range(8 * n + 10), 2 * rng.randint(0, 4)))
+            yield "random", Witness(w, tuple(zip(cuts[::2], cuts[1::2])))
+        for _ in range(20):
+            n, a = rng.randint(1, 30), rng.randint(0, 9)
+            # the doubled weight lies inside the one interval: a complete graph
+            lo, hi = max(0, 2 * a - rng.randint(0, 2)), 2 * a + rng.randint(0, 2)
+            yield "all-equal", Witness((a,) * n, ((lo, hi),))
+        for _ in range(20):
+            yield "universal", universal_witness(random_graph(rng, n_min=1, n_max=30))
+
+    def test_realized_graph_is_simple_and_rebuilds_equal(self):
+        seen = set()
+        for label, wit in self._witnesses(random.Random(79)):
+            g = realize(wit)
+            rebuilt = Graph(wit.n, g.edges())
+            assert g == rebuilt and hash(g) == hash(rebuilt), (label, wit)
+            assert g.edges() == brute_force_edges(wit.weights, wit.intervals)
+            for u in range(g.n):
+                assert u not in g.neighbors(u)
+                assert all(0 <= v < g.n for v in g.neighbors(u))
+            if label == "all-equal":
+                assert g.num_edges == wit.n * (wit.n - 1) // 2
+            seen.add((label, g.num_edges > 0))
+        assert {("random", True), ("random", False), ("all-equal", True), ("universal", True)} <= seen
 
 
 class TestUniversalWitness:
