@@ -8,6 +8,7 @@ so for a two-dimensional shape (n1, n2) the vertex (i, j) has id i*n2 + j.
 from __future__ import annotations
 
 import reprlib
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import product
@@ -18,7 +19,7 @@ Edge = tuple[int, int]
 
 
 class _Shown(reprlib.Repr):
-    """`reprlib.repr`, except that an int past 256 bits shows as a power of two.
+    """`reprlib.Repr`, except that an int past 256 bits shows as a power of two.
 
     Python 3.11 refuses to print an int of more than 4300 digits by default
     and 3.10 prints a million-digit one, so a refusal names a larger int by
@@ -33,7 +34,15 @@ class _Shown(reprlib.Repr):
         return f"2^{bits - 1} or more" if x > 0 else f"-2^{bits - 1} or less"
 
 
+# as reprlib.repr: an int of more than 40 digits, a long string or container is shortened
 _shown = _Shown().repr
+
+# as str() of a number or tuple: shortens nothing but an int past 256 bits (78 digits)
+_full = _Shown()
+_full.maxtuple = _full.maxlist = _full.maxarray = _full.maxdict = sys.maxsize
+_full.maxset = _full.maxfrozenset = _full.maxdeque = sys.maxsize
+_full.maxstring = _full.maxlong = _full.maxother = sys.maxsize
+_shown_in_full = _full.repr
 
 
 def _check_int(value, name: str, minimum: int | None) -> int:
@@ -91,9 +100,11 @@ class Graph:
             if type(u) is not int or type(v) is not int:  # also rejects bools
                 raise ValueError(f"edge {_shown(e)} is not a pair of integer vertices")
             if u == v:
-                raise ValueError(f"self-loop at vertex {_shown(u)}")
+                raise ValueError(f"self-loop at vertex {_shown_in_full(u)}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({_shown(u)}, {_shown(v)}) out of range for n={n}")
+                raise ValueError(
+                    f"edge ({_shown_in_full(u)}, {_shown_in_full(v)}) out of range for n={n}"
+                )
             adj[u].add(v)
             adj[v].add(u)
         self._freeze(adj)
@@ -103,6 +114,17 @@ class Graph:
         self.n = len(adj)
         self._adj = tuple(map(frozenset, adj))
         self._ends = None
+
+    @classmethod
+    def _from_adj(cls, adj: list[set[int]]) -> "Graph":
+        """The graph with adjacency sets `adj`, built without the per-edge checks.
+
+        Only for pairs that are distinct in-range vertices by construction;
+        `adj` must also be symmetric.
+        """
+        graph = cls.__new__(cls)
+        graph._freeze(adj)
+        return graph
 
     def _endpoints(self) -> tuple[array, array]:
         """The edges sorted lexicographically, as endpoint arrays us and vs with us[i] < vs[i]."""
@@ -129,7 +151,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._endpoints()[0])
+        return sum(map(len, self._adj)) // 2
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -179,7 +201,8 @@ class GridShape:
         if len(dims) < 1:
             raise ValueError("grid shape needs at least one dimension")
         for m in dims:
-            _check_int(m, f"each of the dimension sizes {_shown(dims)}", 1)
+            if type(m) is not int or m < 1:  # a plain int >= 1 builds no message
+                _check_int(m, f"each of the dimension sizes {_shown_in_full(dims)}", 1)
         object.__setattr__(self, "dims", dims)
 
     @property

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Iterable
 
-from .graphs import Graph, _check_int, _shown
+from .graphs import Graph, _check_int, _shown_in_full
 from .stars import Feasible, Witness, min_intervals_for_weights
 
 # Bounds the census's (W+1)^n * (1 + (2W+1)//64) leaf word operations, or
@@ -347,7 +347,7 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
         work = (bound + 1) ** graph.n * words
         if work > SPACE_LIMIT:
             raise ValueError(
-                f"exhaustive work {_shown(work)} exceeds {SPACE_LIMIT}: (W+1)^n vectors times "
+                f"exhaustive work {_shown_in_full(work)} exceeds {SPACE_LIMIT}: (W+1)^n vectors times "
                 "1 + (2W+1)//64 words each, or (W+1)^2 on one vertex; "
                 "lower max_weight or use random mode"
             )
@@ -357,7 +357,7 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
         work = cfg.trials * (graph.n * (graph.n + 1) // 2) * (1 + (2 * bound + 1) // 64)
         if work > RANDOM_WORK_LIMIT:
             raise ValueError(
-                f"random work trials * n(n+1)/2 * (1 + (2W+1)//64) = {_shown(work)} exceeds "
+                f"random work trials * n(n+1)/2 * (1 + (2W+1)//64) = {_shown_in_full(work)} exceeds "
                 f"{RANDOM_WORK_LIMIT}; lower trials or max_weight"
             )
     return replace(cfg, max_weight=bound)

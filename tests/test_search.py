@@ -646,6 +646,19 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"work {31623**2} exceeds {limit}"):
             starpcg.search._validated(make_path(1), SearchConfig(max_weight=31622))
 
+    def test_work_figures_print_in_full_up_to_256_bits(self):
+        # a work of 41 to 78 digits is printed digit for digit, past 256 bits as 2^N
+        limit = starpcg.search.SPACE_LIMIT
+        full = 101**30 * (1 + 201 // 64)
+        assert 10**40 < full < 2**256
+        with pytest.raises(ValueError) as exc:
+            starpcg.search._validated(make_path(30), SearchConfig(max_weight=100))
+        assert str(exc.value).startswith(f"exhaustive work {full} exceeds {limit}:")
+        huge = 1001**30 * (1 + 2001 // 64)
+        with pytest.raises(ValueError) as exc:
+            starpcg.search._validated(make_path(30), SearchConfig(max_weight=1000))
+        assert str(exc.value).startswith(f"exhaustive work 2^{huge.bit_length() - 1} or more exceeds")
+
 
     def test_rejects_oversized_random_work_at_once(self):
         # unbounded, the first ran 4.5 s at 299 MB peak and the others ran

@@ -127,6 +127,36 @@ class TestValidation:
                 call()
             assert str(exc.value) == message
 
+    def test_refusals_up_to_256_bits_read_as_before(self):
+        # reprlib shortens an int of more than 40 digits where a value went
+        # through reprlib.repr; a bare int in a message prints digit for digit
+        edge = 2**256 - 1
+        cases = [
+            (lambda: _check_int(-edge, "n", 1), f"n must be an integer >= 1, got {reprlib.repr(-edge)}"),
+            (
+                lambda: check_weights([-(10**50)]),
+                f"weight 0 must be a non-negative integer, got {reprlib.repr(-(10**50))}",
+            ),
+            (
+                lambda: check_intervals([[edge, 1.5]]),
+                f"interval endpoints must be integers, got {reprlib.repr([edge, 1.5])}",
+            ),
+            (lambda: Graph(3, [(0, edge)]), f"edge (0, {edge}) out of range for n=3"),
+            (lambda: Graph(3, [(edge, edge)]), f"self-loop at vertex {edge}"),
+            (lambda: check_intervals([[3, -edge]]), f"interval [3, {-edge}] is not a valid range"),
+            (lambda: check_intervals([[0, edge], [edge, edge]]), f"intervals overlap near [{edge}, ...]"),
+            (
+                lambda: GridShape((1, 2, 3, 4, 5, 6, 7, -edge)),
+                f"each of the dimension sizes {(1, 2, 3, 4, 5, 6, 7, -edge)} must be an integer >= 1, "
+                f"got {reprlib.repr(-edge)}",
+            ),
+            (lambda: Graph(3, [(0, 2**256)]), "edge (0, 2^256 or more) out of range for n=3"),
+        ]
+        for call, message in cases:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
+
     def test_intervals_validated(self):
         assert check_intervals([(1, 2), (4, 4)]) == ((1, 2), (4, 4))
         with pytest.raises(ValueError):
