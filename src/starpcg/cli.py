@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Sequence
 
 # Each handler imports the layers it calls once its input files have loaded,
 # so a process loads only what its subcommand needs: `generate` stops at graphs.
-from .graphs import Graph, make_cycle, make_grid, make_path
+from .graphs import Graph, _shown, make_cycle, make_grid, make_path
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -77,8 +78,18 @@ def _load_graph(path: str) -> Graph:
     obj = _load_json(path, "graph")
     n = obj.get("n") if isinstance(obj, dict) else None
     if type(n) is int and n > VERTEX_BUDGET:
-        raise _UsageError(f"graph has {n} vertices; the limit is {VERTEX_BUDGET}")
+        raise _UsageError(f"graph has {_shown(n)} vertices; the limit is {VERTEX_BUDGET}")
     return Graph.from_dict(obj)
+
+
+def _int_arg(text: str, refusal: str = "invalid int value: {}") -> int:
+    """`int(text)`; else ArgumentTypeError with `refusal` quoting `text`, or "too many digits"."""
+    try:
+        return int(text)
+    except ValueError:
+        if re.fullmatch(r"\s*[+-]?\d+\s*", text):  # an integer past Python's digit limit (3.11+)
+            refusal = "integer {} has too many digits"
+        raise argparse.ArgumentTypeError(refusal.format(_shown(text))) from None
 
 
 # family: (graph builder taking the sizes, most sizes or None for any count)
@@ -91,20 +102,17 @@ _FAMILIES = {
 
 def _sizes(family: str, raw: Sequence[str]) -> list[int]:
     """`raw` as integer sizes, once their count and vertex total suit `family`."""
-    sizes = []
-    for item in raw:
-        try:
-            sizes.append(int(item))
-        except ValueError:
-            raise _UsageError(f"expected an integer size, got {item!r}") from None
+    sizes = [_int_arg(item, "expected an integer size, got {}") for item in raw]
     most = _FAMILIES[family][1]
     if not sizes or (most is not None and len(sizes) > most):
         arity = "exactly one size parameter" if most == 1 else "one or more dimension sizes"
         raise _UsageError(f"{family} takes {arity}")
     vertices = math.prod(sizes)
     if min(sizes) > 0 and vertices > VERTEX_BUDGET:
-        shown = " ".join(map(str, sizes))
-        raise _UsageError(f"{family} {shown} has {vertices} vertices; the limit is {VERTEX_BUDGET}")
+        shown = " ".join(map(_shown, sizes))
+        raise _UsageError(
+            f"{family} {shown} has {_shown(vertices)} vertices; the limit is {VERTEX_BUDGET}"
+        )
     return sizes
 
 
@@ -209,18 +217,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("obstruct", help="search for an interleaving certificate")
     p.add_argument("graph")
     p.add_argument("weights")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_int_arg)
     p.set_defaults(run=_cmd_obstruct)
 
     p = sub.add_parser("mink", help="search weight vectors for the fewest intervals")
     p.add_argument("target", nargs="+", help="graph file, '-', or family with sizes")
-    p.add_argument("--max-weight", type=int, default=None)
+    p.add_argument("--max-weight", type=_int_arg, default=None)
     p.add_argument("--mode", choices=SEARCH_MODES, default=SEARCH_MODES[0])
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target-k", type=int, default=None)
+    p.add_argument("--trials", type=_int_arg, default=1000)
+    p.add_argument("--seed", type=_int_arg, default=0)
+    p.add_argument("--target-k", type=_int_arg, default=None)
     p.add_argument(
-        "--jobs", type=int, default=1, help="census worker processes (random mode runs in-process)"
+        "--jobs", type=_int_arg, default=1,
+        help="census worker processes (random mode runs in-process)",
     )
     p.add_argument(
         "--prune-symmetry", action="store_true", help="census only (random mode never prunes)"
@@ -241,7 +250,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         text, code = args.run(args)
         _write_text(args.output, text)
         return code
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         # usage errors and domain errors (bad sizes, malformed JSON payloads, oversized search)
         print(f"starpcg: {exc}", file=sys.stderr)
         return EXIT_USAGE

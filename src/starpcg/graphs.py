@@ -8,7 +8,6 @@ so for a two-dimensional shape (n1, n2) the vertex (i, j) has id i*n2 + j.
 from __future__ import annotations
 
 import reprlib
-import sys
 from array import array
 from dataclasses import dataclass
 from itertools import product
@@ -19,30 +18,24 @@ Edge = tuple[int, int]
 
 
 class _Shown(reprlib.Repr):
-    """`reprlib.Repr`, except that an int past 256 bits shows as a power of two.
+    """`reprlib.Repr`, but an int prints in full up to 256 bits and as a power of two beyond.
 
     Python 3.11 refuses to print an int of more than 4300 digits by default
     and 3.10 prints a million-digit one, so a refusal names a larger int by
     its bit length and stays short on every interpreter, also where the int
-    sits inside a list or tuple.
+    sits inside a list or tuple.  Strings and containers are shortened as
+    `reprlib` shortens them.
     """
 
     def repr_int(self, x: int, level: int) -> str:
         bits = x.bit_length()
         if bits <= 256:
-            return super().repr_int(x, level)
+            return repr(x)
         return f"2^{bits - 1} or more" if x > 0 else f"-2^{bits - 1} or less"
 
 
-# as reprlib.repr: an int of more than 40 digits, a long string or container is shortened
+# how every refusal quotes a caller's value
 _shown = _Shown().repr
-
-# as str() of a number or tuple: shortens nothing but an int past 256 bits (78 digits)
-_full = _Shown()
-_full.maxtuple = _full.maxlist = _full.maxarray = _full.maxdict = sys.maxsize
-_full.maxset = _full.maxfrozenset = _full.maxdeque = sys.maxsize
-_full.maxstring = _full.maxlong = _full.maxother = sys.maxsize
-_shown_in_full = _full.repr
 
 
 def _check_int(value, name: str, minimum: int | None) -> int:
@@ -100,11 +93,9 @@ class Graph:
             if type(u) is not int or type(v) is not int:  # also rejects bools
                 raise ValueError(f"edge {_shown(e)} is not a pair of integer vertices")
             if u == v:
-                raise ValueError(f"self-loop at vertex {_shown_in_full(u)}")
+                raise ValueError(f"self-loop at vertex {_shown(u)}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(
-                    f"edge ({_shown_in_full(u)}, {_shown_in_full(v)}) out of range for n={n}"
-                )
+                raise ValueError(f"edge ({_shown(u)}, {_shown(v)}) out of range for n={n}")
             adj[u].add(v)
             adj[v].add(u)
         self._freeze(adj)
@@ -202,7 +193,7 @@ class GridShape:
             raise ValueError("grid shape needs at least one dimension")
         for m in dims:
             if type(m) is not int or m < 1:  # a plain int >= 1 builds no message
-                _check_int(m, f"each of the dimension sizes {_shown_in_full(dims)}", 1)
+                _check_int(m, f"each of the dimension sizes {_shown(dims)}", 1)
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -220,16 +211,17 @@ class GridShape:
         return len(coord) == self.d and all(0 <= c < m for c, m in zip(coord, self.dims))
 
     def flat_id(self, coord: Coord) -> int:
-        if not self.contains(coord):
-            raise ValueError(f"coordinate {coord} outside shape {self.dims}")
+        ints = isinstance(coord, Sequence) and {*map(type, coord)} == {int}
+        if not (ints and self.contains(coord)):  # contains compares only int entries
+            raise ValueError(f"coordinate {_shown(coord)} outside shape {_shown(self.dims)}")
         out = 0
         for c, m in zip(coord, self.dims):
             out = out * m + c
         return out
 
     def coord_of(self, flat: int) -> Coord:
-        if not (0 <= flat < self.num_vertices):
-            raise ValueError(f"flat id {flat} outside shape {self.dims}")
+        if type(flat) is not int or not (0 <= flat < self.num_vertices):
+            raise ValueError(f"flat id {_shown(flat)} outside shape {_shown(self.dims)}")
         rev = []
         for m in reversed(self.dims):
             rev.append(flat % m)
@@ -273,7 +265,7 @@ def induced_subgraph(graph: Graph, vertices: Sequence[int]) -> Graph:
     order = list(vertices)
     for v in order:
         if _check_int(v, "vertex", 0) >= graph.n:
-            raise ValueError(f"vertex {v} out of range for n={graph.n}")
+            raise ValueError(f"vertex {_shown(v)} out of range for n={graph.n}")
     if len(set(order)) != len(order):
         raise ValueError("vertex selection contains duplicates")
     pos = {v: i for i, v in enumerate(order)}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Collection, Sequence
 
-from .graphs import Graph, GridShape, _check_int, _check_weight_count, make_grid
+from .graphs import Graph, GridShape, _check_int, _check_weight_count, _shown, make_grid
 
 KIND_INTERLEAVING = "interleaving"
 
@@ -64,7 +64,7 @@ def _check_fields(cert: Certificate) -> None:
         _check_int(cert.k, "k", 1)
         for name, chain in (("vs", cert.vs), ("us", cert.us)):
             if not isinstance(chain, (list, tuple)):
-                raise ValueError(f"{name} must be a list of vertices, got {chain!r}")
+                raise ValueError(f"{name} must be a list of vertices, got {_shown(chain)}")
             for v in chain:
                 _check_int(v, f"{name} entry", 0)
     except ValueError as exc:
@@ -79,28 +79,28 @@ def check_certificate(cert: Certificate, graph: Graph, weights: Sequence[int]) -
     except ValueError as exc:
         raise CertificateError(str(exc)) from None
     if cert.x >= graph.n:
-        raise CertificateError(f"pivot {cert.x} out of range")
+        raise CertificateError(f"pivot {_shown(cert.x)} out of range")
     nb = graph.neighbors(cert.x)
     if len(set(cert.vs)) != len(cert.vs) or len(set(cert.us)) != len(cert.us):
         raise CertificateError("repeated vertex in vs or us")
     for v in cert.vs:
         if v not in nb:
-            raise CertificateError(f"{v} is not a neighbor of pivot {cert.x}")
+            raise CertificateError(f"{_shown(v)} is not a neighbor of pivot {_shown(cert.x)}")
     for u in cert.us:
         if u == cert.x or u in nb:
-            raise CertificateError(f"{u} is not outside N({cert.x}) + pivot")
+            raise CertificateError(f"{_shown(u)} is not outside N({_shown(cert.x)}) + pivot")
         if u >= graph.n:
-            raise CertificateError(f"separator {u} out of range")
+            raise CertificateError(f"separator {_shown(u)} out of range")
 
     if cert.kind != KIND_INTERLEAVING:
-        raise CertificateError(f"unknown certificate kind {cert.kind!r}")
+        raise CertificateError(f"unknown certificate kind {_shown(cert.kind)}")
     if len(cert.vs) != cert.k + 1 or len(cert.us) != cert.k:
         raise CertificateError("interleaving needs k+1 neighbors and k non-neighbors")
     for i, u in enumerate(cert.us):
         if not (w[cert.vs[i]] <= w[u] <= w[cert.vs[i + 1]]):
             raise CertificateError(
                 f"weights do not interleave at position {i}: "
-                f"{w[cert.vs[i]]}, {w[u]}, {w[cert.vs[i + 1]]}"
+                f"{_shown(w[cert.vs[i]])}, {_shown(w[u])}, {_shown(w[cert.vs[i + 1]])}"
             )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Iterable
 
-from .graphs import Graph, _check_int, _shown_in_full
+from .graphs import Graph, _check_int, _shown
 from .stars import Feasible, Witness, min_intervals_for_weights
 
 # Bounds the census's (W+1)^n * (1 + (2W+1)//64) leaf word operations, or
@@ -329,7 +329,7 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
     if graph.n == 0:
         raise ValueError("search needs at least one vertex")
     if cfg.mode not in (MODE_EXHAUSTIVE, MODE_RANDOM):
-        raise ValueError(f"unknown search mode {cfg.mode!r}")
+        raise ValueError(f"unknown search mode {_shown(cfg.mode)}")
     # exhaustive mode ignores trials, so any integer passes there
     _check_int(cfg.trials, "trials", 1 if cfg.mode == MODE_RANDOM else None)
     _check_int(cfg.rng_seed, "rng_seed", None)
@@ -337,7 +337,7 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
     if cfg.target_k is not None:
         _check_int(cfg.target_k, "target_k", 0)
     if type(cfg.prune_symmetry) is not bool:
-        raise ValueError(f"prune_symmetry must be a bool, got {cfg.prune_symmetry!r}")
+        raise ValueError(f"prune_symmetry must be a bool, got {_shown(cfg.prune_symmetry)}")
     bound = _bound(graph, cfg)
     _check_int(bound, "max_weight", 1)
     if cfg.mode == MODE_EXHAUSTIVE:
@@ -347,7 +347,7 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
         work = (bound + 1) ** graph.n * words
         if work > SPACE_LIMIT:
             raise ValueError(
-                f"exhaustive work {_shown_in_full(work)} exceeds {SPACE_LIMIT}: (W+1)^n vectors times "
+                f"exhaustive work {_shown(work)} exceeds {SPACE_LIMIT}: (W+1)^n vectors times "
                 "1 + (2W+1)//64 words each, or (W+1)^2 on one vertex; "
                 "lower max_weight or use random mode"
             )
@@ -357,7 +357,7 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
         work = cfg.trials * (graph.n * (graph.n + 1) // 2) * (1 + (2 * bound + 1) // 64)
         if work > RANDOM_WORK_LIMIT:
             raise ValueError(
-                f"random work trials * n(n+1)/2 * (1 + (2W+1)//64) = {_shown_in_full(work)} exceeds "
+                f"random work trials * n(n+1)/2 * (1 + (2W+1)//64) = {_shown(work)} exceeds "
                 f"{RANDOM_WORK_LIMIT}; lower trials or max_weight"
             )
     return replace(cfg, max_weight=bound)

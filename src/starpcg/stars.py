@@ -18,7 +18,7 @@ from itertools import combinations, filterfalse
 from operator import add
 from typing import Sequence
 
-from .graphs import Edge, Graph, _check_weight_count, _shown, _shown_in_full, check_weights
+from .graphs import Edge, Graph, _check_weight_count, _shown, check_weights
 
 Interval = tuple[int, int]
 
@@ -41,14 +41,12 @@ def check_intervals(intervals: Sequence[Sequence[int]]) -> tuple[Interval, ...]:
         if type(lo) is not int or type(hi) is not int:  # also rejects bools
             raise ValueError(f"interval endpoints must be integers, got {_shown(item)}")
         if lo < 0 or lo > hi:
-            raise ValueError(
-                f"interval [{_shown_in_full(lo)}, {_shown_in_full(hi)}] is not a valid range"
-            )
+            raise ValueError(f"interval [{_shown(lo)}, {_shown(hi)}] is not a valid range")
         out.append((lo, hi))
     ordered = sorted(out)
     for (_, hi), (lo2, _) in zip(ordered, ordered[1:]):
         if lo2 <= hi:
-            raise ValueError(f"intervals overlap near [{_shown_in_full(lo2)}, ...]")
+            raise ValueError(f"intervals overlap near [{_shown(lo2)}, ...]")
     return tuple(out)
 
 

@@ -237,6 +237,23 @@ class TestGridShape:
         with pytest.raises(ValueError):
             s.coord_of(9)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda s: s.flat_id(("a", 0)), "coordinate ('a', 0) outside shape (3, 3)"),
+            (lambda s: s.flat_id((1.0, 0)), "coordinate (1.0, 0) outside shape (3, 3)"),
+            (lambda s: s.flat_id(4), "coordinate 4 outside shape (3, 3)"),
+            (lambda s: s.flat_id(None), "coordinate None outside shape (3, 3)"),
+            (lambda s: s.coord_of("x"), "flat id 'x' outside shape (3, 3)"),
+            (lambda s: s.coord_of(True), "flat id True outside shape (3, 3)"),
+        ],
+        ids=["str-entry", "float-entry", "int", "none", "str-id", "bool-id"],
+    )
+    def test_non_integer_input_is_value_error(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call(GridShape((3, 3)))
+        assert str(exc.value) == message
+
     @given(
         dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
         data=st.data(),

@@ -121,3 +121,19 @@ def test_sources_parse_as_the_oldest_supported_python():
     assert len(files) > 20
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_refusals_quote_values_through_shown():
+    # a value formatted with !r in a refusal can run to megabytes, or to
+    # Python's int print limit; graphs._shown keeps every refusal short
+    refusals = {"ValueError", "CertificateError", "_UsageError"}
+    found = []
+    for path in sorted(Path(starpcg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) in refusals):
+                continue
+            for field in ast.walk(call):
+                if isinstance(field, ast.FormattedValue) and field.conversion == ord("r"):
+                    found.append(f"{path.name}:{field.lineno}")
+    assert found == []

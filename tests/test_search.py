@@ -488,6 +488,12 @@ class TestRandomMode:
         want = fold(graph, [tuple(rng.randint(0, 10) for _ in range(graph.n))])
         assert res == SearchResult(**{**want.__dict__, "exhaustive_within_bound": False})
 
+    def test_a_wide_trial_runs_without_recursion(self):
+        # RANDOM_WORK_LIMIT admits one trial on up to 3,161 vertices; a walk
+        # that recursed once per vertex raised RecursionError from about 1,200
+        res = search_min_k(Graph(1500), SearchConfig(mode=MODE_RANDOM, trials=1, max_weight=3))
+        assert res.best_k == 0 and res.explored == 1
+
     def test_never_beats_known_cycle_minimum(self):
         # random probing at the default bound never undercuts two intervals
         for n in (6, 7, 8):

@@ -2,7 +2,6 @@
 
 import json
 import random
-import reprlib
 from collections import Counter
 from enum import IntEnum
 
@@ -53,7 +52,8 @@ class TestValidation:
     def test_matches_the_per_item_rule(self):
         # a vector of plain ints is settled in one pass; every vector must
         # still be accepted or refused exactly as this per-item rule says,
-        # with the same message
+        # with the same message: every bad item here is short, and an int of
+        # at most 256 bits prints in full
         class Level(IntEnum):
             TWO = 2
 
@@ -61,7 +61,7 @@ class TestValidation:
             out = tuple(weights)
             for i, w in enumerate(out):
                 if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-                    return f"weight {i} must be a non-negative integer, got {reprlib.repr(w)}"
+                    return f"weight {i} must be a non-negative integer, got {w!r}"
             return out
 
         good = tuple(range(80))
@@ -128,18 +128,18 @@ class TestValidation:
             assert str(exc.value) == message
 
     def test_refusals_up_to_256_bits_read_as_before(self):
-        # reprlib shortens an int of more than 40 digits where a value went
-        # through reprlib.repr; a bare int in a message prints digit for digit
+        # an int of at most 256 bits prints digit for digit, bare or inside a
+        # list or tuple; a tuple of more than six items shows its first six
         edge = 2**256 - 1
         cases = [
-            (lambda: _check_int(-edge, "n", 1), f"n must be an integer >= 1, got {reprlib.repr(-edge)}"),
+            (lambda: _check_int(-edge, "n", 1), f"n must be an integer >= 1, got {-edge}"),
             (
                 lambda: check_weights([-(10**50)]),
-                f"weight 0 must be a non-negative integer, got {reprlib.repr(-(10**50))}",
+                f"weight 0 must be a non-negative integer, got {-(10**50)}",
             ),
             (
                 lambda: check_intervals([[edge, 1.5]]),
-                f"interval endpoints must be integers, got {reprlib.repr([edge, 1.5])}",
+                f"interval endpoints must be integers, got [{edge}, 1.5]",
             ),
             (lambda: Graph(3, [(0, edge)]), f"edge (0, {edge}) out of range for n=3"),
             (lambda: Graph(3, [(edge, edge)]), f"self-loop at vertex {edge}"),
@@ -147,8 +147,8 @@ class TestValidation:
             (lambda: check_intervals([[0, edge], [edge, edge]]), f"intervals overlap near [{edge}, ...]"),
             (
                 lambda: GridShape((1, 2, 3, 4, 5, 6, 7, -edge)),
-                f"each of the dimension sizes {(1, 2, 3, 4, 5, 6, 7, -edge)} must be an integer >= 1, "
-                f"got {reprlib.repr(-edge)}",
+                "each of the dimension sizes (1, 2, 3, 4, 5, 6, ...) must be an integer >= 1, "
+                f"got {-edge}",
             ),
             (lambda: Graph(3, [(0, 2**256)]), "edge (0, 2^256 or more) out of range for n=3"),
         ]
