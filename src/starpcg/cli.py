@@ -109,7 +109,8 @@ def _sizes(family: str, raw: Sequence[str]) -> list[int]:
         raise _UsageError(f"{family} takes {arity}")
     vertices = math.prod(sizes)
     if min(sizes) > 0 and vertices > VERTEX_BUDGET:
-        shown = " ".join(map(_shown, sizes))
+        # past six sizes, the first six and "...", as _shown shortens a tuple
+        shown = " ".join(map(_shown, sizes[:6])) + (" ..." if len(sizes) > 6 else "")
         raise _UsageError(
             f"{family} {shown} has {_shown(vertices)} vertices; the limit is {VERTEX_BUDGET}"
         )

@@ -98,24 +98,9 @@ class Graph:
                 raise ValueError(f"edge ({_shown(u)}, {_shown(v)}) out of range for n={n}")
             adj[u].add(v)
             adj[v].add(u)
-        self._freeze(adj)
-
-    def _freeze(self, adj: list[set[int]]) -> None:
-        """Take `adj` as the adjacency; it must be symmetric, loop-free and in range."""
         self.n = len(adj)
         self._adj = tuple(map(frozenset, adj))
         self._ends = None
-
-    @classmethod
-    def _from_adj(cls, adj: list[set[int]]) -> "Graph":
-        """The graph with adjacency sets `adj`, built without the per-edge checks.
-
-        Only for pairs that are distinct in-range vertices by construction;
-        `adj` must also be symmetric.
-        """
-        graph = cls.__new__(cls)
-        graph._freeze(adj)
-        return graph
 
     def _endpoints(self) -> tuple[array, array]:
         """The edges sorted lexicographically, as endpoint arrays us and vs with us[i] < vs[i]."""

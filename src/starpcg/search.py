@@ -344,10 +344,18 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
         # each of the (W+1)^n leaves reads sum bitsets of up to 2W+1 bits; one vertex
         # has no sums but one chunk per first weight, so it counts as (W+1)^2
         words = 1 + (2 * bound + 1) // 64 if graph.n > 1 else bound + 1
-        work = (bound + 1) ** graph.n * words
-        if work > SPACE_LIMIT:
+        bits = (bound + 1).bit_length()
+        # past n * bits = 1024 the work is at least 2^(n(bits-1)) >= 2^512, and
+        # building the power exactly takes seconds (n = 2000, W = 10^4000), so the
+        # refusal names a lower bound read from bit lengths
+        if graph.n * bits > 1024:
+            shown = f"2^{graph.n * (bits - 1) + words.bit_length() - 1} or more"
+        else:
+            work = (bound + 1) ** graph.n * words
+            shown = _shown(work) if work > SPACE_LIMIT else None
+        if shown:
             raise ValueError(
-                f"exhaustive work {_shown(work)} exceeds {SPACE_LIMIT}: (W+1)^n vectors times "
+                f"exhaustive work {shown} exceeds {SPACE_LIMIT}: (W+1)^n vectors times "
                 "1 + (2W+1)//64 words each, or (W+1)^2 on one vertex; "
                 "lower max_weight or use random mode"
             )

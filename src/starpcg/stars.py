@@ -141,14 +141,7 @@ def realized_edge_count(witness: Witness, limit: int) -> int:
 def realize(witness: Witness) -> Graph:
     """Graph realized by a witness: edge {u, v} iff w_u + w_v lies in an interval."""
     order, blocks = _accepted_blocks(witness)
-    adj: list[set[int]] = [set() for _ in range(witness.n)]
-    for u, start, end in blocks:
-        seg = order[start:end]
-        adj[u].update(seg)
-        for v in seg:
-            adj[v].add(u)
-    # the blocks hold distinct in-range vertices after u, so Graph's per-edge checks are skipped
-    return Graph._from_adj(adj)
+    return Graph(witness.n, ((u, v) for u, start, end in blocks for v in order[start:end]))
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,7 @@ class TestFamilyRefusals:
             (("grid",), "grid takes one or more dimension sizes"),
             (("grid", "316", "317"), "grid 316 317 has 100172 vertices; the limit is 100000"),
             (("path", "100001"), "path 100001 has 100001 vertices; the limit is 100000"),
+            (("grid", *["2"] * 18), "grid 2 2 2 2 2 2 ... has 262144 vertices; the limit is 100000"),
         ],
     )
     def test_exact_message(self, capsys, command, target, message):

@@ -137,3 +137,28 @@ def test_refusals_quote_values_through_shown():
                 if isinstance(field, ast.FormattedValue) and field.conversion == ord("r"):
                     found.append(f"{path.name}:{field.lineno}")
     assert found == []
+
+
+def test_every_graph_is_built_by_the_checked_constructor():
+    # Graph.__init__'s type, self-loop and range checks are then the only way
+    # in, for the package's own graphs as for outside input
+    found = []
+    for path in sorted(Path(starpcg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        init = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "Graph":
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                        init = set(map(id, ast.walk(fn)))
+        for node in ast.walk(tree):
+            if getattr(node, "attr", getattr(node, "id", None)) == "__new__":
+                found.append(f"{path.name}:{node.lineno} __new__")
+            sets_adj = isinstance(node, ast.Attribute) and node.attr == "_adj"
+            if sets_adj and not isinstance(node.ctx, ast.Load) and id(node) not in init:
+                found.append(f"{path.name}:{node.lineno} _adj")
+            if isinstance(node, ast.Call) and any(
+                isinstance(arg, ast.Constant) and arg.value == "_adj" for arg in node.args
+            ):
+                found.append(f"{path.name}:{node.lineno} _adj by name")
+    assert found == []

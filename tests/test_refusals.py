@@ -53,6 +53,7 @@ LIBRARY = {
 CLI = {
     "generate-cycle": (["generate", "cycle", E_TEXT], "has too many digits"),
     "generate-grid": (["generate", "grid", D_TEXT, D_TEXT], None),
+    "generate-grid-many": (["generate", "grid", *["2"] * 10**5], None),
     "witness-grid": (["witness", "grid", "3", D_TEXT], None),
     "mink-grid": (["mink", "grid", D_TEXT, "3"], None),
     "verify-huge-n": (["verify", "{dir}/big.json", "{dir}/wit.json"], None),

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -664,6 +665,24 @@ class TestValidation:
         with pytest.raises(ValueError) as exc:
             starpcg.search._validated(make_path(30), SearchConfig(max_weight=1000))
         assert str(exc.value).startswith(f"exhaustive work 2^{huge.bit_length() - 1} or more exceeds")
+
+    def test_huge_max_weight_is_refused_from_bit_lengths(self):
+        # the exact (W+1)^n here has 26.6 million bits and took seconds to build
+        graph, bound = Graph(2000), 10**4000
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            search_min_k(graph, SearchConfig(max_weight=bound))
+        assert time.perf_counter() - start < 1
+        limit = starpcg.search.SPACE_LIMIT
+        named = int(re.match(rf"exhaustive work 2\^(\d+) or more exceeds {limit}:", str(exc.value))[1])
+        # the figure named is a true lower bound on the work, and past the limit
+        words = 1 + (2 * bound + 1) // 64
+        assert limit.bit_length() <= named <= 2000 * math.log2(bound + 1) + math.log2(words)
+        # random mode still prints its exact work past 256 bits as 2^N
+        work = 1000 * (2000 * 2001 // 2) * words
+        with pytest.raises(ValueError) as exc:
+            search_min_k(graph, SearchConfig(mode=MODE_RANDOM, max_weight=bound))
+        assert f"= 2^{work.bit_length() - 1} or more exceeds" in str(exc.value)
 
 
     def test_rejects_oversized_random_work_at_once(self):

@@ -486,8 +486,8 @@ class TestRealizeAgainstBruteForce:
         assert stars_mod.realized_edge_count(wit, 10**9) == 50 * 49 // 2
 
 
-class TestRealizeUnchecked:
-    """`realize` builds its graph without Graph's per-edge checks; it must still be simple."""
+class TestRealizeThroughGraph:
+    """`realize` passes its pairs to Graph, whose checks every realized graph must pass."""
 
     @staticmethod
     def _witnesses(rng):
