@@ -7,6 +7,7 @@ row-major flat ids).
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Sequence
 
 from .graphs import _check_int
@@ -37,22 +38,30 @@ def cycle_witness(n: int) -> Witness:
     return Witness(weights, intervals)
 
 
-def _ladder_weight(m: int, r: int, s: int) -> int:
-    # rung r of an m-rung ladder, on the high band when s = i + j is even
-    return 2 * m - r if s % 2 == 0 else r + 1
+def _ladder(n1: int, n2: int, rows: bool) -> Witness:
+    """The one-interval ladder on the n1 x n2 grid.
+
+    Its m rungs are the rows when `rows`, else the columns, and each rung
+    has at most two cells.  Cell (i, j) on rung r (i or j) weighs 2m - r when
+    i + j is even and r + 1 otherwise, so every grid edge sums to 2m, 2m + 1
+    or 2m + 2, and no other pair does.
+    """
+    m = n1 if rows else n2
+    cells = product(range(n1), range(n2))
+    weights = tuple(r + 1 if (i + j) % 2 else 2 * m - r for i, j in cells for r in [i if rows else j])
+    return Witness(weights, ((2 * m, 2 * m + 2),))
 
 
 def path_witness(n: int) -> Witness:
     """One-interval witness for the path on n >= 1 vertices (the ladder's column 0)."""
     _check_int(n, "n", 1)
-    return Witness(tuple(_ladder_weight(n, i, i) for i in range(n)), ((2 * n, 2 * n + 2),))
+    return _ladder(n, 1, True)
 
 
 def grid2_witness(n1: int) -> Witness:
     """One-interval witness for the grid with n1 rows and 2 columns."""
     _check_int(n1, "n1", 1)
-    weights = tuple(_ladder_weight(n1, i, i + j) for i in range(n1) for j in range(2))
-    return Witness(weights, ((2 * n1, 2 * n1 + 2),))
+    return _ladder(n1, 2, True)
 
 
 def _square_weight(h: int, i: int, j: int) -> int:
@@ -114,10 +123,7 @@ def _construction(family: str, sizes: Sequence[int]) -> tuple[str, dict, Witness
     fields = {"n1": n1, "n2": n2}
     if min(n1, n2) <= 2:
         # the ladder runs along the longer side; a 2 x 2 grid takes grid2_witness's rows
-        m, rows = max(n1, n2), n1 >= n2
-        weights = tuple(_ladder_weight(m, i if rows else j, i + j) for i in range(n1) for j in range(n2))
-        name = "path" if min(n1, n2) == 1 else "grid-two-columns"
-        return name, fields, Witness(weights, ((2 * m, 2 * m + 2),))
+        return ("path" if min(n1, n2) == 1 else "grid-two-columns"), fields, _ladder(n1, n2, n1 >= n2)
     h = max(n1, n2)
     name = "grid-square" if n1 == n2 else "grid-square-restricted"
     return name, {"h": h, **fields}, _square(h, n1, n2)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import lru_cache
 from itertools import product
 
@@ -18,7 +19,7 @@ import pytest
 from helpers import random_graph, random_weights
 from naive_oracle import INFEASIBLE, naive_min_intervals
 from starpcg.constructions import cycle_witness, grid2_witness, grid_square_witness, grid_witness
-from starpcg.graphs import make_cycle, make_grid
+from starpcg.graphs import induced_subgraph, make_cycle, make_grid
 from starpcg.obstruction import (
     check_certificate,
     cycle_star1_obstruction,
@@ -157,6 +158,39 @@ def test_criterion_06_grid33_never_one_interval():
         assert len(rows) == 1000
         for w, outcome, _ in rows:
             assert not (isinstance(outcome, Feasible) and outcome.k == 1), w
+
+
+def test_criterion_11_grids_never_one_interval():
+    # An induced subgraph of a star-1 graph is star-1, and the ring around the
+    # top-left 3x3 block induces C_8, so every weighting of a grid with
+    # min(n1, n2) >= 3 gets a cycle certificate on the ring.  The 2 x n ladders
+    # are star-1, so the claim needs both sides at least 3.
+    with criterion(11, "every weighting of an n1 x n2 grid, min(n1, n2) >= 3, has a ring certificate against 1 interval", 10.0):
+        shapes = [(n1, n2) for n1 in range(3, 7) for n2 in range(3, 7)] + [(3, 40), (40, 3), (12, 12)]
+        rng = random.Random(1111)
+        checked = 0
+        for n1, n2 in shapes:
+            grid = make_grid([n1, n2])
+            ring = (0, 1, 2, n2 + 2, 2 * n2 + 2, 2 * n2 + 1, 2 * n2, n2)
+            assert induced_subgraph(grid, ring) == make_cycle(8), (n1, n2)
+            for top in (None, 3, 100, 10**12):
+                for _ in range(50):
+                    if top is None:
+                        w = [rng.randint(0, 10**12)] * grid.n
+                    else:
+                        w = [rng.randint(0, top) for _ in range(grid.n)]
+                    cert = cycle_star1_obstruction(8, [w[r] for r in ring])
+                    cert = replace(
+                        cert, x=ring[cert.x], vs=tuple(ring[v] for v in cert.vs), us=tuple(ring[u] for u in cert.us)
+                    )
+                    check_certificate(cert, grid, w)
+                    outcome = min_intervals_for_weights(grid, w)
+                    assert not (isinstance(outcome, Feasible) and outcome.k <= 1), (n1, n2, w)
+                    checked += 1
+        assert checked == 3800
+        for n in (3, 4, 8):
+            wit = grid_witness(2, n)
+            assert wit.k == 1 and verify(wit, make_grid([2, n])).equal, n
 
 
 def test_criterion_07_grid4d_certificates():

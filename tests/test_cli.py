@@ -162,6 +162,17 @@ class TestFamilyRefusals:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (EXIT_USAGE, "", f"starpcg: {message}\n")
 
+    def test_many_huge_sizes_are_refused_from_their_bit_lengths(self, capsys):
+        # multiplying these 200 sizes of 10^4000 out took 1.1 to 1.8 s; each is
+        # at least 2^13287, so the refusal names that bound without the product
+        start = time.perf_counter()
+        code = main(["generate", "grid", *["1" + "0" * 4000] * 200])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err.endswith(f" ... has 2^{200 * 13287} or more vertices; the limit is {VERTEX_BUDGET}\n")
+        assert elapsed < 1
+
 
 class TestWitness:
     def test_cycle_odd(self, capsys):

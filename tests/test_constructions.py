@@ -129,6 +129,16 @@ class TestGridRouting:
         assert wit.k == 1
         assert verify(wit, make_grid([2, 5])).equal
 
+    def test_every_ladder_layout_verifies(self):
+        # the path, the two-column grid and their transposes are one ladder rule,
+        # which the reference layouts below share, so each is checked on its own
+        for n in range(1, 65):
+            assert verify(path_witness(n), make_path(n)).equal, n
+        for m in range(1, 33):
+            for shape in ((m, 1), (1, m), (m, 2), (2, m)):
+                wit = grid_witness(*shape)
+                assert wit.k == 1 and verify(wit, make_grid(list(shape))).equal, shape
+
     def test_rectangle_restricts_the_square(self):
         wit = grid_witness(3, 5)
         square = grid_square_witness(5)
