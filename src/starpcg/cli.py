@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from typing import Sequence
 
 # Each handler imports the layers it calls once its input files have loaded,
 # so a process loads only what its subcommand needs: `generate` stops at graphs.
-from .graphs import Graph, _shown, make_cycle, make_grid, make_path
+from .graphs import Graph, _oversized, _shown, make_cycle, make_grid, make_path
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -107,11 +106,8 @@ def _sizes(family: str, raw: Sequence[str]) -> list[int]:
     if not sizes or (most is not None and len(sizes) > most):
         arity = "exactly one size parameter" if most == 1 else "one or more dimension sizes"
         raise _UsageError(f"{family} takes {arity}")
-    # each size is at least 2^(its bit length - 1): past 2^1024 vertices that bound
-    # names the count, since the exact product of 200 sizes of 10^4000 took seconds
-    low = sum(size.bit_length() - 1 for size in sizes)
-    if min(sizes) > 0 and (low > 1024 or math.prod(sizes) > VERTEX_BUDGET):
-        count = f"2^{low} or more" if low > 1024 else _shown(math.prod(sizes))
+    # a size below 1 is left to the family's builder, which names it
+    if min(sizes) > 0 and (count := _oversized(sizes, VERTEX_BUDGET)):
         # past six sizes, the first six and "...", as _shown shortens a tuple
         shown = " ".join(map(_shown, sizes[:6])) + (" ..." if len(sizes) > 6 else "")
         raise _UsageError(f"{family} {shown} has {count} vertices; the limit is {VERTEX_BUDGET}")
@@ -141,9 +137,11 @@ def _cmd_witness(args) -> tuple[str, int]:
 
 def _cmd_verify(args) -> tuple[str, int]:
     graph = _load_graph(args.graph)
-    from .stars import Witness, realized_edge_count, verify
+    from .stars import Witness, _check_sizes, realized_edge_count, verify
 
     witness = Witness.from_dict(_load_json(args.witness, "witness"))
+    # before the budgets: a witness of the wrong size is refused whatever it costs to realize
+    _check_sizes(witness, graph)
     steps = witness.n * min(witness.k, witness.n)
     if steps > STEP_BUDGET:
         raise _UsageError(f"witness needs up to {steps} interval steps; the limit is {STEP_BUDGET}")

@@ -185,16 +185,17 @@ def cycle_star1_obstruction(n: int, weights: Sequence[int]) -> Certificate:
 
 @lru_cache(maxsize=1)
 def _grid4() -> tuple[Graph, tuple[int, ...]]:
-    """The 3x3x3x3 grid and its pivot order: the all-ones center, then every vertex by id."""
+    """The 3x3x3x3 grid and its pivot order: the all-ones center, then every other vertex by id."""
     shape = GridShape((3, 3, 3, 3))
     graph = make_grid(shape)
-    return graph, (shape.flat_id((1, 1, 1, 1)), *range(graph.n))
+    center = shape.flat_id((1, 1, 1, 1))
+    return graph, (center, *range(center), *range(center + 1, graph.n))
 
 
 def grid4d_certificate(weights: Sequence[int]) -> Certificate:
     """Certificate that the 3x3x3x3 grid beats two intervals for these weights.
 
-    Scans the all-ones center first, then every pivot in id order, with the
+    Scans the all-ones center first, then every other pivot in id order, with the
     scan behind `interleaving_certificate`.  The greedy chain is complete for
     each pivot, so a certificate is found whenever any pivot interleaves; it
     came from the center exactly when `cert.x` is the center.  A weighting

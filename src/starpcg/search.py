@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Iterable
 
-from .graphs import Graph, _check_int, _shown
+from .graphs import Graph, _check_int, _oversized, _shown
 from .stars import Feasible, Witness, min_intervals_for_weights
 
 # Bounds the census's (W+1)^n * (1 + (2W+1)//64) leaf word operations, or
@@ -319,11 +319,6 @@ def _orbit_of_zero(graph: Graph) -> tuple[int, ...]:
     return tuple(orbit)
 
 
-def _bound(graph: Graph, cfg: SearchConfig) -> int:
-    """cfg.max_weight, or 2n when it is unset."""
-    return cfg.max_weight if cfg.max_weight is not None else 2 * graph.n
-
-
 def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
     """`cfg` with every field checked and max_weight resolved (2n when unset)."""
     if graph.n == 0:
@@ -338,22 +333,13 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
         _check_int(cfg.target_k, "target_k", 0)
     if type(cfg.prune_symmetry) is not bool:
         raise ValueError(f"prune_symmetry must be a bool, got {_shown(cfg.prune_symmetry)}")
-    bound = _bound(graph, cfg)
+    bound = cfg.max_weight if cfg.max_weight is not None else 2 * graph.n
     _check_int(bound, "max_weight", 1)
     if cfg.mode == MODE_EXHAUSTIVE:
         # each of the (W+1)^n leaves reads sum bitsets of up to 2W+1 bits; one vertex
         # has no sums but one chunk per first weight, so it counts as (W+1)^2
         words = 1 + (2 * bound + 1) // 64 if graph.n > 1 else bound + 1
-        bits = (bound + 1).bit_length()
-        # past n * bits = 1024 the work is at least 2^(n(bits-1)) >= 2^512, and
-        # building the power exactly takes seconds (n = 2000, W = 10^4000), so the
-        # refusal names a lower bound read from bit lengths
-        if graph.n * bits > 1024:
-            shown = f"2^{graph.n * (bits - 1) + words.bit_length() - 1} or more"
-        else:
-            work = (bound + 1) ** graph.n * words
-            shown = _shown(work) if work > SPACE_LIMIT else None
-        if shown:
+        if shown := _oversized([bound + 1] * graph.n + [words], SPACE_LIMIT):
             raise ValueError(
                 f"exhaustive work {shown} exceeds {SPACE_LIMIT}: (W+1)^n vectors times "
                 "1 + (2W+1)//64 words each, or (W+1)^2 on one vertex; "
@@ -405,7 +391,11 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
     interval count are broken toward the lexicographically smallest vector,
     whose intervals are re-derived by the oracle as a cross-check.
     """
-    cfg = _validated(graph, cfg if cfg is not None else SearchConfig())
+    return _search(graph, _validated(graph, cfg if cfg is not None else SearchConfig()))
+
+
+def _search(graph: Graph, cfg: SearchConfig) -> SearchResult:
+    """`search_min_k` on a configuration that `_validated` has checked and resolved."""
     bound = cfg.max_weight
     if cfg.mode == MODE_EXHAUSTIVE:
         rows = [_earlier_split(graph, i) for i in range(graph.n)]
@@ -472,12 +462,12 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
 
 def search_report(graph: Graph, cfg: SearchConfig | None = None) -> dict:
     """Run a search and package the result as a JSON-ready summary."""
-    cfg = cfg if cfg is not None else SearchConfig()
-    # search_min_k validates cfg; the report only resolves the default bound
-    result = search_min_k(graph, cfg)
+    # validated once: the report echoes the max_weight that _validated resolved
+    cfg = _validated(graph, cfg if cfg is not None else SearchConfig())
+    result = _search(graph, cfg)
     return {
         "config": {
-            "max_weight": _bound(graph, cfg),
+            "max_weight": cfg.max_weight,
             "mode": cfg.mode,
             "trials": cfg.trials if cfg.mode == MODE_RANDOM else None,
             "seed": cfg.rng_seed if cfg.mode == MODE_RANDOM else None,

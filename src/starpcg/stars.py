@@ -160,6 +160,12 @@ class VerifyReport:
         }
 
 
+def _check_sizes(witness: Witness, graph: Graph) -> None:
+    """Raise ValueError unless `witness` has one weight per vertex of `graph`."""
+    if witness.n != graph.n:
+        raise ValueError(f"witness is for {witness.n} vertices, graph has {graph.n}")
+
+
 def verify(witness: Witness, graph: Graph) -> VerifyReport:
     """Check that the witness realizes exactly `graph`.
 
@@ -167,8 +173,7 @@ def verify(witness: Witness, graph: Graph) -> VerifyReport:
     holding only the extra edges and the target edges hit; an "equal" verdict
     is cross-checked by `realize`, whose graph then has exactly `graph`'s edges.
     """
-    if witness.n != graph.n:
-        raise ValueError(f"witness is for {witness.n} vertices, graph has {graph.n}")
+    _check_sizes(witness, graph)
     order, blocks = _accepted_blocks(witness)
     extra = []
     hit = set()

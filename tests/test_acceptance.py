@@ -19,7 +19,7 @@ import pytest
 from helpers import random_graph, random_weights
 from naive_oracle import INFEASIBLE, naive_min_intervals
 from starpcg.constructions import cycle_witness, grid2_witness, grid_square_witness, grid_witness
-from starpcg.graphs import induced_subgraph, make_cycle, make_grid
+from starpcg.graphs import GridShape, induced_subgraph, make_cycle, make_grid
 from starpcg.obstruction import (
     check_certificate,
     cycle_star1_obstruction,
@@ -191,6 +191,51 @@ def test_criterion_11_grids_never_one_interval():
         for n in (3, 4, 8):
             wit = grid_witness(2, n)
             assert wit.k == 1 and verify(wit, make_grid([2, n])).equal, n
+
+
+def test_criterion_12_grids_with_three_axes_never_one_interval():
+    # On three axes of size >= 2, with every other coordinate at 0, the six
+    # cells of the unit cube off its main diagonal induce C_6.  So every
+    # weighting of a grid with three such axes gets a cycle certificate on
+    # that hexagon, and the cube Q3 = 2x2x2 needs exactly two intervals.
+    with criterion(12, "every weighting of a grid with three sizes >= 2 has a hexagon certificate against 1 interval; 2x2x2 attains 2", 10.0):
+        shapes = [*product((2, 3), repeat=3)]
+        shapes += [s for s in product((1, 2, 3), repeat=4) if sum(m >= 2 for m in s) >= 3]
+        rng = random.Random(1212)
+        checked = 0
+        for dims in shapes:
+            shape = GridShape(dims)
+            grid = make_grid(shape)
+            a, b, c = [j for j, m in enumerate(dims) if m >= 2][:3]
+            hexagon = []
+            for x, y, z in ((0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 1, 0), (1, 0, 0), (1, 0, 1)):
+                coord = [0] * len(dims)
+                coord[a], coord[b], coord[c] = x, y, z
+                hexagon.append(shape.flat_id(tuple(coord)))
+            assert induced_subgraph(grid, hexagon) == make_cycle(6), dims
+            for top in (None, 3, 100, 10**12):
+                for _ in range(50):
+                    if top is None:
+                        w = [rng.randint(0, 10**12)] * grid.n
+                    else:
+                        w = [rng.randint(0, top) for _ in range(grid.n)]
+                    cert = cycle_star1_obstruction(6, [w[h] for h in hexagon])
+                    cert = replace(
+                        cert, x=hexagon[cert.x], vs=tuple(hexagon[v] for v in cert.vs), us=tuple(hexagon[u] for u in cert.us)
+                    )
+                    check_certificate(cert, grid, w)
+                    outcome = min_intervals_for_weights(grid, w)
+                    assert not (isinstance(outcome, Feasible) and outcome.k <= 1), (dims, w)
+                    checked += 1
+        assert checked == 200 * len(shapes) == 11200
+        cube = make_grid((2, 2, 2))
+        found = search_min_k(cube, SearchConfig(max_weight=9, target_k=2))
+        assert found.best_k == 2
+        wit = found.best_witness
+        assert (wit.weights, wit.intervals) == ((0, 6, 7, 1, 8, 2, 3, 9), ((6, 8), (10, 12)))
+        assert verify(wit, cube).equal
+        assert min_intervals_for_weights(cube, wit.weights) == Feasible(k=2, intervals=wit.intervals)
+        assert search_min_k(cube, SearchConfig(max_weight=8)).best_k == 3
 
 
 def test_criterion_07_grid4d_certificates():

@@ -733,6 +733,24 @@ class TestInputBoundary:
         code, out = run_cli(capsys, "verify", str(graph), str(witness))
         assert code == EXIT_USAGE and out == ""
 
+    def test_witness_of_another_size_is_refused_before_the_budgets(self, capsys, tmp_path):
+        # both budgets pass, and counting this witness's edges took about 3 s
+        n = 10**5
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": 3, "edges": [[0, 1]]}))
+        witness = tmp_path / "w.json"
+        witness.write_text(json.dumps({
+            "weights": [2 * i for i in range(n)],
+            "intervals": [[4000 * j + 1, 4000 * j + 1] for j in range(100)],
+        }))
+        start = time.perf_counter()
+        code = main(["verify", str(graph), str(witness)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err == f"starpcg: witness is for {n} vertices, graph has 3\n"
+        assert elapsed < 0.5
+
     def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path):
         graph = tmp_path / "g.json"
         graph.write_text("[" * 100_000)

@@ -467,6 +467,12 @@ class TestGrid4dCertificate:
                 grid.n, grid.neighbors, w, 2, pivots
             ), w
 
+    def test_pivot_order_starts_at_the_center_and_repeats_no_vertex(self):
+        # a center that fails once fails again, so it is scanned once
+        _, pivots = obstruction_mod._grid4()
+        assert pivots[0] == CENTER
+        assert sorted(pivots) == list(range(81))
+
     def test_flags_when_no_pivot_interleaves(self, monkeypatch):
         monkeypatch.setattr(obstruction_mod, "_first_interleaving", lambda *a: None)
         # a scan that finds nothing is flagged instead of guessed

@@ -666,6 +666,13 @@ class TestValidation:
             starpcg.search._validated(make_path(30), SearchConfig(max_weight=1000))
         assert str(exc.value).startswith(f"exhaustive work 2^{huge.bit_length() - 1} or more exceeds")
 
+    def test_census_work_names_the_tighter_bound_until_its_bit_lengths_pass_1024(self):
+        # n * bitlen(W+1) = 1200 here, but 3^600 has only 951 bits, so the product is
+        # built and _shown names its 2^(bit length - 1) floor, not the 2^600 of bit lengths
+        with pytest.raises(ValueError) as exc:
+            starpcg.search._validated(Graph(600), SearchConfig(max_weight=2))
+        assert str(exc.value).startswith(f"exhaustive work 2^{(3**600).bit_length() - 1} or more exceeds")
+
     def test_huge_max_weight_is_refused_from_bit_lengths(self):
         # the exact (W+1)^n here has 26.6 million bits and took seconds to build
         graph, bound = Graph(2000), 10**4000
