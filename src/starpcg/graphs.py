@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import reprlib
 from array import array
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -177,18 +176,17 @@ class Graph:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
 class GridShape:
-    """Dimensions of a d-dimensional grid graph; every dim size >= 1."""
+    """Immutable dimensions of a d-dimensional grid graph; every dim size >= 1."""
 
-    dims: tuple[int, ...]
+    __slots__ = ("dims",)
 
-    def __post_init__(self):
+    def __init__(self, dims: Sequence[int]):
         try:
-            dims = tuple(self.dims)
+            dims = tuple(dims)
         except TypeError:
             raise ValueError(
-                f"grid shape must be a sequence of dimension sizes, got {_shown(self.dims)}"
+                f"grid shape must be a sequence of dimension sizes, got {_shown(dims)}"
             ) from None
         if len(dims) < 1:
             raise ValueError("grid shape needs at least one dimension")
@@ -196,6 +194,23 @@ class GridShape:
             if type(m) is not int or m < 1:  # a plain int >= 1 builds no message
                 _check_int(m, f"each of the dimension sizes {_shown(dims)}", 1)
         object.__setattr__(self, "dims", dims)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dims == other.dims
+
+    def __hash__(self) -> int:
+        return hash((self.dims,))
+
+    def __repr__(self) -> str:
+        return f"GridShape(dims={self.dims!r})"
 
     @property
     def d(self) -> int:

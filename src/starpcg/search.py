@@ -12,7 +12,7 @@ import os
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable
 
 from .graphs import Graph, _check_int, _oversized, _shown
@@ -23,9 +23,9 @@ from .stars import Feasible, Witness, min_intervals_for_weights
 # censuses it accepts are on graphs that seldom tie.  Measured on a 2-vCPU
 # x86-64 host, with figures that vary with the host's load: Graph(2) at
 # W = 3167, the largest two-vertex census, took 12 to 20 s; path 3 at
-# W = 415 took 34 to 57 s, path 4 at W = 124 about 90 s, and path 5 at
-# W = 53 about 130 s, the slowest measured with edges.  An edgeless graph
-# never ties: Graph(9) at W = 9 takes about 4.7 minutes, and only a node
+# W = 415 took 34 to 57 s, path 4 at W = 124 took 163 to 174 s, and path 5
+# at W = 53 took 200 to 255 s, the slowest measured with edges.  An
+# edgeless graph never ties: Graph(9) at W = 9 takes about 4.7 minutes, and only a node
 # budget that the walk counts would bound it.
 SPACE_LIMIT = 10**9
 # Bounds random mode's trials * n(n+1)/2 * (1 + (2W+1)//64) word operations.
@@ -44,14 +44,17 @@ class SearchConfig:
 
     max_weight defaults to 2n when left unset.  target_k stops the scan at
     the first vector (in scan order) achieving at most target_k intervals.
-    The exhaustive census has one chunk per first weight w0; unless symmetry
-    pruning moves vertex 0, it scans only w0 <= W//2 and counts the rest from
-    their mirror images.  jobs > 1 spreads the scanned chunks over min(jobs,
-    scanned chunks, cpu count) processes; the merge reproduces the serial
-    scan exactly.  Random mode draws `trials` vectors and reads a vertex's
-    adjacency only once some vector gets that far without a tie.  It ignores
-    jobs and prune_symmetry: it always runs in-process and never prunes by
-    symmetry, though `search_report` echoes both fields.  It refuses
+    The exhaustive census scans boxes of vectors in lexicographic order.
+    Unless symmetry pruning moves vertex 0, it scans only the canonical half
+    under the mirror w -> W - w, the vectors whose first weight other than
+    W/2 is below W/2: W//2 + 1 boxes at odd W and W/2 + n at even W, where
+    chunk W/2 is split into n - 1 boxes and the all-W/2 vector.  Otherwise
+    it scans one chunk per first weight, W + 1 boxes.  jobs > 1 spreads the
+    boxes over min(jobs, boxes, cpu count) processes; the merge reproduces
+    the serial scan exactly.  Random mode draws `trials` vectors and reads a
+    vertex's adjacency only once some vector gets that far without a tie.
+    It ignores jobs and prune_symmetry: it always runs in-process and never
+    prunes by symmetry, though `search_report` echoes both fields.  It refuses
     trials * n(n+1)/2 * (1 + (2W+1)//64) above RANDOM_WORK_LIMIT, as the
     census refuses (W+1)^n * (1 + (2W+1)//64) above SPACE_LIMIT ((W+1)^2 on
     one vertex).
@@ -167,24 +170,42 @@ def _scan_random(
 def _scan_chunk(args) -> _ChunkStats:
     """Depth-first census of a box: the vectors w with bit w[i] of spans[i] set for every i.
 
-    Prefixes are extended in lexicographic order, so leaves arrive in the
-    order of a plain scan of the box.  Each level builds one tie mask, the
-    weights at which the vertex would tie, and descends only the free
-    weights, lowest first.  The last level scores its free weights in the
-    loop itself; as leaves arrive in scan order, a leaf improves the chunk's
-    best exactly when its k is smaller, and only then is its weight tuple
-    built.  The walk counts only feasible leaves: `explored` is the box's
-    size, or on a target hit the number of box vectors up to the hit, which
-    is what a plain scan visits before it stops.
+    spans[0] holds one weight, as in every box `_search` hands out.  Prefixes
+    are extended in lexicographic order, so leaves arrive in the order of a
+    plain scan of the box.  Each level builds one tie mask, the weights at
+    which the vertex would tie, and descends only the free weights, lowest
+    first.  The last two levels are one loop.  Level n-2 builds the last
+    vertex's masks over vertices 0..n-3 once per node; for each of its own
+    free weights x it then finds the last vertex's tie mask with a fixed
+    number of big-int operations, whatever n is, and scores the last
+    vertex's free weights in place.  As leaves arrive in scan order, a leaf
+    improves the box's best exactly when its k is smaller, and only then is
+    its weight tuple built.  The walk counts only feasible leaves: `explored`
+    is the box's size, or on a target hit the number of box vectors up to
+    the hit, which is what a plain scan visits before it stops.
     """
     rows, spans, target_k = args
     n = len(rows)
     stats = _ChunkStats()
+    if n == 1:
+        # one vector with no pair sums: k = 0, so it is the best and any target's hit
+        stats.best = (0, (spans[0].bit_length() - 1,))
+        stats.histogram[0] = stats.explored = 1
+        stats.hit = target_k is not None
+        return stats
     run_count = _run_count
     histogram = stats.histogram
     stop = -1 if target_k is None else target_k
     last = n - 1
     w = [0] * n
+    # the last vertex's earlier neighbours and non-neighbours other than vertex
+    # n-2, and whether vertex n-2 is a neighbour
+    nb_last, non_last = rows[last]
+    adj = last - 1 in nb_last
+    nb_last, non_last = (nb_last[:-1], non_last) if adj else (nb_last, non_last[:-1])
+    span_last = spans[last]
+    # above every weight, so that no shift of the comb below is negative
+    S = max(spans).bit_length()
 
     def descend(i: int, E: int, N: int) -> bool:
         nb, non = rows[i]
@@ -198,7 +219,7 @@ def _scan_chunk(args) -> _ChunkStats:
             an |= 1 << wj
             T |= E >> wj
         free = 0 if ae & an else spans[i] & ~T
-        if i < last:
+        if i < last - 1:
             while free:
                 low = free & -free
                 x = low.bit_length() - 1
@@ -207,19 +228,65 @@ def _scan_chunk(args) -> _ChunkStats:
                     return True
                 free ^= low
             return False
+        if not free:
+            return False
+        # Level n-2.  With vertex n-2 at x, the sums are E' = E | ae << x and
+        # N' = N | an << x, and the last vertex's tie mask ORs N' >> w[j] over
+        # its neighbours j and E' >> w[j] over its non-neighbours.  Over
+        # j <= n-3 that is N >> w[j] and E >> w[j], plus (an << x) >> w[j] and
+        # (ae << x) >> w[j], which together are (C << x) >> S for the comb C;
+        # for j = n-2 it is N' >> x = (N >> x) | an, or (E >> x) | ae.  The
+        # parts that do not depend on x are ORed once into `fixed`, and la
+        # and ln are the last vertex's masks over vertices 0..n-3.
+        if adj:
+            side, fixed = N, an
+        else:
+            side, fixed = E, ae
+        la = ln = 0
+        for j in nb_last:
+            wj = w[j]
+            la |= 1 << wj
+            fixed |= N >> wj
+        for j in non_last:
+            wj = w[j]
+            ln |= 1 << wj
+            fixed |= E >> wj
+        # the last vertex ties at every weight, whatever x is
+        if la & ln or not span_last & ~fixed:
+            return False
+        # drop the x at which the last vertex would split vertex n-2 from an
+        # earlier vertex of equal weight
+        free &= ~(ln if adj else la)
+        if not free:
+            return False
+        C = 0
+        for j in nb_last:
+            C |= an << (S - w[j])
+        for j in non_last:
+            C |= ae << (S - w[j])
         best_k = n * n if stats.best is None else stats.best[0]  # n * n exceeds any k
         while free:
             low = free & -free
-            # ae * low is ae << x, without finding x
-            k = run_count(E | ae * low, N | an * low)
-            histogram[k] = histogram.get(k, 0) + 1
-            if k < best_k:
-                best_k = k
-                w[i] = low.bit_length() - 1
-                stats.best = (k, tuple(w))
-                if k <= stop:
-                    stats.hit = True
-                    return True
+            x = low.bit_length() - 1
+            free_last = span_last & ~(fixed | (C << x) >> S | side >> x)
+            if free_last:
+                E1 = E | ae << x
+                N1 = N | an << x
+                ae1, an1 = (la | low, ln) if adj else (la, ln | low)
+            while free_last:
+                low_last = free_last & -free_last
+                # ae1 * low_last is ae1 << (the last vertex's weight), without finding it
+                k = run_count(E1 | ae1 * low_last, N1 | an1 * low_last)
+                histogram[k] = histogram.get(k, 0) + 1
+                if k < best_k:
+                    best_k = k
+                    w[last - 1] = x
+                    w[last] = low_last.bit_length() - 1
+                    stats.best = (k, tuple(w))
+                    if k <= stop:
+                        stats.hit = True
+                        return True
+                free_last ^= low_last
             free ^= low
         return False
 
@@ -230,26 +297,29 @@ def _scan_chunk(args) -> _ChunkStats:
             rank = rank * span.bit_count() + (span & ((1 << x) - 1)).bit_count()
         stats.explored = rank + 1
     else:
-        stats.explored = math.prod(span.bit_count() for span in spans)
+        stats.explored = math.prod(map(int.bit_count, spans))
     return stats
 
 
 def _merge_chunks(chunks: Iterable[_ChunkStats], twinned: int) -> _ChunkStats:
-    """Fold per-chunk stats in scan order, drawing none past the first target hit.
+    """Fold per-box stats in scan order, drawing none past the first target hit.
 
-    When no chunk hits the target, the first `twinned` chunks count twice:
-    once for themselves and once for their unscanned mirror chunks.
+    When no box hits the target, the first `twinned` boxes count twice: once
+    for themselves and once for their unscanned mirror images.  The boxes
+    arrive in lexicographic order, and every unscanned vector comes after
+    every scanned one, so the first hit among the scanned boxes is the first
+    hit of a plain scan and every vector before it was scanned.
     """
     total = _ChunkStats()
     twins = _ChunkStats()
-    for w0, chunk in enumerate(chunks):
+    for index, chunk in enumerate(chunks):
         total.add_counts(chunk)
         if chunk.best is not None and (total.best is None or chunk.best < total.best):
             total.best = chunk.best
         if chunk.hit:
             total.hit = True
             return total
-        if w0 < twinned:
+        if index < twinned:
             twins.add_counts(chunk)
     total.add_counts(twins)
     return total
@@ -360,32 +430,38 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
 def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
     """Scan weight vectors in {0..W}^n for the fewest intervals realizing `graph`.
 
-    Exhaustive mode is a census in lexicographic order: one chunk per first
-    weight, scanned in turn or by a pool of min(jobs, scanned chunks, cpu
-    count) processes.  The pool keeps at most two chunks per worker in flight,
-    submitting one more for each result it takes in w0 order, and a worker
-    that dies raises `BrokenProcessPool`.  Chunks are folded as they arrive,
-    so the scan stops at the first target hit.  This function alone decides
-    what a chunk covers: chunk w0 is the box with vertex 0 at w0 and every
-    other vertex at 0..W, except that symmetry pruning holds the rest of
-    vertex 0's orbit at w0..W (the skipped vectors are not counted).  A chunk
-    places weights vertex by vertex and skips every prefix whose edge and
-    non-edge sums already tie, so its cost grows with the number of tie-free
-    prefixes, not with (W+1)^n.  The edge sums and the non-edge sums are two
-    integer bitsets.  Entering a level costs one shifted OR per earlier
-    vertex into a tie mask that marks every tying weight at once, so the
-    level visits only its free weights; backing out of a prefix undoes
-    nothing.  The last level scores
-    its free weights in the same loop, each with a few whole-integer
-    operations (`_run_count`), and builds a weight tuple only when the
-    chunk's best improves.  Mapping every weight w to
-    W - w maps each sum s to 2W - s and keeps every tie and run count, so
-    chunk W - w0 has the counts of chunk w0 and only lexicographically larger
-    vectors: unless symmetry pruning moves vertex 0, only chunks w0 <= W//2
-    are scanned, and those below W/2 count twice when no target is hit.  The
-    explored count follows from the boxes and the hit, and every explored
-    vector outside the histogram is infeasible; every count, the histogram
-    and the witness match a plain vector-by-vector scan.
+    Exhaustive mode is a census in lexicographic order over boxes, each a
+    product of per-vertex weight sets with vertex 0 at one weight, scanned in
+    turn or by a pool of min(jobs, boxes, cpu count) processes.  The pool
+    keeps at most two boxes per worker in flight, submitting one more for
+    each result it takes in scan order, and a worker that dies raises
+    `BrokenProcessPool`.  Boxes are folded as they arrive, so the scan stops
+    at the first target hit.  This function alone decides the boxes.
+    Mapping every weight w to W - w maps each sum s to 2W - s and keeps
+    every tie and run count, so the census scans only the canonical half,
+    the vectors whose first weight other than W/2 lies below W/2, and counts
+    each of them twice when no target is hit, once for its mirror image,
+    which comes later in lexicographic order.  Those are the chunks with
+    vertex 0 at w0 < W/2 and every other vertex at 0..W; at even W, chunk
+    W/2 contributes its canonical half as the boxes "vertices 0..j-1 at W/2,
+    vertex j at 0..W/2-1, the rest at 0..W" for j = 1..n-1, which count
+    twice too, and the all-W/2 vector, its own image, which counts once.
+    Symmetry pruning holds the rest of vertex 0's orbit at weights >= w0, a
+    bound the mirror does not keep, so when the orbit moves vertex 0 the
+    census scans every chunk w0 = 0..W with that bound (the skipped vectors
+    are not counted).  A box places weights vertex by vertex and skips every
+    prefix whose edge and non-edge sums already tie, so its cost grows with
+    the number of tie-free prefixes, not with (W+1)^n.  The edge sums and
+    the non-edge sums are two integer bitsets.  Entering a level costs one
+    shifted OR per earlier vertex into a tie mask that marks every tying
+    weight at once, so the level visits only its free weights; backing out
+    of a prefix undoes nothing.  The last two levels are fused: for each
+    free weight of vertex n-2 the last vertex's tie mask takes a fixed number
+    of whole-integer operations, and its free weights are scored in the same
+    loop (`_run_count`); a weight tuple is built only when the box's best
+    improves.  The explored count follows from the boxes and the hit, and
+    every explored vector outside the histogram is infeasible; every count,
+    the histogram and the witness match a plain vector-by-vector scan.
     Random mode draws `trials` vectors from a seeded generator and scores
     each with the same bitsets, stopping at its first tie.  Ties on the
     interval count are broken toward the lexicographically smallest vector,
@@ -398,26 +474,40 @@ def _search(graph: Graph, cfg: SearchConfig) -> SearchResult:
     """`search_min_k` on a configuration that `_validated` has checked and resolved."""
     bound = cfg.max_weight
     if cfg.mode == MODE_EXHAUSTIVE:
-        rows = [_earlier_split(graph, i) for i in range(graph.n)]
+        n = graph.n
+        rows = [_earlier_split(graph, i) for i in range(n)]
         orbit = _orbit_of_zero(graph) if cfg.prune_symmetry else ()
-        # the orbit bound w >= w0 does not survive the mirror, so pruned scans are full
-        mirror = len(orbit) <= 1
-        last = bound // 2 if mirror else bound
-        workers = min(cfg.jobs, last + 1, os.cpu_count() or 1) if cfg.jobs > 1 else 1
-        # chunk w0's box: vertex 0 at w0, the rest of its orbit at w0..W, others at 0..W
-        full, rest = (1 << (bound + 1)) - 1, range(1, graph.n)
-        tasks = (
-            (rows, [1 << w0] + [full >> w0 << w0 if v in orbit else full for v in rest], cfg.target_k)
-            for w0 in range(last + 1)
-        )
-        twinned = (bound + 1) // 2 if mirror else 0
+        full = (1 << (bound + 1)) - 1
+        if len(orbit) > 1:
+            # the orbit bound w >= w0 does not survive the mirror, so pruned scans are full:
+            # chunk w0 holds vertex 0 at w0, the rest of its orbit at w0..W, others at 0..W
+            boxes = (
+                [1 << w0] + [full >> w0 << w0 if v in orbit else full for v in range(1, n)]
+                for w0 in range(bound + 1)
+            )
+            box_count, twinned = bound + 1, 0
+        else:
+            # the canonical half under the mirror w -> W - w: the chunks w0 < W/2
+            # count twice, for themselves and for their images above W/2
+            twinned = (bound + 1) // 2
+            boxes = ([1 << w0] + [full] * (n - 1) for w0 in range(twinned))
+            if bound % 2 == 0:
+                # chunk W/2 is its own image: its vectors whose first weight other than
+                # W/2 is below it count twice too, and the all-W/2 vector once
+                mid, below = 1 << (bound // 2), (1 << (bound // 2)) - 1
+                split = ([mid] * j + [below] + [full] * (n - 1 - j) for j in range(1, n))
+                boxes = chain(boxes, split, [[mid] * n])
+                twinned += n - 1
+            box_count = twinned + (bound % 2 == 0)
+        workers = min(cfg.jobs, box_count, os.cpu_count() or 1) if cfg.jobs > 1 else 1
+        tasks = ((rows, spans, cfg.target_k) for spans in boxes)
         if workers == 1:
             total = _merge_chunks(map(_scan_chunk, tasks), twinned)
         else:
             # imported here: loading concurrent.futures.process costs every process about 30 ms
             from concurrent.futures import ProcessPoolExecutor
 
-            # leaving the block waits for the chunks still in flight after an early stop
+            # leaving the block waits for the boxes still in flight after an early stop
             with ProcessPoolExecutor(workers) as pool:
                 window = deque(pool.submit(_scan_chunk, t) for t in islice(tasks, 2 * workers))
 

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import random
 import shutil
 import subprocess
@@ -921,6 +922,20 @@ class TestDeterminismAndEntryPoints:
             "starpcg.cli",
             "starpcg.graphs",
         }
+
+    def test_import_loads_no_dataclasses(self):
+        # dataclasses pulls in inspect, ast, dis and tokenize, about a third of
+        # `generate`'s import time; -S keeps site's own imports out of the check
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = "import sys\nimport starpcg.cli\nprint('dataclasses' in sys.modules)\n"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_import_starts_no_pool_machinery(self):
         # only a census with jobs > 1 loads the process pool

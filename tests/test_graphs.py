@@ -230,6 +230,17 @@ class TestGridShape:
         with pytest.raises(ValueError, match="grid shape must be a sequence of dimension sizes"):
             make_grid(dims)
 
+    def test_value_semantics(self):
+        s = GridShape([2, 3])
+        assert s == GridShape((2, 3)) and hash(s) == hash(GridShape((2, 3)))
+        assert s != GridShape((3, 2)) and s != (2, 3)
+        assert repr(s) == "GridShape(dims=(2, 3))"
+        with pytest.raises(AttributeError):
+            s.dims = (4,)
+        with pytest.raises(AttributeError):
+            del s.dims
+        assert s.dims == (2, 3)
+
     def test_bounds_errors(self):
         s = GridShape((3, 3))
         with pytest.raises(ValueError):

@@ -200,6 +200,53 @@ class TestExhaustive:
                     cfg = SearchConfig(max_weight=bound, target_k=target_k, prune_symmetry=prune)
                     assert search_min_k(graph, cfg) == want, (graph.edges(), cfg)
 
+    def test_matches_direct_enumeration_at_even_bounds(self):
+        # at even W the census splits chunk W/2 into the boxes "vertices 0..j-1
+        # at W/2, vertex j below W/2", which count twice, and the all-W/2
+        # vector, which counts once and is feasible on edgeless and complete
+        # graphs; at n = 1 and 2 the fused last two levels start at the root
+        rng = random.Random(2804)
+        # on the two 3-vertex graphs only vertex 1 tells vertex 2 from vertex 0,
+        # so w = (y, x, y) ties only through the pair of vertices 1 and 2
+        graphs = [Graph(1), Graph(2), Graph(2, [(0, 1)]), Graph(3, [(1, 2)]), Graph(3, [(0, 1)])]
+        for n in range(3, 6):
+            complete = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            graphs += [Graph(n), Graph(n, complete), half_dense_graph(n, rng), half_dense_graph(n, rng)]
+        for graph in graphs:
+            for bound in (2, 4, 6):
+                for prune in (False, True):
+                    full = reference_census(graph, bound, None, prune)
+                    for target_k in (None, 0, 1):
+                        # a target below every k stops nothing, so the full scan is its answer
+                        misses = target_k is None or full.best_k is None or full.best_k > target_k
+                        want = full if misses else reference_census(graph, bound, target_k, prune)
+                        cfg = SearchConfig(max_weight=bound, target_k=target_k, prune_symmetry=prune)
+                        assert search_min_k(graph, cfg) == want, (graph.edges(), cfg)
+                        if graph.n == 5 and target_k is None:
+                            assert search_min_k(graph, replace(cfg, jobs=2)) == want, (graph.edges(), cfg)
+
+    @pytest.mark.parametrize(
+        "edges, bound, hit",
+        [
+            ([(0, 1), (0, 2), (1, 2), (1, 3)], 2, (1, 0, 1, 2)),
+            ([(0, 1), (0, 2), (1, 2), (2, 3)], 2, (1, 1, 0, 2)),
+            ([(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 2, (1, 1, 0, 0, 2)),
+            ([(0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 3)], 4, (2, 0, 1, 2, 4)),
+            ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4)], 4, (2, 2, 1, 0, 4)),
+        ],
+    )
+    def test_target_hit_inside_the_split_middle_chunk(self, edges, bound, hit):
+        # the first vector with k <= 1 has vertex 0 at W/2, inside one of the
+        # boxes that split chunk W/2, so explored is that box's rank plus every
+        # box before it
+        graph = Graph(len(hit), edges)
+        for prune in (False, True):
+            want = reference_census(graph, bound, 1, prune)
+            assert want.best_witness.weights == hit and not want.exhaustive_within_bound
+            for jobs in (1, 2):
+                cfg = SearchConfig(max_weight=bound, target_k=1, prune_symmetry=prune, jobs=jobs)
+                assert search_min_k(graph, cfg) == want, cfg
+
     @pytest.mark.parametrize(
         "graph, bound",
         [
@@ -330,6 +377,12 @@ class TestDeterminismAndJobs:
         sizes.clear()
         assert search_min_k(g, SearchConfig(max_weight=3, jobs=10**6)) == serial
         assert sizes == [3 // 2 + 1]
+        # at even W the pool holds the W/2 chunks below W/2, the n - 1 boxes of
+        # chunk W/2's canonical half and the all-W/2 vector
+        sizes.clear()
+        even = SearchConfig(max_weight=4, jobs=10**6)
+        assert search_min_k(g, even) == search_min_k(g, replace(even, jobs=1))
+        assert sizes == [4 // 2 + 4]
         # vertex 0's orbit on C_4 is every vertex, so a pruned census scans every chunk
         sizes.clear()
         pruned = SearchConfig(max_weight=3, jobs=10**6, prune_symmetry=True)
@@ -347,11 +400,12 @@ class TestDeterminismAndJobs:
             hit = res.best_witness.weights[0]
             assert submitted == list(range(len(submitted)))
             assert hit < len(submitted) <= hit + 1 + 2 * 2
-        # with no hit every scanned chunk is submitted
+        # with no hit every box is submitted: chunks 0..2, then chunk 3's canonical
+        # half as four boxes and the all-3 vector
         submitted.clear()
         res = search_min_k(make_cycle(5), SearchConfig(max_weight=6, jobs=2))
         assert res == search_min_k(make_cycle(5), SearchConfig(max_weight=6))
-        assert submitted == list(range(6 // 2 + 1))
+        assert submitted == [0, 1, 2] + [3] * 5
 
     def test_early_stops_in_a_pool_shut_down(self):
         # ending a pool while a worker writes a result can hang its shutdown,
@@ -413,32 +467,54 @@ class TestDeterminismAndJobs:
         assert peak < 10**6
 
     def test_mirror_chunks_are_not_scanned(self, monkeypatch):
-        # chunk W - w0 is chunk w0 mirrored; the orbit bound of a pruned census
-        # does not survive the mirror, so there every chunk is scanned
+        # the mirror w -> W - w keeps every count, so a census scans one vector of
+        # each mirror pair; the orbit bound of a pruned census does not survive the
+        # mirror, so there every chunk is scanned
         scanned = []
         scan = starpcg.search._scan_chunk
 
         def recording_scan(args):
-            scanned.append(args[1][0].bit_length() - 1)
+            scanned.append([[x for x in range(span.bit_length()) if span >> x & 1] for span in args[1]])
             return scan(args)
 
         monkeypatch.setattr(starpcg.search, "_scan_chunk", recording_scan)
         pendant = sweep_graphs()[0]
         assert orbit_of_zero(pendant) == {0}
+
+        def chunks(bound, n, first):
+            return [[[w0]] + [list(range(bound + 1))] * (n - 1) for w0 in first]
+
+        # at even W, chunk W/2 is split at the first weight other than W/2
+        F, L, M = list(range(7)), [0, 1, 2], [3]
+        c5_even = chunks(6, 5, range(3)) + [
+            [M, L, F, F, F],
+            [M, M, L, F, F],
+            [M, M, M, L, F],
+            [M, M, M, M, L],
+            [M, M, M, M, M],
+        ]
+        F, L, M = list(range(5)), [0, 1], [2]
+        pendant_even = chunks(4, 4, range(2)) + [[M, L, F, F], [M, M, L, F], [M, M, M, L], [M, M, M, M]]
         cases = (
-            (make_cycle(5), 5, False, range(3)),
-            (make_cycle(5), 6, False, range(4)),
-            (make_cycle(5), 5, True, range(6)),
-            (pendant, 5, True, range(3)),
-            (pendant, 4, True, range(3)),
+            (make_cycle(5), 5, False, chunks(5, 5, range(3))),
+            (make_cycle(5), 6, False, c5_even),
+            (make_cycle(5), 5, True, [[[w0]] + [list(range(w0, 6))] * 4 for w0 in range(6)]),
+            (pendant, 5, True, chunks(5, 4, range(3))),
+            (pendant, 4, True, pendant_even),
         )
-        for graph, bound, prune, chunks in cases:
+        for graph, bound, prune, boxes in cases:
             scanned.clear()
             cfg = SearchConfig(max_weight=bound, prune_symmetry=prune, jobs=1)
             res = search_min_k(graph, cfg)
-            assert scanned == list(chunks)
-            if not prune:
+            assert scanned == boxes
+            if not prune or orbit_of_zero(graph) == {0}:
                 assert res.explored == (bound + 1) ** graph.n
+                vectors = [vec for box in scanned for vec in product(*box)]
+                # no scanned vector's first weight other than W/2 lies above W/2, and
+                # each mirror pair is scanned once: the all-W/2 vector is its own image
+                for vec in vectors:
+                    assert 2 * next((x for x in vec if 2 * x != bound), 0) < bound, vec
+                assert len(set(vectors)) == len(vectors) == ((bound + 1) ** graph.n + (bound % 2 == 0)) // 2
 
     def test_target_k_zero_stops_immediately(self):
         res = search_min_k(Graph(3), SearchConfig(max_weight=2, target_k=0))
