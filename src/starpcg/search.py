@@ -18,20 +18,20 @@ from typing import Iterable
 from .graphs import Graph, _check_int, _oversized, _shown
 from .stars import Feasible, Witness, min_intervals_for_weights
 
-# Bounds the census's (W+1)^n * (1 + (2W+1)//64) leaf word operations, or
-# (W+1)^2 on one vertex.  It does not see tie pruning, so the slowest
-# censuses it accepts are on graphs that seldom tie.  Measured on a 2-vCPU
-# x86-64 host, with figures that vary with the host's load: Graph(2) at
-# W = 3167, the largest two-vertex census, took 12 to 20 s; path 3 at
-# W = 415 took 34 to 57 s, path 4 at W = 124 took 163 to 174 s, and path 5
-# at W = 53 took 200 to 255 s, the slowest measured with edges.  An
-# edgeless graph never ties: Graph(9) at W = 9 takes about 4.7 minutes, and only a node
-# budget that the walk counts would bound it.
+# Bounds the census's (W+1)^n * (1 + (2W+1)//64) leaf word operations.  It
+# does not see tie pruning, so the slowest censuses it accepts are on graphs
+# that seldom tie.  Single runs on a 2-vCPU x86-64 host, with figures that
+# vary with the host's load (earlier runs of one census differed by up to
+# 1.7x): Graph(2) at W = 3167, the largest two-vertex census, took 21 s;
+# path 3 at W = 415 took 62 s, path 4 at W = 124 took 135 s, and path 5 at
+# W = 53 took 186 s, the slowest measured with edges.  An edgeless graph
+# never ties: Graph(9) at W = 9 took 363 s, and only a node budget that the
+# walk counts would bound it.
 SPACE_LIMIT = 10**9
 # Bounds random mode's trials * n(n+1)/2 * (1 + (2W+1)//64) word operations.
-# The slowest request it accepts, measured on a 2-vCPU x86-64 host, is
-# 5*10^6 trials on one vertex, about 16 s; the most memory, 87 MB peak,
-# goes to one trial on two vertices at W = 5.3*10^7.
+# The slowest request it accepts, in a single run on the same host, is
+# 5*10^6 trials on one vertex, 13 s; the most memory, 87 MB peak RSS, goes
+# to one trial on two vertices at W = 5.3*10^7.
 RANDOM_WORK_LIMIT = 5 * 10**6
 
 MODE_EXHAUSTIVE = "exhaustive"
@@ -47,17 +47,19 @@ class SearchConfig:
     The exhaustive census scans boxes of vectors in lexicographic order.
     Unless symmetry pruning moves vertex 0, it scans only the canonical half
     under the mirror w -> W - w, the vectors whose first weight other than
-    W/2 is below W/2: W//2 + 1 boxes at odd W and W/2 + n at even W, where
-    chunk W/2 is split into n - 1 boxes and the all-W/2 vector.  Otherwise
-    it scans one chunk per first weight, W + 1 boxes.  jobs > 1 spreads the
-    boxes over min(jobs, boxes, cpu count) processes; the merge reproduces
-    the serial scan exactly.  Random mode draws `trials` vectors and reads a
-    vertex's adjacency only once some vector gets that far without a tie.
-    It ignores jobs and prune_symmetry: it always runs in-process and never
-    prunes by symmetry, though `search_report` echoes both fields.  It refuses
-    trials * n(n+1)/2 * (1 + (2W+1)//64) above RANDOM_WORK_LIMIT, as the
-    census refuses (W+1)^n * (1 + (2W+1)//64) above SPACE_LIMIT ((W+1)^2 on
-    one vertex).
+    W/2 is below W/2: W//2 + 1 boxes at odd W and W/2 + J at even W, where
+    chunk W/2 is split into J - 1 boxes and one box of the rest, and J <= n
+    is the first j >= 2 at which vertices 0..j-1 hold an edge and a
+    non-edge (n if none does).  Otherwise it scans one chunk per first
+    weight, W + 1 boxes.  A one-vertex census is answered in closed form and
+    scans no box.  jobs > 1 spreads the boxes over min(jobs, boxes, cpu
+    count) processes; the merge reproduces the serial scan exactly.  Random
+    mode draws `trials` vectors and reads a vertex's adjacency only once
+    some vector gets that far without a tie.  It ignores jobs and
+    prune_symmetry: it always runs in-process and never prunes by symmetry,
+    though `search_report` echoes both fields.  It refuses trials * n(n+1)/2
+    * (1 + (2W+1)//64) above RANDOM_WORK_LIMIT, as the census refuses
+    (W+1)^n * (1 + (2W+1)//64) above SPACE_LIMIT.
     """
 
     max_weight: int | None = None
@@ -170,29 +172,24 @@ def _scan_random(
 def _scan_chunk(args) -> _ChunkStats:
     """Depth-first census of a box: the vectors w with bit w[i] of spans[i] set for every i.
 
-    spans[0] holds one weight, as in every box `_search` hands out.  Prefixes
-    are extended in lexicographic order, so leaves arrive in the order of a
-    plain scan of the box.  Each level builds one tie mask, the weights at
-    which the vertex would tie, and descends only the free weights, lowest
-    first.  The last two levels are one loop.  Level n-2 builds the last
-    vertex's masks over vertices 0..n-3 once per node; for each of its own
-    free weights x it then finds the last vertex's tie mask with a fixed
-    number of big-int operations, whatever n is, and scores the last
-    vertex's free weights in place.  As leaves arrive in scan order, a leaf
-    improves the box's best exactly when its k is smaller, and only then is
-    its weight tuple built.  The walk counts only feasible leaves: `explored`
-    is the box's size, or on a target hit the number of box vectors up to
-    the hit, which is what a plain scan visits before it stops.
+    The box has two or more vertices, and spans[0] holds one weight, as in
+    every box `_search` hands out.  Prefixes are extended in lexicographic
+    order, so leaves arrive in the order of a plain scan of the box.  Each
+    level builds one tie mask, the weights at which the vertex would tie,
+    and descends only the free weights, lowest first.  The last two levels
+    are one loop.  Level n-2 builds the last vertex's masks over vertices
+    0..n-3 once per node; for each of its own free weights x it then finds
+    the last vertex's tie mask with a fixed number of big-int operations,
+    whatever n is, and scores the last vertex's free weights in place.  As
+    leaves arrive in scan order, a leaf improves the box's best exactly when
+    its k is smaller, and only then is its weight tuple built.  The walk
+    counts only feasible leaves: `explored` is the box's size, or on a
+    target hit the number of box vectors up to the hit, which is what a
+    plain scan visits before it stops.
     """
     rows, spans, target_k = args
     n = len(rows)
     stats = _ChunkStats()
-    if n == 1:
-        # one vector with no pair sums: k = 0, so it is the best and any target's hit
-        stats.best = (0, (spans[0].bit_length() - 1,))
-        stats.histogram[0] = stats.explored = 1
-        stats.hit = target_k is not None
-        return stats
     run_count = _run_count
     histogram = stats.histogram
     stop = -1 if target_k is None else target_k
@@ -376,7 +373,7 @@ def _orbit_of_zero(graph: Graph) -> tuple[int, ...]:
                 used[cand] = False
         return False
 
-    orbit = [0] if n else []
+    orbit = [0]
     for target in range(1, n):
         if graph.degree(target) != graph.degree(0):
             continue
@@ -406,14 +403,12 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
     bound = cfg.max_weight if cfg.max_weight is not None else 2 * graph.n
     _check_int(bound, "max_weight", 1)
     if cfg.mode == MODE_EXHAUSTIVE:
-        # each of the (W+1)^n leaves reads sum bitsets of up to 2W+1 bits; one vertex
-        # has no sums but one chunk per first weight, so it counts as (W+1)^2
-        words = 1 + (2 * bound + 1) // 64 if graph.n > 1 else bound + 1
+        # each of the (W+1)^n leaves reads sum bitsets of up to 2W+1 bits
+        words = 1 + (2 * bound + 1) // 64
         if shown := _oversized([bound + 1] * graph.n + [words], SPACE_LIMIT):
             raise ValueError(
                 f"exhaustive work {shown} exceeds {SPACE_LIMIT}: (W+1)^n vectors times "
-                "1 + (2W+1)//64 words each, or (W+1)^2 on one vertex; "
-                "lower max_weight or use random mode"
+                "1 + (2W+1)//64 words each; lower max_weight or use random mode"
             )
     else:
         # a trial draws n weights and ORs one bit per vertex pair into bitsets
@@ -443,9 +438,15 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
     each of them twice when no target is hit, once for its mirror image,
     which comes later in lexicographic order.  Those are the chunks with
     vertex 0 at w0 < W/2 and every other vertex at 0..W; at even W, chunk
-    W/2 contributes its canonical half as the boxes "vertices 0..j-1 at W/2,
-    vertex j at 0..W/2-1, the rest at 0..W" for j = 1..n-1, which count
-    twice too, and the all-W/2 vector, its own image, which counts once.
+    W/2 contributes the boxes "vertices 0..j-1 at W/2, vertex j at
+    0..W/2-1, the rest at 0..W" for j = 1..J-1, which count twice too, and
+    the box "vertices 0..J-1 at W/2, the rest at 0..W", its own image, which
+    counts once.  J is the first j >= 2 at which vertices 0..j-1 hold an
+    edge and a non-edge, or n if there is none.  Every pair at W/2 sums to
+    W, so when J < n every vector of that last box ties; when J = n the box
+    is the all-W/2 vector.  One vertex has W + 1 vectors and no pair sums,
+    each with k = 0, so that census is answered in closed form: (0,) is the
+    best and the hit of any target.
     Symmetry pruning holds the rest of vertex 0's orbit at weights >= w0, a
     bound the mirror does not keep, so when the orbit moves vertex 0 the
     census scans every chunk w0 = 0..W with that bound (the skipped vectors
@@ -473,7 +474,19 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
 def _search(graph: Graph, cfg: SearchConfig) -> SearchResult:
     """`search_min_k` on a configuration that `_validated` has checked and resolved."""
     bound = cfg.max_weight
-    if cfg.mode == MODE_EXHAUSTIVE:
+    if cfg.mode == MODE_RANDOM:
+        rng = random.Random(cfg.rng_seed)
+        vectors = (
+            tuple(rng.randint(0, bound) for _ in range(graph.n))
+            for _ in range(cfg.trials)
+        )
+        total = _scan_random(graph, vectors, cfg.target_k)
+    elif graph.n == 1:
+        # W+1 vectors without pair sums, each with k = 0: (0,) is the best and any target's hit
+        hit = cfg.target_k is not None
+        total = _ChunkStats((0, (0,)), 1 if hit else bound + 1, hit=hit)
+        total.histogram[0] = total.explored
+    else:
         n = graph.n
         rows = [_earlier_split(graph, i) for i in range(n)]
         orbit = _orbit_of_zero(graph) if cfg.prune_symmetry else ()
@@ -493,11 +506,15 @@ def _search(graph: Graph, cfg: SearchConfig) -> SearchResult:
             boxes = ([1 << w0] + [full] * (n - 1) for w0 in range(twinned))
             if bound % 2 == 0:
                 # chunk W/2 is its own image: its vectors whose first weight other than
-                # W/2 is below it count twice too, and the all-W/2 vector once
+                # W/2 is below it count twice too.  Every pair at W/2 sums to W, so once
+                # vertices 0..cut-1 hold an edge (a non-empty nb) and a non-edge (a
+                # non-empty non), every vector left in the chunk ties.  The rest of the
+                # chunk, vertices 0..cut-1 at W/2, is one box, its own image, counted once
                 mid, below = 1 << (bound // 2), (1 << (bound // 2)) - 1
-                split = ([mid] * j + [below] + [full] * (n - 1 - j) for j in range(1, n))
-                boxes = chain(boxes, split, [[mid] * n])
-                twinned += n - 1
+                cut = next((j for j in range(2, n) if all(map(any, zip(*rows[:j])))), n)
+                split = ([mid] * j + [below] + [full] * (n - 1 - j) for j in range(1, cut))
+                boxes = chain(boxes, split, [[mid] * cut + [full] * (n - cut)])
+                twinned += cut - 1
             box_count = twinned + (bound % 2 == 0)
         workers = min(cfg.jobs, box_count, os.cpu_count() or 1) if cfg.jobs > 1 else 1
         tasks = ((rows, spans, cfg.target_k) for spans in boxes)
@@ -518,15 +535,7 @@ def _search(graph: Graph, cfg: SearchConfig) -> SearchResult:
                         yield chunk
 
                 total = _merge_chunks(in_order(), twinned)
-        complete = not total.hit
-    else:
-        rng = random.Random(cfg.rng_seed)
-        vectors = (
-            tuple(rng.randint(0, bound) for _ in range(graph.n))
-            for _ in range(cfg.trials)
-        )
-        total = _scan_random(graph, vectors, cfg.target_k)
-        complete = False
+    complete = cfg.mode == MODE_EXHAUSTIVE and not total.hit
 
     best_k = None
     best_witness = None

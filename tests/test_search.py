@@ -99,6 +99,18 @@ def half_dense_graph(n, rng):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
 
 
+def tie_cut(graph):
+    """J: the first j >= 2 at which vertices 0..j-1 hold an edge and a non-edge, or n."""
+    return next(
+        (
+            j
+            for j in range(2, graph.n)
+            if 0 < sum(graph.has_edge(u, v) for v in range(j) for u in range(v)) < j * (j - 1) // 2
+        ),
+        graph.n,
+    )
+
+
 def sweep_graphs():
     rng = random.Random(2209)
     graphs = [
@@ -202,9 +214,10 @@ class TestExhaustive:
 
     def test_matches_direct_enumeration_at_even_bounds(self):
         # at even W the census splits chunk W/2 into the boxes "vertices 0..j-1
-        # at W/2, vertex j below W/2", which count twice, and the all-W/2
-        # vector, which counts once and is feasible on edgeless and complete
-        # graphs; at n = 1 and 2 the fused last two levels start at the root
+        # at W/2, vertex j below W/2", which count twice, and one box of the
+        # rest, which counts once: on edgeless and complete graphs that is the
+        # all-W/2 vector, which is feasible; at n = 2 the fused last two levels
+        # start at the root, and n = 1 is answered in closed form
         rng = random.Random(2804)
         # on the two 3-vertex graphs only vertex 1 tells vertex 2 from vertex 0,
         # so w = (y, x, y) ties only through the pair of vertices 1 and 2
@@ -246,6 +259,56 @@ class TestExhaustive:
             for jobs in (1, 2):
                 cfg = SearchConfig(max_weight=bound, target_k=1, prune_symmetry=prune, jobs=jobs)
                 assert search_min_k(graph, cfg) == want, cfg
+
+    def test_even_bounds_where_the_all_half_prefix_ties_early(self):
+        # with vertices 0..J-1 at W/2 every pair sums to W, so once they hold an
+        # edge and a non-edge (J < n) the rest of chunk W/2 is one box that ties
+        # throughout and counts once; relabeling a grid moves J
+        rng = random.Random(2911)
+        graphs = []
+        for base in (make_grid([3, 3]), make_grid([2, 4])):
+            perm = rng.sample(range(base.n), base.n)
+            graphs.append(Graph(base.n, [(perm[u], perm[v]) for u, v in base.edges()]))
+        for n, count, seeded in ((6, 3, random.Random(54)), (5, 2, rng), (4, 2, rng)):
+            while count:
+                p = seeded.random()
+                graph = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if seeded.random() < p])
+                if tie_cut(graph) < n:
+                    graphs.append(graph)
+                    count -= 1
+        split_hits = set()
+        for graph in graphs:
+            assert tie_cut(graph) < graph.n, graph.edges()
+            # every graph at W = 2, and larger W while the reference scan stays short
+            for bound in (2, 4, 6, 8):
+                if bound > 2 and (bound + 1) ** graph.n > 10**4:
+                    break
+                full = reference_census(graph, bound)
+                for target_k in (None, 0, 1, 2):
+                    misses = target_k is None or full.best_k is None or full.best_k > target_k
+                    want = full if misses else reference_census(graph, bound, target_k)
+                    cfg = SearchConfig(max_weight=bound, target_k=target_k)
+                    assert search_min_k(graph, cfg) == want, (graph.edges(), cfg)
+                    hit = want.best_witness.weights if not want.exhaustive_within_bound else ()
+                    if hit and 2 * hit[0] == bound:
+                        # the split box "vertices 0..j-1 at W/2, vertex j below W/2" holding the hit
+                        split_hits.add(next(j for j, x in enumerate(hit) if 2 * x != bound))
+        assert split_hits == {1, 2}
+
+    def test_one_vertex_census_is_answered_in_closed_form(self, monkeypatch):
+        # W+1 vectors without pair sums, each with k = 0: no box is scanned and
+        # no pool starts, whatever jobs asks for
+        sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_executor(sizes, []))
+        graph = Graph(1)
+        for bound in range(1, 41):
+            for target_k in (None, 0, 3):
+                for prune in (False, True):
+                    want = reference_census(graph, bound, target_k, prune)
+                    for jobs in (1, 2):
+                        cfg = SearchConfig(max_weight=bound, target_k=target_k, prune_symmetry=prune, jobs=jobs)
+                        assert search_min_k(graph, cfg) == want, cfg
+        assert sizes == []
 
     @pytest.mark.parametrize(
         "graph, bound",
@@ -377,12 +440,12 @@ class TestDeterminismAndJobs:
         sizes.clear()
         assert search_min_k(g, SearchConfig(max_weight=3, jobs=10**6)) == serial
         assert sizes == [3 // 2 + 1]
-        # at even W the pool holds the W/2 chunks below W/2, the n - 1 boxes of
-        # chunk W/2's canonical half and the all-W/2 vector
+        # at even W the pool holds the W/2 chunks below W/2 and chunk W/2 as J
+        # boxes: vertices 0..2 of C_4 hold an edge and a non-edge, so J = 3
         sizes.clear()
         even = SearchConfig(max_weight=4, jobs=10**6)
         assert search_min_k(g, even) == search_min_k(g, replace(even, jobs=1))
-        assert sizes == [4 // 2 + 4]
+        assert sizes == [4 // 2 + 3]
         # vertex 0's orbit on C_4 is every vertex, so a pruned census scans every chunk
         sizes.clear()
         pruned = SearchConfig(max_weight=3, jobs=10**6, prune_symmetry=True)
@@ -393,19 +456,19 @@ class TestDeterminismAndJobs:
         submitted = []
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_executor([], submitted))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        for graph, bound, target_k in ((make_path(1), 300, 0), (make_cycle(5), 30, 2)):
+        for graph, bound, target_k in ((Graph(2, [(0, 1)]), 300, 1), (make_cycle(5), 30, 2)):
             submitted.clear()
             res = search_min_k(graph, SearchConfig(max_weight=bound, target_k=target_k, jobs=2))
             assert not res.exhaustive_within_bound
             hit = res.best_witness.weights[0]
             assert submitted == list(range(len(submitted)))
             assert hit < len(submitted) <= hit + 1 + 2 * 2
-        # with no hit every box is submitted: chunks 0..2, then chunk 3's canonical
-        # half as four boxes and the all-3 vector
+        # with no hit every box is submitted: chunks 0..2, then chunk 3 as two
+        # split boxes and the rest of it, where vertices 0..2 hold an edge and a non-edge
         submitted.clear()
         res = search_min_k(make_cycle(5), SearchConfig(max_weight=6, jobs=2))
         assert res == search_min_k(make_cycle(5), SearchConfig(max_weight=6))
-        assert submitted == [0, 1, 2] + [3] * 5
+        assert submitted == [0, 1, 2] + [3] * 3
 
     def test_early_stops_in_a_pool_shut_down(self):
         # ending a pool while a worker writes a result can hang its shutdown,
@@ -484,17 +547,12 @@ class TestDeterminismAndJobs:
         def chunks(bound, n, first):
             return [[[w0]] + [list(range(bound + 1))] * (n - 1) for w0 in first]
 
-        # at even W, chunk W/2 is split at the first weight other than W/2
+        # at even W, chunk W/2 is split at the first weight other than W/2 until
+        # vertices 0..J-1 hold an edge and a non-edge; on both graphs J = 3
         F, L, M = list(range(7)), [0, 1, 2], [3]
-        c5_even = chunks(6, 5, range(3)) + [
-            [M, L, F, F, F],
-            [M, M, L, F, F],
-            [M, M, M, L, F],
-            [M, M, M, M, L],
-            [M, M, M, M, M],
-        ]
+        c5_even = chunks(6, 5, range(3)) + [[M, L, F, F, F], [M, M, L, F, F], [M, M, M, F, F]]
         F, L, M = list(range(5)), [0, 1], [2]
-        pendant_even = chunks(4, 4, range(2)) + [[M, L, F, F], [M, M, L, F], [M, M, M, L], [M, M, M, M]]
+        pendant_even = chunks(4, 4, range(2)) + [[M, L, F, F], [M, M, L, F], [M, M, M, F]]
         cases = (
             (make_cycle(5), 5, False, chunks(5, 5, range(3))),
             (make_cycle(5), 6, False, c5_even),
@@ -509,12 +567,19 @@ class TestDeterminismAndJobs:
             assert scanned == boxes
             if not prune or orbit_of_zero(graph) == {0}:
                 assert res.explored == (bound + 1) ** graph.n
-                vectors = [vec for box in scanned for vec in product(*box)]
-                # no scanned vector's first weight other than W/2 lies above W/2, and
-                # each mirror pair is scanned once: the all-W/2 vector is its own image
-                for vec in vectors:
+                # at even W the last box is its own image and every vector in it ties;
+                # no other scanned vector's first weight other than W/2 lies above W/2
+                once = scanned[-1:] if bound % 2 == 0 else []
+                twice = [vec for box in scanned[: len(scanned) - len(once)] for vec in product(*box)]
+                last = [vec for box in once for vec in product(*box)]
+                for vec in twice:
                     assert 2 * next((x for x in vec if 2 * x != bound), 0) < bound, vec
-                assert len(set(vectors)) == len(vectors) == ((bound + 1) ** graph.n + (bound % 2 == 0)) // 2
+                for vec in last:
+                    assert isinstance(min_intervals_for_weights(graph, vec), Infeasible), vec
+                # each mirror pair outside the last box is scanned once
+                mirrored = {tuple(bound - x for x in vec) for vec in twice}
+                covered = set(twice) | mirrored | set(last)
+                assert len(covered) == 2 * len(twice) + len(last) == (bound + 1) ** graph.n
 
     def test_target_k_zero_stops_immediately(self):
         res = search_min_k(Graph(3), SearchConfig(max_weight=2, target_k=0))
@@ -705,7 +770,7 @@ class TestValidation:
             search_min_k(make_cycle(3), SearchConfig(max_weight=1000))
 
     def test_rejects_a_one_vertex_space_past_the_limit_at_once(self):
-        # (W+1)^1 = 10^9 is within the limit, but the census would walk 5*10^8 chunks
+        # (W+1)^1 = 10^9 is within the limit, but not times 1 + (2W+1)//64 words
         start = time.perf_counter()
         with pytest.raises(ValueError, match="exceeds"):
             search_min_k(make_path(1), SearchConfig(max_weight=999999999))
@@ -719,15 +784,17 @@ class TestValidation:
         assert time.perf_counter() - start < 1
 
     def test_census_work_limit_boundary(self):
-        # (W+1)^n * (1 + (2W+1)//64) on two or more vertices, (W+1)^2 on one
+        # (W+1)^n * (1 + (2W+1)//64) on every number of vertices
         limit = starpcg.search.SPACE_LIMIT
         for graph, bound in ((Graph(2), 3167), (make_path(3), 415), (make_grid([3, 3]), 9)):
             starpcg.search._validated(graph, SearchConfig(max_weight=bound))
             with pytest.raises(ValueError, match=f"exceeds {limit}"):
                 starpcg.search._validated(graph, SearchConfig(max_weight=bound + 1))
-        starpcg.search._validated(make_path(1), SearchConfig(max_weight=31621))
-        with pytest.raises(ValueError, match=f"work {31623**2} exceeds {limit}"):
-            starpcg.search._validated(make_path(1), SearchConfig(max_weight=31622))
+        start = time.perf_counter()
+        assert search_min_k(make_path(1), SearchConfig(max_weight=178879)).explored == 178880
+        assert time.perf_counter() - start < 1
+        with pytest.raises(ValueError, match=f"work {178881 * 5591} exceeds {limit}"):
+            starpcg.search._validated(make_path(1), SearchConfig(max_weight=178880))
 
     def test_work_figures_print_in_full_up_to_256_bits(self):
         # a work of 41 to 78 digits is printed digit for digit, past 256 bits as 2^N
