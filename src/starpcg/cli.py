@@ -179,18 +179,12 @@ def _cmd_mink(args) -> tuple[str, int]:
         graph = _load_graph(target[0])
     else:
         raise _UsageError("mink expects a graph file, '-', or a family with sizes")
+    from dataclasses import fields
+
     from .search import SearchConfig, format_search_report, search_report
 
-    cfg = SearchConfig(
-        max_weight=args.max_weight,
-        mode=args.mode,
-        trials=args.trials,
-        rng_seed=args.seed,
-        target_k=args.target_k,
-        jobs=args.jobs,
-        prune_symmetry=args.prune_symmetry,
-    )
-    report = search_report(graph, cfg)
+    given = {f.name: getattr(args, f.name) for f in fields(SearchConfig) if hasattr(args, f.name)}
+    report = search_report(graph, SearchConfig(**given))
     return (format_search_report(report) if args.human else _dump(report)), EXIT_OK
 
 
@@ -220,21 +214,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=_int_arg)
     p.set_defaults(run=_cmd_obstruct)
 
-    p = sub.add_parser("mink", help="search weight vectors for the fewest intervals")
+    # Each search option is stored under the SearchConfig field it sets, and one
+    # left out is absent from args, so that field keeps SearchConfig's default;
+    # --human, not a search option, declares its own.
+    p = sub.add_parser(
+        "mink",
+        help="search weight vectors for the fewest intervals",
+        argument_default=argparse.SUPPRESS,
+    )
     p.add_argument("target", nargs="+", help="graph file, '-', or family with sizes")
-    p.add_argument("--max-weight", type=_int_arg, default=None)
-    p.add_argument("--mode", choices=SEARCH_MODES, default=SEARCH_MODES[0])
-    p.add_argument("--trials", type=_int_arg, default=1000)
-    p.add_argument("--seed", type=_int_arg, default=0)
-    p.add_argument("--target-k", type=_int_arg, default=None)
+    p.add_argument("--max-weight", type=_int_arg)
+    p.add_argument("--mode", choices=SEARCH_MODES)
+    p.add_argument("--trials", type=_int_arg)
+    p.add_argument("--seed", type=_int_arg, dest="rng_seed", metavar="SEED")
+    p.add_argument("--target-k", type=_int_arg)
     p.add_argument(
-        "--jobs", type=_int_arg, default=1,
-        help="census worker processes (random mode runs in-process)",
+        "--jobs", type=_int_arg, help="census worker processes (random mode runs in-process)"
     )
     p.add_argument(
         "--prune-symmetry", action="store_true", help="census only (random mode never prunes)"
     )
-    p.add_argument("--human", action="store_true", help="render a text summary instead of JSON")
+    p.add_argument(
+        "--human", action="store_true", default=False, help="render a text summary instead of JSON"
+    )
     p.set_defaults(run=_cmd_mink)
 
     # last, so that -o closes every command's usage line and option list

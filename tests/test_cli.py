@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -33,7 +34,7 @@ from starpcg.cli import (
     VERTEX_BUDGET,
     main,
 )
-from starpcg.search import SPACE_LIMIT
+from starpcg.search import SPACE_LIMIT, SearchConfig, search_report
 
 
 def run_cli(capsys, *argv):
@@ -397,17 +398,16 @@ class TestMink:
 
     @staticmethod
     def _reference_parser():
-        # the mink options as declared with the search layer's own mode names
+        # the mink options as declared with the search layer's own mode names;
+        # --help shows no default, so none is declared here
         p = cli._Parser(prog="starpcg mink")
         p.add_argument("target", nargs="+", help="graph file, '-', or family with sizes")
-        p.add_argument("--max-weight", type=int, default=None)
-        p.add_argument("--mode", choices=(MODE_EXHAUSTIVE, MODE_RANDOM), default=MODE_EXHAUSTIVE)
-        p.add_argument("--trials", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--target-k", type=int, default=None)
-        p.add_argument(
-            "--jobs", type=int, default=1, help="census worker processes (random mode runs in-process)"
-        )
+        p.add_argument("--max-weight", type=int)
+        p.add_argument("--mode", choices=(MODE_EXHAUSTIVE, MODE_RANDOM))
+        p.add_argument("--trials", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--target-k", type=int)
+        p.add_argument("--jobs", type=int, help="census worker processes (random mode runs in-process)")
         p.add_argument(
             "--prune-symmetry", action="store_true", help="census only (random mode never prunes)"
         )
@@ -424,6 +424,27 @@ class TestMink:
         assert out == self._reference_parser().format_help()
         assert "[--mode {exhaustive,random}]" in out
         assert cli.SEARCH_MODES == (MODE_EXHAUSTIVE, MODE_RANDOM)
+
+    @pytest.mark.parametrize(
+        "argv, fields",
+        [
+            ([], {}),
+            (["--max-weight", "4"], {"max_weight": 4}),
+            # neither --trials nor --seed: the library's show in explored and config
+            (["--mode", "random"], {"mode": MODE_RANDOM}),
+            (["--trials", "7"], {"trials": 7}),
+            (["--seed", "3"], {"rng_seed": 3}),
+            (["--target-k", "2"], {"target_k": 2}),
+            (["--jobs", "2"], {"jobs": 2}),
+            (["--prune-symmetry"], {"prune_symmetry": True}),
+        ],
+    )
+    def test_an_option_left_out_keeps_the_search_default(self, capsys, argv, fields):
+        code, out = run_cli(capsys, "mink", "cycle", "5", *argv)
+        assert code == EXIT_OK
+        assert out == json.dumps(search_report(make_cycle(5), SearchConfig(**fields))) + "\n"
+        args = cli.build_parser().parse_args(["mink", "cycle", "5", *argv])
+        assert {f.name for f in dataclasses.fields(SearchConfig)} & vars(args).keys() == fields.keys()
 
     def test_unknown_mode_is_usage_error(self, capsys):
         assert main(["mink", "cycle", "5", "--mode", "bogus"]) == EXIT_USAGE

@@ -123,6 +123,35 @@ def test_sources_parse_as_the_oldest_supported_python():
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
+def test_no_check_is_an_assert():
+    # python -O drops assert statements and code under `if __debug__`, so a
+    # check written either way would vanish there; without them, python -O
+    # runs the same library as the plain interpreter
+    found = []
+    for path in sorted(Path(starpcg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Assert) or getattr(node, "id", None) == "__debug__":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_every_imported_name_is_used():
+    # a change that drops the last use of an import drops the import too
+    found = []
+    for path in sorted(Path(starpcg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
+    assert found == []
+
+
 def test_refusals_quote_values_through_shown():
     # a value formatted with !r in a refusal can run to megabytes, or to
     # Python's int print limit; graphs._shown keeps every refusal short

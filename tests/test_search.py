@@ -476,7 +476,7 @@ class TestDeterminismAndJobs:
         script = (
             "from starpcg import SearchConfig, make_cycle, make_path, search_min_k\n"
             "cases = ((make_cycle(5), 6, 2), (make_cycle(4), 8, 1), (make_path(3), 20, 1),"
-            " (make_path(1), 300, 0))\n"
+            " (make_path(2), 300, 1))\n"
             "for _ in range(30):\n"
             "    for g, w, k in cases:\n"
             "        search_min_k(g, SearchConfig(max_weight=w, target_k=k, jobs=2))\n"
@@ -517,16 +517,21 @@ class TestDeterminismAndJobs:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "BrokenProcessPool\n"
 
-    def test_census_holds_one_chunk_at_a_time(self):
-        # one chunk per first weight: 2*10^4 + 1 chunks must not all be kept
+    def test_census_holds_one_chunk_at_a_time(self, monkeypatch):
+        # two vertices at W = 2000 make 1002 boxes, 1001 of them twinned; each
+        # stand-in box holds a 300-key histogram, about 12 MB if every box were kept
+        def wide_scan(args):
+            return starpcg.search._ChunkStats(explored=300, histogram=dict.fromkeys(range(300), 1))
+
+        monkeypatch.setattr(starpcg.search, "_scan_chunk", wide_scan)
         tracemalloc.start()
         try:
-            res = search_min_k(make_path(1), SearchConfig(max_weight=2 * 10**4))
+            res = search_min_k(make_path(2), SearchConfig(max_weight=2000))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert res.explored == 2 * 10**4 + 1
-        assert res.k_histogram == {0: 2 * 10**4 + 1}
+        assert res.k_histogram == dict.fromkeys(range(300), 1002 + 1001)
+        assert res.explored == 300 * (1002 + 1001)
         assert peak < 10**6
 
     def test_mirror_chunks_are_not_scanned(self, monkeypatch):
