@@ -15,7 +15,7 @@ from typing import Sequence
 
 # Each handler imports the layers it calls once its input files have loaded,
 # so a process loads only what its subcommand needs: `generate` stops at graphs.
-from .graphs import Graph, _oversized, _shown, make_cycle, make_grid, make_path
+from .graphs import Graph, _check_count, _oversized, _shown, make_cycle, make_grid, make_path
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -137,11 +137,11 @@ def _cmd_witness(args) -> tuple[str, int]:
 
 def _cmd_verify(args) -> tuple[str, int]:
     graph = _load_graph(args.graph)
-    from .stars import Witness, _check_sizes, realized_edge_count, verify
+    from .stars import Witness, realized_edge_count, verify
 
     witness = Witness.from_dict(_load_json(args.witness, "witness"))
     # before the budgets: a witness of the wrong size is refused whatever it costs to realize
-    _check_sizes(witness, graph)
+    _check_count(witness.n, graph.n)
     steps = witness.n * min(witness.k, witness.n)
     if steps > STEP_BUDGET:
         raise _UsageError(f"witness needs up to {steps} interval steps; the limit is {STEP_BUDGET}")

@@ -83,11 +83,16 @@ def check_weights(weights: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
+def _check_count(count: int, n: int) -> None:
+    """Raise ValueError unless `count` weights give one per vertex of an n-vertex graph."""
+    if count != n:
+        raise ValueError(f"{count} weights for a graph on {n} vertices")
+
+
 def _check_weight_count(weights: Sequence[int], n: int) -> tuple[int, ...]:
     """`check_weights`, plus one weight per vertex of an n-vertex graph."""
     w = check_weights(weights)
-    if len(w) != n:
-        raise ValueError(f"{len(w)} weights for a graph on {n} vertices")
+    _check_count(len(w), n)
     return w
 
 

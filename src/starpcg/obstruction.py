@@ -11,7 +11,7 @@ independent re-checking.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Collection, Sequence
 
@@ -50,11 +50,11 @@ class Certificate:
     @classmethod
     def from_dict(cls, obj: dict) -> "Certificate":
         try:
-            cert = cls(obj["kind"], obj["x"], tuple(obj["vs"]), tuple(obj["us"]), obj["k"])
+            cert = cls(obj["kind"], obj["x"], obj["vs"], obj["us"], obj["k"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed certificate JSON: {exc}") from exc
         _check_fields(cert)
-        return cert
+        return replace(cert, vs=tuple(cert.vs), us=tuple(cert.us))
 
 
 def _check_fields(cert: Certificate) -> None:

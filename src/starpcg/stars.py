@@ -18,7 +18,7 @@ from itertools import combinations, filterfalse
 from operator import add
 from typing import Sequence
 
-from .graphs import Edge, Graph, _check_weight_count, _shown, check_weights
+from .graphs import Edge, Graph, _check_count, _check_weight_count, _shown, check_weights
 
 Interval = tuple[int, int]
 
@@ -160,12 +160,6 @@ class VerifyReport:
         }
 
 
-def _check_sizes(witness: Witness, graph: Graph) -> None:
-    """Raise ValueError unless `witness` has one weight per vertex of `graph`."""
-    if witness.n != graph.n:
-        raise ValueError(f"witness is for {witness.n} vertices, graph has {graph.n}")
-
-
 def verify(witness: Witness, graph: Graph) -> VerifyReport:
     """Check that the witness realizes exactly `graph`.
 
@@ -173,7 +167,7 @@ def verify(witness: Witness, graph: Graph) -> VerifyReport:
     holding only the extra edges and the target edges hit; an "equal" verdict
     is cross-checked by `realize`, whose graph then has exactly `graph`'s edges.
     """
-    _check_sizes(witness, graph)
+    _check_count(witness.n, graph.n)
     order, blocks = _accepted_blocks(witness)
     extra = []
     hit = set()
@@ -284,7 +278,7 @@ def _first_pairs_at(graph: Graph, w: tuple[int, ...], esums: list[int], s: int) 
         for i in range(bisect_right(bucket, u), len(bucket)):
             if bucket[i] not in nb:
                 return Infeasible(edge=edge, nonedge=(u, bucket[i]))
-    raise AssertionError(f"no non-edge has sum {s}")
+    raise RuntimeError(f"no non-edge has sum {s}")
 
 
 def min_intervals_for_weights(graph: Graph, weights: Sequence[int]) -> Feasible | Infeasible:

@@ -770,7 +770,7 @@ class TestInputBoundary:
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert (code, captured.out) == (EXIT_USAGE, "")
-        assert captured.err == f"starpcg: witness is for {n} vertices, graph has 3\n"
+        assert captured.err == f"starpcg: {n} weights for a graph on 3 vertices\n"
         assert elapsed < 0.5
 
     def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path):

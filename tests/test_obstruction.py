@@ -304,13 +304,17 @@ class TestCheckCertificate:
         with pytest.raises(CertificateError, match=field):
             check_certificate(cert, self.g, self.w)
 
-    def test_non_list_chains_are_rejected(self):
-        for bad, name in (
-            (Certificate(KIND_INTERLEAVING, 0, 5, (), 1), "vs"),
-            (Certificate(KIND_INTERLEAVING, 0, (1, 4), 2, 1), "us"),
-        ):
-            with pytest.raises(CertificateError, match=f"{name} must be a list of vertices"):
-                check_certificate(bad, self.g, self.w)
+    @pytest.mark.parametrize("chain", [5, "12", {"1": 2}, None])
+    @pytest.mark.parametrize("name", ["vs", "us"])
+    def test_non_list_chains_are_rejected(self, name, chain):
+        # from_dict once made a tuple of any iterable first: a string was split
+        # into its characters, a dict gave its keys, and 5 or None escaped as
+        # a plain ValueError instead of a CertificateError
+        fields = {**self.good.to_dict(), name: chain}
+        with pytest.raises(CertificateError, match=f"{name} must be a list of vertices"):
+            check_certificate(Certificate(**fields), self.g, self.w)
+        with pytest.raises(CertificateError, match=f"{name} must be a list of vertices"):
+            Certificate.from_dict(fields)
 
     @pytest.mark.parametrize("field", ["k", "us"])
     def test_bool_k_and_bool_us_entry_are_rejected(self, field):

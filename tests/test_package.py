@@ -126,11 +126,19 @@ def test_sources_parse_as_the_oldest_supported_python():
 def test_no_check_is_an_assert():
     # python -O drops assert statements and code under `if __debug__`, so a
     # check written either way would vanish there; without them, python -O
-    # runs the same library as the plain interpreter
+    # runs the same library as the plain interpreter.  An impossible state is
+    # flagged with RuntimeError, never by raising AssertionError by hand
     found = []
     for path in sorted(Path(starpcg.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Assert) or getattr(node, "id", None) == "__debug__":
+            raised = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(raised, ast.Call):
+                raised = raised.func
+            if (
+                isinstance(node, ast.Assert)
+                or getattr(node, "id", None) == "__debug__"
+                or getattr(raised, "id", None) == "AssertionError"
+            ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
