@@ -5,7 +5,8 @@ non-neighbors u_1, ..., u_k whose weights interleave as
 w(v_1) <= w(u_1) <= w(v_2) <= ... <= w(u_k) <= w(v_{k+1}), then the k+1 edge
 sums at x are separated by the k non-edge sums, so no k intervals realize the
 graph with these weights.  Certificates package such configurations for
-independent re-checking.
+independent re-checking, which walks the chain v_1, u_1, ..., u_k, v_{k+1}
+once.
 """
 
 from __future__ import annotations
@@ -72,7 +73,13 @@ def _check_fields(cert: Certificate) -> None:
 
 
 def check_certificate(cert: Certificate, graph: Graph, weights: Sequence[int]) -> None:
-    """Re-check a certificate from first principles; raise CertificateError if bad."""
+    """Re-check a certificate from first principles; raise CertificateError if bad.
+
+    After the field, weight, pivot, kind and count checks, vs and us must hold
+    2k+1 distinct vertices, and one walk along the chain v_1, u_1, v_2, ...,
+    u_k, v_{k+1} checks the rest: each v is a neighbor of x, each u a vertex
+    of the graph outside N(x) + x, and no weight is below the one before it.
+    """
     _check_fields(cert)
     try:
         w = _check_weight_count(weights, graph.n)
@@ -80,28 +87,27 @@ def check_certificate(cert: Certificate, graph: Graph, weights: Sequence[int]) -
         raise CertificateError(str(exc)) from None
     if cert.x >= graph.n:
         raise CertificateError(f"pivot {_shown(cert.x)} out of range")
-    nb = graph.neighbors(cert.x)
-    if len(set(cert.vs)) != len(cert.vs) or len(set(cert.us)) != len(cert.us):
-        raise CertificateError("repeated vertex in vs or us")
-    for v in cert.vs:
-        if v not in nb:
-            raise CertificateError(f"{_shown(v)} is not a neighbor of pivot {_shown(cert.x)}")
-    for u in cert.us:
-        if u == cert.x or u in nb:
-            raise CertificateError(f"{_shown(u)} is not outside N({_shown(cert.x)}) + pivot")
-        if u >= graph.n:
-            raise CertificateError(f"separator {_shown(u)} out of range")
-
     if cert.kind != KIND_INTERLEAVING:
         raise CertificateError(f"unknown certificate kind {_shown(cert.kind)}")
     if len(cert.vs) != cert.k + 1 or len(cert.us) != cert.k:
         raise CertificateError("interleaving needs k+1 neighbors and k non-neighbors")
-    for i, u in enumerate(cert.us):
-        if not (w[cert.vs[i]] <= w[u] <= w[cert.vs[i + 1]]):
-            raise CertificateError(
-                f"weights do not interleave at position {i}: "
-                f"{_shown(w[cert.vs[i]])}, {_shown(w[u])}, {_shown(w[cert.vs[i + 1]])}"
-            )
+    if len({*cert.vs, *cert.us}) != 2 * cert.k + 1:
+        raise CertificateError("repeated vertex in vs or us")
+    nb = graph.neighbors(cert.x)
+    chain = [0] * (2 * cert.k + 1)
+    chain[::2], chain[1::2] = cert.vs, cert.us
+    for j, y in enumerate(chain):
+        if j % 2 == 0 and y not in nb:
+            raise CertificateError(f"{_shown(y)} is not a neighbor of pivot {_shown(cert.x)}")
+        if j % 2 and (y == cert.x or y in nb):
+            raise CertificateError(f"{_shown(y)} is not outside N({_shown(cert.x)}) + pivot")
+        if y >= graph.n:  # only a separator gets here out of range
+            raise CertificateError(f"separator {_shown(y)} out of range")
+        if j and w[y] < w[chain[j - 1]]:
+            # position i spans v_i, u_i, v_{i+1}; a break at u_i shows the two read so far
+            i = (j - 1) // 2
+            shown = ", ".join(_shown(w[v]) for v in chain[2 * i : j + 1])
+            raise CertificateError(f"weights do not interleave at position {i}: {shown}")
 
 
 def _first_interleaving(

@@ -1,4 +1,4 @@
-"""Closed-form witnesses: pinned small cases, routing, and error guards."""
+"""Closed-form witnesses (pinned small cases, routing, error guards) and pinned 3D and 4D grid witnesses."""
 
 import tracemalloc
 
@@ -12,8 +12,8 @@ from starpcg.constructions import (
     grid_witness,
     path_witness,
 )
-from starpcg.graphs import make_cycle, make_grid, make_path
-from starpcg.stars import Witness, realize, verify
+from starpcg.graphs import GridShape, make_cycle, make_grid, make_path
+from starpcg.stars import Feasible, Witness, min_intervals_for_weights, realize, verify
 
 from helpers import NOT_INTS
 
@@ -200,3 +200,47 @@ class TestGridRouting:
         with pytest.raises(ValueError) as info:
             _construction("grid", sizes)
         assert str(info.value) == "witness generation supports grids with exactly two dimensions"
+
+
+def _two_colour_linear(dims, c):
+    """Weights c.x on the cells whose coordinates sum to an even number, 1000 - c.x on the rest."""
+    weights = []
+    for x in GridShape(dims).coords():
+        cx = sum(a * b for a, b in zip(c, x))
+        weights.append(cx if sum(x) % 2 == 0 else 1000 - cx)
+    return tuple(weights)
+
+
+class TestHigherDimensionalWitnesses:
+    """Upper bounds for 3D and 4D grids, which grid_witness does not build yet."""
+
+    def test_2x2x3_takes_two_intervals(self):
+        # with criterion 12's hexagon certificate, 2x2x3 needs exactly 2
+        grid = make_grid((2, 2, 3))
+        wit = Witness((9, 15, 1, 13, 3, 21, 12, 6, 16, 4, 18, 0), ((16, 18), (21, 24)))
+        assert verify(wit, grid).equal
+        assert min_intervals_for_weights(grid, wit.weights) == Feasible(k=2, intervals=wit.intervals)
+
+    def test_2x3x3_linear_weights(self):
+        assert _two_colour_linear((2, 3, 3), (1, 2, 7)) == (
+            0, 993, 14, 998, 9, 984, 4, 989, 18, 999, 8, 985, 3, 990, 17, 995, 12, 981,
+        )
+
+    @pytest.mark.parametrize(
+        "dims, c, intervals",
+        [
+            ((2, 3, 3), (1, 2, 7), ((993, 993), (998, 1002), (1007, 1007))),
+            ((3, 3, 3), (1, 2, 9), ((991, 991), (998, 999), (1001, 1002), (1009, 1009))),
+            ((2, 2, 2, 2), (1, 2, 6, 12), ((988, 988), (994, 994), (998, 1002), (1006, 1006), (1012, 1012))),
+            (
+                (3, 3, 3, 3),
+                (2, 17, 25, 26),
+                ((974, 975), (983, 983), (998, 998), (1002, 1002), (1017, 1017), (1025, 1026)),
+            ),
+        ],
+    )
+    def test_linear_two_colour_family(self, dims, c, intervals):
+        grid = make_grid(dims)
+        weights = _two_colour_linear(dims, c)
+        assert min_intervals_for_weights(grid, weights) == Feasible(k=len(intervals), intervals=intervals)
+        assert verify(Witness(weights, intervals), grid).equal

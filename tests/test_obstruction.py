@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -242,9 +243,14 @@ class TestCheckCertificate:
             check_certificate(bad, self.g, self.w)
 
     def test_rejects_broken_interleaving(self):
-        bad = Certificate(KIND_INTERLEAVING, 2, (3, 1), (4,), 1)
-        with pytest.raises(CertificateError, match="interleave"):
-            check_certificate(bad, self.g, self.w)
+        # a break at a neighbor shows the position's three weights, a break at
+        # a separator the two read so far, since the next neighbor is unchecked
+        for bad, shown in (
+            (Certificate(KIND_INTERLEAVING, 2, (3, 1), (4,), 1), "4, 5, 2"),
+            (Certificate(KIND_INTERLEAVING, 0, (4, 1), (2,), 1), "5, 3"),
+        ):
+            with pytest.raises(CertificateError, match=f"^weights do not interleave at position 0: {shown}$"):
+                check_certificate(bad, self.g, self.w)
 
     def test_rejects_wrong_counts(self):
         bad = Certificate(KIND_INTERLEAVING, 0, (1, 4), (2,), 2)
@@ -322,6 +328,70 @@ class TestCheckCertificate:
         d[field] = True if field == "k" else [True]
         with pytest.raises(CertificateError, match=field):
             Certificate.from_dict(d)
+
+    @staticmethod
+    def _holds(cert, g, w) -> bool:
+        """The certificate's claim re-derived: roles, ranges, distinctness, sorted chain weights."""
+        x, vs, us, k = cert.x, list(cert.vs), list(cert.us), cert.k
+        if k < 1 or not 0 <= x < g.n or len(vs) != k + 1 or len(us) != k:
+            return False
+        if len(set(vs + us)) != 2 * k + 1:
+            return False
+        if not all(v < g.n and g.has_edge(x, v) for v in vs):
+            return False
+        if not all(u < g.n and u != x and not g.has_edge(x, u) for u in us):
+            return False
+        chain = [w[vs[0]]]
+        for u, v in zip(us, vs[1:]):
+            chain += [w[u], w[v]]
+        return chain == sorted(chain)
+
+    @staticmethod
+    def _mutants(rng, cert, n):
+        """Mutated copies of cert; a swap or a move can still hold.
+
+        A chain vertex swapped (possibly past the last vertex), the pivot moved,
+        k changed, the ends of vs reversed, a separator repeated in place of
+        another chain vertex or appended to us, and vs and us exchanged.
+        """
+        chain = [0] * (2 * cert.k + 1)
+        chain[::2], chain[1::2] = cert.vs, cert.us
+        swapped, repeated = list(chain), list(chain)
+        swapped[rng.randrange(len(chain))] = rng.randrange(n + 2)  # possibly past the last vertex
+        separator = rng.randrange(1, len(chain), 2)
+        repeated[rng.choice([j for j in range(len(chain)) if j != separator])] = chain[separator]
+        return [
+            replace(cert, vs=tuple(swapped[::2]), us=tuple(swapped[1::2])),
+            replace(cert, x=rng.choice([v for v in range(n + 1) if v != cert.x])),
+            replace(cert, k=cert.k + rng.choice((-1, 1))),
+            replace(cert, vs=(cert.vs[-1], *cert.vs[1:-1], cert.vs[0])),
+            replace(cert, vs=tuple(repeated[::2]), us=tuple(repeated[1::2])),
+            replace(cert, us=(*cert.us, chain[separator])),
+            replace(cert, vs=cert.us, us=cert.vs),
+        ]
+
+    def test_accepts_exactly_what_a_rederivation_accepts(self):
+        # the finder's certificates and mutated copies of each, over seeded graphs
+        rng = random.Random(3232)
+        verdicts = {True: 0, False: 0}
+        for _ in range(600):
+            g = random_graph(rng, n_min=3, n_max=12)
+            w = random_weights(rng, g.n, rng.choice([2, 6, 3 * g.n]))
+            for k in (1, 2, 3):
+                cert = interleaving_certificate(g, w, k)
+                if cert is None:
+                    continue
+                for case in [cert, *self._mutants(rng, cert, g.n)]:
+                    expected = self._holds(case, g, w)
+                    try:
+                        check_certificate(case, g, w)
+                    except CertificateError:
+                        assert not expected, (g.to_dict(), w, case)
+                    else:
+                        assert expected, (g.to_dict(), w, case)
+                    verdicts[expected] += 1
+        # both answers are common, so neither side is checked vacuously
+        assert verdicts[True] > 500 and verdicts[False] > 2000, verdicts
 
 
 class TestCycleObstruction:
