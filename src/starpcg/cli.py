@@ -31,10 +31,13 @@ VERTEX_BUDGET = 10**5
 # mismatch against an edgeless graph takes about 2 s and 200 MB peak RSS on
 # the same host; 10^5 equal weights would otherwise realize 5*10^9 edges.
 EDGE_BUDGET = 10**6
-# `verify` refuses n * min(k, n) above this before counting edges: a vertex
-# costs up to min(k+1, n) bisect steps even if no interval holds a pair sum.
-# At the limit, weights 0, 2, ..., 6322 under 6324 odd singletons realize no
-# edge yet take about 5.7 s on the same host (10^5 under 100 intervals: 6 s).
+# `verify` refuses n * min(k, n) above this before counting edges.  The
+# realization walks vertex by vertex, where a vertex costs up to min(k+1, n)
+# bisect steps even if no interval holds a pair sum, or interval by interval
+# when the intervals' position ranges total at most 8n, at two bisects per
+# position (`stars._INTERVAL_WALK_SPAN`); n * min(k, n) bounds both.  At the
+# limit, weights 0, 2, ..., 6322 under 6324 odd singletons realize no edge,
+# walk vertex by vertex, and the command takes about 11 s on the same host.
 STEP_BUDGET = 10**7
 # search.MODE_EXHAUSTIVE and search.MODE_RANDOM, spelled out so that building
 # the parser does not import the search layer.

@@ -1,5 +1,6 @@
 """Witness model: realization, verification, and the minimum-interval oracle."""
 
+import itertools
 import json
 import random
 from collections import Counter
@@ -25,6 +26,7 @@ from starpcg import (
     make_grid,
     make_path,
     min_intervals_for_weights,
+    path_witness,
     realize,
     universal_witness,
     verify,
@@ -484,6 +486,94 @@ class TestRealizeAgainstBruteForce:
         assert 10 < stars_mod.realized_edge_count(wit, 10) <= 10 + 49
         assert stars_mod.realized_edge_count(wit, 50 * 49 // 2) == 50 * 49 // 2
         assert stars_mod.realized_edge_count(wit, 10**9) == 50 * 49 // 2
+
+
+class TestBothWalks:
+    """`_accepted_blocks` walks by interval or by vertex; each walk must realize the same pairs."""
+
+    # the span rule compares an interval-range total of at most n*k with span * n
+    WALKS = {"interval": 10**18, "vertex": -1}
+
+    @staticmethod
+    def _witnesses(rng):
+        """(label, witness, target graph) triples, seeded."""
+        for n in (3, 8, 17, 40):
+            yield "cycle", cycle_witness(n), make_cycle(n)
+            yield "path", path_witness(n), make_path(n)
+        for shape in ((2, 5), (3, 3), (4, 7), (6, 6)):
+            yield "grid", grid_witness(*shape), make_grid(shape)
+        for _ in range(60):
+            n = rng.randint(0, 30)
+            top = rng.choice([3, n + 1, 4 * n + 1])
+            w = random_weights(rng, n, top)
+            cuts = sorted(rng.sample(range(2 * top + 10), 2 * rng.randint(0, 4)))
+            # narrow intervals, each at most 2 wide, placed at the cuts
+            ivs = tuple((a, min(a + rng.randint(0, 2), b)) for a, b in zip(cuts[::2], cuts[1::2]))
+            yield "narrow", Witness(w, ivs), random_graph(rng, n, n)
+        for _ in range(15):
+            n, a = rng.randint(0, 20), rng.randint(0, 9)
+            yield "all-equal", Witness((a,) * n, ((max(0, 2 * a - 1), 2 * a),)), random_graph(rng, n, n)
+        for _ in range(15):
+            n = rng.randint(2, 20)
+            w = random_weights(rng, n, 10)
+            low, high = sorted(w)[:2], sorted(w)[-2:]
+            # one interval below every pair sum, one above: no vertex pair lands in either
+            below = ((0, sum(low) - 1),) if sum(low) > 0 else ()
+            yield "outside", Witness(w, below + ((sum(high) + 1, sum(high) + 5),)), random_graph(rng, n, n)
+        for _ in range(15):
+            n = rng.randint(2, 20)
+            w = random_weights(rng, n, 50)
+            # lo - max(w) is negative, so every range starts at position 0
+            lo = rng.randint(0, max(w))
+            yield "low-start", Witness(w, ((lo, lo + rng.randint(0, 20)),)), random_graph(rng, n, n)
+        for n in (0, 1, 2):
+            for ivs in ((), ((0, 0),), ((0, 3),), ((1, 1), (3, 4))):
+                w = random_weights(rng, n, 2)
+                yield "tiny", Witness(w, ivs), random_graph(rng, n, n)
+        for _ in range(6):
+            g = random_graph(rng, n_min=1, n_max=24)
+            yield "universal", universal_witness(g), g
+
+    @pytest.mark.parametrize("walk", sorted(WALKS))
+    def test_each_walk_matches_brute_force(self, walk, monkeypatch):
+        monkeypatch.setattr(stars_mod, "_INTERVAL_WALK_SPAN", self.WALKS[walk])
+        seen = set()
+        for label, wit, g in self._witnesses(random.Random(97)):
+            if wit.n:
+                _, blocks = stars_mod._accepted_blocks(wit)
+                assert isinstance(blocks, itertools.chain) == (walk == "interval")
+            expected = brute_force_edges(wit.weights, wit.intervals)
+            assert realize(wit).edges() == expected, (label, wit)
+            assert stars_mod.realized_edge_count(wit, len(expected)) == len(expected)
+            realized = set(expected)
+            report = verify(wit, g)
+            assert list(report.missing) == sorted(set(g.edges()) - realized), (label, wit)
+            assert list(report.extra) == sorted(realized - set(g.edges())), (label, wit)
+            assert report.equal == (realized == set(g.edges()))
+            if label in ("cycle", "path", "grid", "universal"):
+                assert report.equal, (label, wit)
+            seen.add((label, bool(expected)))
+        assert {("narrow", True), ("narrow", False), ("all-equal", True), ("outside", False),
+                ("low-start", True), ("tiny", True), ("tiny", False)} <= seen
+
+    @pytest.mark.parametrize("walk", sorted(WALKS))
+    def test_a_count_over_the_limit_overshoots_by_at_most_one_block(self, walk, monkeypatch):
+        monkeypatch.setattr(stars_mod, "_INTERVAL_WALK_SPAN", self.WALKS[walk])
+        rng = random.Random(101)
+        witnesses = [Witness((0,) * 50, ((0, 0),)), cycle_witness(60), grid_witness(9, 9)]
+        witnesses += [Witness(random_weights(rng, 40, 20), ((5, 9), (15, 22), (30, 31))) for _ in range(5)]
+        for wit in witnesses:
+            total = len(brute_force_edges(wit.weights, wit.intervals))
+            for limit in (0, 1, total // 3, total - 1):
+                assert limit < stars_mod.realized_edge_count(wit, limit) <= limit + wit.n - 1
+
+    def test_the_span_rule_walks_constructions_by_interval_and_universal_witnesses_by_vertex(self):
+        rng = random.Random(103)
+        for wit in (cycle_witness(500), path_witness(600), grid_witness(30, 30)):
+            assert isinstance(stars_mod._accepted_blocks(wit)[1], itertools.chain)
+        for n in (120, 300):
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.05])
+            assert not isinstance(stars_mod._accepted_blocks(universal_witness(g))[1], itertools.chain)
 
 
 class TestRealizeThroughGraph:
