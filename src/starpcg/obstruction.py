@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Collection, Sequence
 
-from .graphs import Graph, GridShape, _check_int, _check_weight_count, _shown, make_grid
+from .graphs import Graph, _check_int, _check_weight_count, _shown, make_grid
 
 KIND_INTERLEAVING = "interleaving"
 
@@ -50,9 +50,12 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Certificate":
+        if not isinstance(obj, dict):
+            raise ValueError('certificate JSON must be {"kind": ..., "x": ..., '
+                             '"vs": [...], "us": [...], "k": ...}')
         try:
             cert = cls(obj["kind"], obj["x"], obj["vs"], obj["us"], obj["k"])
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ValueError(f"malformed certificate JSON: {exc}") from exc
         _check_fields(cert)
         return replace(cert, vs=tuple(cert.vs), us=tuple(cert.us))
@@ -111,10 +114,9 @@ def check_certificate(cert: Certificate, graph: Graph, weights: Sequence[int]) -
 
 
 def _first_interleaving(
-    n: int, neighbors: Callable[[int], Collection[int]],
-    w: tuple[int, ...], k: int, pivots: Sequence[int],
+    n: int, neighbors: Callable[[int], Collection[int]], w: tuple[int, ...], k: int
 ) -> Certificate | None:
-    """Interleaving certificate at the first pivot in `pivots` that has one, or None.
+    """Interleaving certificate at the lowest pivot that has one, or None.
 
     The graph has vertices 0..n-1 and `neighbors(x)` is x's neighbor set.
 
@@ -128,7 +130,7 @@ def _first_interleaving(
     # sorting by weight alone is stable, so ids in ascending order give (weight, id)
     order = sorted(range(n), key=w.__getitem__)
     ws = sorted(w)
-    for x in pivots:
+    for x in range(n):
         nb_set = neighbors(x)
         nb = sorted(sorted(nb_set), key=w.__getitem__)
         if len(nb) < k + 1 or n - 1 - len(nb) < k:
@@ -166,7 +168,7 @@ def interleaving_certificate(graph: Graph, weights: Sequence[int], k: int) -> Ce
     """
     _check_int(k, "k", 1)
     w = _check_weight_count(weights, graph.n)
-    return _first_interleaving(graph.n, graph.neighbors, w, k, range(graph.n))
+    return _first_interleaving(graph.n, graph.neighbors, w, k)
 
 
 def cycle_star1_obstruction(n: int, weights: Sequence[int]) -> Certificate:
@@ -183,33 +185,29 @@ def cycle_star1_obstruction(n: int, weights: Sequence[int]) -> Certificate:
     """
     _check_int(n, "n", 5)
     w = _check_weight_count(weights, n)
-    cert = _first_interleaving(n, lambda x: {(x - 1) % n, (x + 1) % n}, w, 1, range(n))
+    cert = _first_interleaving(n, lambda x: {(x - 1) % n, (x + 1) % n}, w, 1)
     if cert is None:
         raise RuntimeError("no star-1 obstruction found for a cycle; this should be unreachable")
     return cert
 
 
 @lru_cache(maxsize=1)
-def _grid4() -> tuple[Graph, tuple[int, ...]]:
-    """The 3x3x3x3 grid and its pivot order: the all-ones center, then every other vertex by id."""
-    shape = GridShape((3, 3, 3, 3))
-    graph = make_grid(shape)
-    center = shape.flat_id((1, 1, 1, 1))
-    return graph, (center, *range(center), *range(center + 1, graph.n))
+def _grid4() -> Graph:
+    """The 3x3x3x3 grid, built once."""
+    return make_grid((3, 3, 3, 3))
 
 
 def grid4d_certificate(weights: Sequence[int]) -> Certificate:
     """Certificate that the 3x3x3x3 grid beats two intervals for these weights.
 
-    Scans the all-ones center first, then every other pivot in id order, with the
-    scan behind `interleaving_certificate`.  The greedy chain is complete for
-    each pivot, so a certificate is found whenever any pivot interleaves; it
-    came from the center exactly when `cert.x` is the center.  A weighting
+    The scan behind `interleaving_certificate`, on a cached grid, so the result
+    is that function's at k = 2.  The greedy chain is complete for each pivot,
+    so a certificate is found whenever any pivot interleaves.  A weighting
     with no interleaving pivot is flagged by raising instead of guessing.
     """
-    graph, pivots = _grid4()
+    graph = _grid4()
     w = _check_weight_count(weights, graph.n)
-    cert = _first_interleaving(graph.n, graph.neighbors, w, 2, pivots)
+    cert = _first_interleaving(graph.n, graph.neighbors, w, 2)
     if cert is None:
         raise RuntimeError(
             "no star-2 obstruction certificate found for this 3x3x3x3 weighting; "

@@ -202,8 +202,9 @@ def verify(witness: Witness, graph: Graph) -> VerifyReport:
     holding only the extra edges and the target edges hit; an "equal" verdict
     is cross-checked by `realize`, whose graph then has exactly `graph`'s edges.
     Each of the two walks costs what `_accepted_blocks` states: interval by
-    interval, O(R log n) for interval ranges totalling R <= 8n positions;
-    vertex by vertex beyond, O(min(k, n) log n) per vertex plus its output.
+    interval, O(R log n) for interval ranges totalling
+    R <= _INTERVAL_WALK_SPAN * n positions; vertex by vertex beyond,
+    O(min(k, n) log n) per vertex plus its output.
     The blocks come in no fixed order; `extra` is sorted and `missing`
     follows `graph`'s sorted edges, so the report does not depend on it.
     """

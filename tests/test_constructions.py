@@ -202,12 +202,12 @@ class TestGridRouting:
         assert str(info.value) == "witness generation supports grids with exactly two dimensions"
 
 
-def _two_colour_linear(dims, c):
-    """Weights c.x on the cells whose coordinates sum to an even number, 1000 - c.x on the rest."""
+def _two_colour_linear(dims, c, base=1000):
+    """Weights c.x on the cells whose coordinates sum to an even number, base - c.x on the rest."""
     weights = []
     for x in GridShape(dims).coords():
         cx = sum(a * b for a, b in zip(c, x))
-        weights.append(cx if sum(x) % 2 == 0 else 1000 - cx)
+        weights.append(cx if sum(x) % 2 == 0 else base - cx)
     return tuple(weights)
 
 
@@ -226,6 +226,19 @@ class TestHigherDimensionalWitnesses:
             0, 993, 14, 998, 9, 984, 4, 989, 18, 999, 8, 985, 3, 990, 17, 995, 12, 981,
         )
 
+    def test_2x2xn_linear_weights_take_three_intervals(self):
+        # c.x is injective on 2x2xn.  An opposite-parity pair sums to base + c.(x - x'),
+        # which is base +- 1, 2 or 7 exactly on grid edges and otherwise base +- 4, 6,
+        # 8, 10 or at least 12 away.  Same-parity sums stay at most 14n - 8 or at
+        # least 2 base - 14n + 8, outside [base - 7, base + 7] once base >= 14n: base
+        # 1000 holds while n <= 71, and base 14n for every n
+        for n, base in [*((n, 1000) for n in range(2, 65)), (72, 14 * 72), (500, 14 * 500)]:
+            intervals = ((base - 7, base - 7), (base - 2, base + 2), (base + 7, base + 7))
+            grid = make_grid((2, 2, n))
+            weights = _two_colour_linear((2, 2, n), (1, 2, 7), base)
+            assert verify(Witness(weights, intervals), grid).equal, n
+            assert min_intervals_for_weights(grid, weights) == Feasible(k=3, intervals=intervals), n
+
     @pytest.mark.parametrize(
         "dims, c, intervals",
         [
@@ -237,6 +250,7 @@ class TestHigherDimensionalWitnesses:
                 (2, 17, 25, 26),
                 ((974, 975), (983, 983), (998, 998), (1002, 1002), (1017, 1017), (1025, 1026)),
             ),
+            ((4, 4, 4), (6, 10, 11), ((989, 990), (994, 994), (1006, 1006), (1010, 1011))),
         ],
     )
     def test_linear_two_colour_family(self, dims, c, intervals):

@@ -62,16 +62,17 @@ def _center_interleaves(weights) -> bool:
     return interleaving_certificate(CENTER_STAR, weights, 2) is not None
 
 
-def _center_defeating_weights(rng: random.Random) -> tuple[int, ...]:
-    """Distinct ranked weights on the center's neighbors; the rest avoid the band.
+def _pivot_defeating_weights(rng: random.Random, pivot: int) -> tuple[int, ...]:
+    """Distinct ranked weights on the pivot's neighbors; the rest avoid the band.
 
     Every other vertex lands below the band, above it, or strictly inside one
-    chosen gap between consecutive ranks, so the center rarely interleaves.
+    chosen gap between consecutive ranks, so the pivot rarely interleaves.
     Only a tie with the band's lowest or highest weight can let it succeed.
     """
-    band = sorted(rng.sample(range(60, 960, 10), 8))
-    ranked = rng.sample(sorted(GRID4.neighbors(CENTER)), 8)
-    gap = rng.choice([None, 1, 2, 3, 4, 5, 6, 7])
+    degree = len(GRID4.neighbors(pivot))
+    band = sorted(rng.sample(range(60, 960, 10), degree))
+    ranked = rng.sample(sorted(GRID4.neighbors(pivot)), degree)
+    gap = rng.choice([None, *range(1, degree)])
     places = ("below", "above") + (("gap",) if gap else ())
     w = [0] * 81
     for v, b in zip(ranked, band):
@@ -88,7 +89,7 @@ def _center_defeating_weights(rng: random.Random) -> tuple[int, ...]:
 
 
 def _assert_generic_search(weights) -> None:
-    """Without a center chain the result is the lowest pivot that interleaves."""
+    """The result is the lowest pivot that interleaves, here past the defeated center."""
     cert = grid4d_certificate(weights)
     assert cert == interleaving_certificate(GRID4, weights, 2)
     assert cert.x != CENTER
@@ -286,8 +287,14 @@ class TestCheckCertificate:
         d = self.good.to_dict()
         assert d == {"kind": "interleaving", "x": 0, "vs": [1, 4], "us": [2], "k": 1}
         assert Certificate.from_dict(d) == self.good
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="malformed certificate JSON: 'x'"):
             Certificate.from_dict({"kind": "interleaving"})
+
+    @pytest.mark.parametrize("obj", [[1, 2], "interleaving", 5, None])
+    def test_non_object_json_names_the_expected_shape(self, obj):
+        # a list once leaked "list indices must be integers or slices, not str"
+        with pytest.raises(ValueError, match=r'^certificate JSON must be \{"kind": \.\.\., "x"'):
+            Certificate.from_dict(obj)
 
     @pytest.mark.parametrize(
         "payload, field",
@@ -472,16 +479,17 @@ class TestCycleObstruction:
         # the two pivots of the proof in cycle_star1_obstruction's docstring
         rng = random.Random(29)
         for n in range(5, 41):
-            g = make_cycle(n)
             for _ in range(50):
                 w = random_weights(rng, n, rng.choice([3, n, 1000]))
                 a = w.index(min(w))
+                # each star keeps one pivot's cycle neighbours, and only that pivot can interleave
                 pivots = ((a - 1) % n, (a + 1) % n)
-                assert obstruction_mod._first_interleaving(n, g.neighbors, w, 1, pivots) is not None, w
+                stars = [Graph(n, [(p, (p - 1) % n), (p, (p + 1) % n)]) for p in pivots]
+                assert any(interleaving_certificate(star, w, 1) is not None for star in stars), w
 
 
 class TestGrid4dCertificate:
-    """The center pivot first, then the generic pivot search in id order."""
+    """The generic pivot scan, in id order, on a cached 3x3x3x3 grid."""
 
     def test_flat_id_weighting(self):
         w = tuple(range(81))
@@ -511,9 +519,8 @@ class TestGrid4dCertificate:
         rng = random.Random(7)
         draws, defeated = 300, 0
         for _ in range(draws):
-            w = _center_defeating_weights(rng)
+            w = _pivot_defeating_weights(rng, CENTER)
             if _center_interleaves(w):
-                assert grid4d_certificate(w).x == CENTER
                 continue
             defeated += 1
             _assert_generic_search(w)
@@ -530,22 +537,37 @@ class TestGrid4dCertificate:
             check_certificate(cert, GRID4, w)
             assert _oracle_needs_at_least(GRID4, w, 3)
 
-    def test_matches_a_fresh_scan(self):
-        # the cached grid and pivot order give the certificate of a plain scan
-        # on a freshly built grid, center (flat id 40) first
-        grid, pivots = make_grid((3, 3, 3, 3)), (40, *range(81))
-        rng = random.Random(53)
-        for i in range(60):
-            w = random_weights(rng, 81, 4 if i % 3 == 0 else 1000)
-            assert grid4d_certificate(w) == obstruction_mod._first_interleaving(
-                grid.n, grid.neighbors, w, 2, pivots
-            ), w
+    def test_seeded_pivot0_failing_weightings(self):
+        # vertex 0's neighbours 1, 3, 9 and 27 hold the band, so the scan
+        # usually runs past pivot 0 on the grid
+        rng = random.Random(11)
+        draws, moved = 200, 0
+        for i in range(draws):
+            w = _pivot_defeating_weights(rng, 0)
+            cert = grid4d_certificate(w)
+            assert cert == interleaving_certificate(GRID4, w, 2), w
+            check_certificate(cert, GRID4, w)
+            moved += cert.x > 0
+            if i % 20 == 0:
+                assert _oracle_needs_at_least(GRID4, w, 3)
+        assert moved >= draws // 2
 
-    def test_pivot_order_starts_at_the_center_and_repeats_no_vertex(self):
-        # a center that fails once fails again, so it is scanned once
-        _, pivots = obstruction_mod._grid4()
-        assert pivots[0] == CENTER
-        assert sorted(pivots) == list(range(81))
+    def test_matches_a_fresh_scan(self):
+        # the cached grid gives the certificate of the public scan on a freshly built grid
+        grid = make_grid((3, 3, 3, 3))
+        rng = random.Random(53)
+        families = (
+            lambda: random_weights(rng, 81, 4),
+            lambda: tuple(rng.sample(range(10**12), 81)),
+            lambda: _pivot_defeating_weights(rng, CENTER),
+            lambda: _pivot_defeating_weights(rng, 0),
+        )
+        for draw in families:
+            for _ in range(80):
+                w = draw()
+                cert = grid4d_certificate(w)
+                assert cert == interleaving_certificate(grid, w, 2), w
+                check_certificate(cert, grid, w)
 
     def test_flags_when_no_pivot_interleaves(self, monkeypatch):
         monkeypatch.setattr(obstruction_mod, "_first_interleaving", lambda *a: None)
