@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, filterfalse, repeat
-from operator import add, lt, sub
+from operator import add, countOf, lt, sub
 from typing import Sequence
 
 from .graphs import Edge, Graph, _check_count, _check_weight_count, _shown, check_weights
@@ -301,24 +301,28 @@ def _pair_counts_by_loop(hist: Counter) -> dict[int, int]:
     return counts
 
 
-def _first_pairs_at(graph: Graph, w: tuple[int, ...], esums: list[int], s: int) -> Infeasible:
+def _first_pairs_at(graph: Graph, w: tuple[int, ...], esums: list[int], s: int, hist: Counter) -> Infeasible:
     """The lexicographically first edge and first non-edge with weight sum s.
 
-    `esums[i]` is the weight sum of the i-th edge in `graph`'s sorted edge order.
+    `esums[i]` is the weight sum of the i-th edge in `graph`'s sorted edge
+    order and `hist` counts the vertices of each weight.  Candidates u, those
+    whose partner weight t = s - w[u] occurs, are visited in increasing order.
+    Each earlier candidate had no non-edge partner, so every partner of u
+    below u is a neighbour of u: u has a non-edge partner, then above u,
+    exactly when its partners outnumber its neighbours of weight t.  Only that
+    candidate scans `w` past u, so the cost is O(n + m).
     """
     us, vs = graph._endpoints()
     at = esums.index(s)
     edge = (us[at], vs[at])
-    n = graph.n
-    buckets: dict[int, list[int]] = {}
-    for v in range(n):
-        buckets.setdefault(w[v], []).append(v)
-    for u in range(n):
-        bucket = buckets.get(s - w[u], ())
+    for u in compress(range(graph.n), map(hist.__contains__, map(sub, repeat(s), w))):
+        t = s - w[u]
         nb = graph.neighbors(u)
-        for i in range(bisect_right(bucket, u), len(bucket)):
-            if bucket[i] not in nb:
-                return Infeasible(edge=edge, nonedge=(u, bucket[i]))
+        if hist[t] - (t == w[u]) > countOf(map(w.__getitem__, nb), t):
+            v = w.index(t, u + 1)
+            while v in nb:
+                v = w.index(t, v + 1)
+            return Infeasible(edge=edge, nonedge=(u, v))
     raise RuntimeError(f"no non-edge has sum {s}")
 
 
@@ -363,7 +367,7 @@ def min_intervals_for_weights(graph: Graph, weights: Sequence[int]) -> Feasible 
                 classes[s - base] = 1
             sums = range(base, base + len(classes))
     if tie is not None:
-        return _first_pairs_at(graph, w, esums, tie)
+        return _first_pairs_at(graph, w, esums, tie, hist)
     runs = _edge_runs(classes, sums)
     return Feasible(k=len(runs), intervals=tuple(runs))
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 from collections import Counter
 from enum import IntEnum
 
@@ -336,6 +337,62 @@ def _weight_cases(rng):
         yield "perturbed", g, tuple(w)
 
 
+def _matching(N):
+    """Edges and weights: i and N+i weigh i and 4N-i and are joined, 2N and 2N+1 weigh N and 3N and are not.
+
+    Every edge sums to S = 4N and (2N, 2N+1) is the one non-edge at S, so the
+    2N vertices before it are candidates of the tie report whose partners are
+    all neighbours.
+    """
+    return [(i, N + i) for i in range(N)], (*range(N), *(4 * N - i for i in range(N)), N, 3 * N)
+
+
+def _relabelled(rng, n, edges, w):
+    """The graph on `edges` with weights `w` under a random permutation of the vertex ids."""
+    perm = rng.sample(range(n), n)
+    out = [0] * n
+    for v, x in zip(perm, w):
+        out[v] = x
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges]), tuple(out)
+
+
+def _matching_cases(rng):
+    """Seeded (label, graph, weights) ties at S = 4N, in vertex order and relabelled.
+
+    Relabelling puts partners below a candidate.  The variants add partners of
+    equal weight (t = w[u], at S/2 = 2N), join all but a few pairs, and give
+    the weights N and 3N several vertices each, so several candidates of one
+    weight fail the partner-count test.
+    """
+    for _ in range(8):
+        N = rng.randint(1, 20)
+        edges, w = _matching(N)
+        n = 2 * N + 2
+        g = rng.randint(2, 5)
+        clique = list(itertools.combinations(range(n, n + g), 2))
+        pairs = list(itertools.combinations(range(n), 2))
+        dropped = {(2 * N, 2 * N + 1), *rng.sample(pairs, rng.randint(0, 3))}
+        j = rng.randint(2, 4)
+        cross = list(itertools.product(range(2 * N, 2 * N + j), range(2 * N + j, 2 * N + 2 * j)))
+        variants = [
+            ("matching", n, edges, w),
+            # the one non-edge at S lies inside a clique of weight S/2
+            ("equal partners", n + g, [*edges, (2 * N, 2 * N + 1), *clique[1:]], w + (2 * N,) * g),
+            # the clique is whole, so its candidates pass and (2N, 2N+1) is found
+            ("equal partners", n + g, [*edges, *clique], w + (2 * N,) * g),
+            ("near-complete", n, [p for p in pairs if p not in dropped], w),
+            (
+                "several failing",
+                2 * N + 2 * j,
+                [*edges, *rng.sample(cross, rng.randint(0, len(cross) - 1))],
+                w[: 2 * N] + (N,) * j + (3 * N,) * j,
+            ),
+        ]
+        for label, size, es, ws in variants:
+            yield label, Graph(size, es), ws
+            yield label + ", relabelled", *_relabelled(rng, size, es, ws)
+
+
 class TestOracleAgainstReference:
     """The sum-table oracle returns exactly what the sort-based oracle did."""
 
@@ -347,7 +404,8 @@ class TestOracleAgainstReference:
         if divisor is not None:
             monkeypatch.setattr(stars_mod, "_SQUARE_SPAN_DIVISOR", divisor)
         seen = set()
-        for label, g, w in _weight_cases(random.Random(41)):
+        cases = itertools.chain(_weight_cases(random.Random(41)), _matching_cases(random.Random(43)))
+        for label, g, w in cases:
             if divisor == 0 and w and max(w) - min(w) > 10**4:
                 continue
             res = min_intervals_for_weights(g, w)
@@ -355,6 +413,29 @@ class TestOracleAgainstReference:
             seen.add((label, type(res).__name__))
         assert {("0..n", "Feasible"), ("0..n", "Infeasible"), ("2^i", "Feasible")} <= seen
         assert ("construction", "Feasible") in seen and ("all-equal", "Infeasible") in seen
+        for label in ("matching", "equal partners", "near-complete", "several failing"):
+            assert {(label, "Infeasible"), (label + ", relabelled", "Infeasible")} <= seen
+
+    def test_the_tie_report_takes_linear_time(self):
+        # 2N candidates pass the partner-count test before 2N fails it; a scan
+        # of each candidate's later partners without that test is quadratic
+        # here and took 1 to 2 s already at N = 10^4
+        N = 10**5
+        edges, w = _matching(N)
+        g = Graph(2 * N + 2, edges)
+        esums = [w[u] + w[v] for u, v in g.edges()]
+        start = time.perf_counter()
+        res = stars_mod._first_pairs_at(g, w, esums, 4 * N, Counter(w))
+        elapsed = time.perf_counter() - start
+        assert res == Infeasible(edge=(0, N), nonedge=(2 * N, 2 * N + 1))
+        assert elapsed < 10
+
+    def test_a_sum_without_a_non_edge_is_flagged(self):
+        edges, w = _matching(6)
+        g = Graph(14, [*edges, (12, 13)])
+        esums = [w[u] + w[v] for u, v in g.edges()]
+        with pytest.raises(RuntimeError, match="^no non-edge has sum 24$"):
+            stars_mod._first_pairs_at(g, w, esums, 24, Counter(w))
 
     def test_span_rule_takes_both_paths(self, monkeypatch):
         squared = []
