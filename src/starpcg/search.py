@@ -19,14 +19,14 @@ from .graphs import Graph, _check_int, _oversized, _shown
 from .stars import Feasible, Witness, min_intervals_for_weights
 
 # Bounds the census's (W+1)^n * (1 + (2W+1)//64) leaf word operations.  It
-# does not see tie pruning, so the slowest censuses it accepts are on graphs
-# that seldom tie.  Single runs on a 2-vCPU x86-64 host, with figures that
-# vary with the host's load (earlier runs of one census differed by up to
-# 1.7x): Graph(2) at W = 3167, the largest two-vertex census, took 21 s;
-# path 3 at W = 415 took 62 s, path 4 at W = 124 took 135 s, and path 5 at
-# W = 53 took 186 s, the slowest measured with edges.  An edgeless graph
-# never ties: Graph(9) at W = 9 took 363 s, and only a node budget that the
-# walk counts would bound it.
+# sees neither tie pruning nor the census's counting up to translation, so
+# the slowest censuses it accepts are on graphs that seldom tie.  Single runs
+# of the relative census on a 2-vCPU x86-64 host, with figures that vary with
+# the host's load: Graph(2) at W = 3167, the largest two-vertex census, took
+# 0.02 s; path 3 at W = 415 took 0.47 s, path 4 at W = 124 took 3.7 s, and
+# path 5 at W = 53 took 16 s, the slowest measured with edges.  An edgeless
+# graph never ties: Graph(9) at W = 9 took 262 s, and only a node budget that
+# the walk counts would bound it.
 SPACE_LIMIT = 10**9
 # Bounds random mode's trials * n(n+1)/2 * (1 + (2W+1)//64) word operations.
 # The slowest request it accepts, in a single run on the same host, is
@@ -43,19 +43,25 @@ class SearchConfig:
     """Search parameters; identical configs give identical results.
 
     max_weight defaults to 2n when left unset.  target_k stops the scan at
-    the first vector (in scan order) achieving at most target_k intervals.
-    The exhaustive census scans boxes of vectors in lexicographic order.
-    Unless symmetry pruning moves vertex 0, it scans only the canonical half
-    under the mirror w -> W - w, the vectors whose first weight other than
-    W/2 is below W/2: W//2 + 1 boxes at odd W and W/2 + J at even W, where
-    chunk W/2 is split into J - 1 boxes and one box of the rest, and J <= n
-    is the first j >= 2 at which vertices 0..j-1 hold an edge and a
-    non-edge (n if none does).  Otherwise it scans one chunk per first
-    weight, W + 1 boxes.  A one-vertex census is answered in closed form and
-    scans no box.  jobs > 1 spreads the boxes over min(jobs, boxes, cpu
-    count) processes; the merge reproduces the serial scan exactly.  Random
-    mode draws `trials` vectors and reads a vertex's adjacency only once
-    some vector gets that far without a tie.  It ignores jobs and
+    the first vector (in lexicographic order) achieving at most target_k
+    intervals.  J <= n is the first j >= 2 at which vertices 0..j-1 hold an
+    edge and a non-edge (n if none does).  Without a target, the exhaustive
+    census counts each vector once up to translation: it scans relative
+    vectors, vertex 0 at W in offset weights 0..2W and every span at most W.
+    Unless symmetry pruning moves vertex 0, it scans J boxes, the canonical
+    half under the mirror u -> 2W - u, and counts the first J - 1 twice;
+    otherwise it scans one box.  With a target, it scans boxes of vectors in
+    lexicographic order.  Unless symmetry pruning moves vertex 0, it scans
+    only the canonical half under the mirror w -> W - w, the vectors whose
+    first weight other than W/2 is below W/2: W//2 + 1 boxes at odd W and
+    W/2 + J at even W, where chunk W/2 is split into J - 1 boxes and one box
+    of the rest.  Otherwise it scans one chunk per first weight, W + 1
+    boxes.  A one-vertex census is answered in closed form and scans no box.
+    jobs > 1 spreads the boxes over min(jobs, boxes, cpu count) processes,
+    and without a target the first box is split by vertex 1's weight; the
+    merge reproduces the serial scan exactly.  Random mode draws `trials`
+    vectors and reads a vertex's adjacency only once some vector gets that
+    far without a tie.  It ignores jobs and
     prune_symmetry: it always runs in-process and never prunes by symmetry,
     though `search_report` echoes both fields.  It refuses trials * n(n+1)/2
     * (1 + (2W+1)//64) above RANDOM_WORK_LIMIT, as the census refuses
@@ -172,7 +178,8 @@ def _scan_random(
 def _scan_chunk(args) -> _ChunkStats:
     """Depth-first census of a box: the vectors w with bit w[i] of spans[i] set for every i.
 
-    The box has two or more vertices, and spans[0] holds one weight, as in
+    It serves runs with a target (`_scan_relative` serves the rest).  The
+    box has two or more vertices, and spans[0] holds one weight, as in
     every box `_search` hands out.  Prefixes are extended in lexicographic
     order, so leaves arrive in the order of a plain scan of the box.  Each
     level builds one tie mask, the weights at which the vertex would tie,
@@ -192,7 +199,6 @@ def _scan_chunk(args) -> _ChunkStats:
     stats = _ChunkStats()
     run_count = _run_count
     histogram = stats.histogram
-    stop = -1 if target_k is None else target_k
     last = n - 1
     w = [0] * n
     # the last vertex's earlier neighbours and non-neighbours other than vertex
@@ -280,7 +286,7 @@ def _scan_chunk(args) -> _ChunkStats:
                     w[last - 1] = x
                     w[last] = low_last.bit_length() - 1
                     stats.best = (k, tuple(w))
-                    if k <= stop:
+                    if k <= target_k:
                         stats.hit = True
                         return True
                 free_last ^= low_last
@@ -298,14 +304,139 @@ def _scan_chunk(args) -> _ChunkStats:
     return stats
 
 
+def _scan_relative(args) -> _ChunkStats:
+    """Census of a box of vectors up to translation, for runs without a target.
+
+    Adding c to every weight adds 2c to every pair sum, which keeps every
+    tie and run count, so the walk places one vector of each translation
+    class: vertex 0 at W, in offset weights 0..2W, and every later vertex
+    in the window [hi - W, lo + W] around the prefix's lowest weight lo and
+    highest weight hi, so that the span stays at most W.  A leaf u of span
+    hi - lo stands for its W + 1 - (hi - lo) translates in {0..W}^n, and
+    adds that many to the histogram.  The box is given as in `_scan_chunk`,
+    spans[0] = {W}, and the walk is the same: one tie mask per level, the
+    last two levels fused.  The lexicographically first translate of u is
+    u - lo, and that of its mirror image (w -> W - w) is hi - u; both are
+    compared as base-(W+1) integer keys, key(u) - lo * R and hi * R - key(u)
+    with R = key(1, ..., 1), and a tuple is built only for the box's best.
+    `explored` is left at 0: the caller knows the size of the space.
+    """
+    rows, spans, bound = args
+    n = len(rows)
+    B = bound + 1
+    R = (B**n - 1) // bound
+    run_count = _run_count
+    # k is at most the number of edges, below n * n
+    hist = [0] * (n * n)
+    best_k = n * n
+    best_key = 0
+    last = n - 1
+    w = [0] * n
+    nb_last, non_last = rows[last]
+    adj = last - 1 in nb_last
+    nb_last, non_last = (nb_last[:-1], non_last) if adj else (nb_last, non_last[:-1])
+    span_last = spans[last]
+    S = max(spans).bit_length()
+
+    def descend(i: int, E: int, N: int, lo: int, hi: int, key: int) -> None:
+        nonlocal best_k, best_key
+        nb, non = rows[i]
+        ae = an = T = 0
+        for j in nb:
+            wj = w[j]
+            ae |= 1 << wj
+            T |= N >> wj
+        for j in non:
+            wj = w[j]
+            an |= 1 << wj
+            T |= E >> wj
+        # the window [hi - W, lo + W] keeps the span at most W
+        free = 0 if ae & an else spans[i] & ~T & ((1 << (lo + B)) - (1 << (hi - bound)))
+        if i < last - 1:
+            while free:
+                low = free & -free
+                x = low.bit_length() - 1
+                w[i] = x
+                descend(i + 1, E | ae << x, N | an << x, lo if lo < x else x, hi if hi > x else x, key * B + x)
+                free ^= low
+            return
+        if not free:
+            return
+        # the fused last two levels, as in `_scan_chunk`
+        if adj:
+            side, fixed = N, an
+        else:
+            side, fixed = E, ae
+        la = ln = 0
+        for j in nb_last:
+            wj = w[j]
+            la |= 1 << wj
+            fixed |= N >> wj
+        for j in non_last:
+            wj = w[j]
+            ln |= 1 << wj
+            fixed |= E >> wj
+        if la & ln or not span_last & ~fixed:
+            return
+        free &= ~(ln if adj else la)
+        if not free:
+            return
+        C = 0
+        for j in nb_last:
+            C |= an << (S - w[j])
+        for j in non_last:
+            C |= ae << (S - w[j])
+        while free:
+            low = free & -free
+            x = low.bit_length() - 1
+            lo2 = lo if lo < x else x
+            hi2 = hi if hi > x else x
+            window = (1 << (lo2 + B)) - (1 << (hi2 - bound))
+            free_last = span_last & ~(fixed | (C << x) >> S | side >> x) & window
+            if free_last:
+                E1 = E | ae << x
+                N1 = N | an << x
+                ae1, an1 = (la | low, ln) if adj else (la, ln | low)
+                base = (key * B + x) * B
+            while free_last:
+                low_last = free_last & -free_last
+                k = run_count(E1 | ae1 * low_last, N1 | an1 * low_last)
+                y = low_last.bit_length() - 1
+                lo3 = lo2 if lo2 < y else y
+                hi3 = hi2 if hi2 > y else y
+                hist[k] += B - hi3 + lo3
+                if k <= best_k:
+                    first = base + y - lo3 * R
+                    image = hi3 * R - base - y
+                    if image < first:
+                        first = image
+                    if k < best_k or first < best_key:
+                        best_k = k
+                        best_key = first
+                free_last ^= low_last
+            free ^= low
+
+    descend(0, 0, 0, bound, bound, 0)
+    stats = _ChunkStats(histogram={k: c for k, c in enumerate(hist) if c})
+    if best_k < n * n:
+        digits = []
+        for _ in range(n):
+            best_key, d = divmod(best_key, B)
+            digits.append(d)
+        stats.best = (best_k, tuple(reversed(digits)))
+    return stats
+
+
 def _merge_chunks(chunks: Iterable[_ChunkStats], twinned: int) -> _ChunkStats:
     """Fold per-box stats in scan order, drawing none past the first target hit.
 
     When no box hits the target, the first `twinned` boxes count twice: once
-    for themselves and once for their unscanned mirror images.  The boxes
-    arrive in lexicographic order, and every unscanned vector comes after
-    every scanned one, so the first hit among the scanned boxes is the first
-    hit of a plain scan and every vector before it was scanned.
+    for themselves and once for their unscanned mirror images.  Lexicographic
+    boxes arrive in order, and every unscanned vector comes after every
+    scanned one, so the first hit among the scanned boxes is the first hit
+    of a plain scan and every vector before it was scanned.  Relative boxes
+    never hit, and the fold only sums histograms and keeps the least
+    (k, vector), so their order does not matter.
     """
     total = _ChunkStats()
     twins = _ChunkStats()
@@ -425,43 +556,63 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
 def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
     """Scan weight vectors in {0..W}^n for the fewest intervals realizing `graph`.
 
-    Exhaustive mode is a census in lexicographic order over boxes, each a
-    product of per-vertex weight sets with vertex 0 at one weight, scanned in
-    turn or by a pool of min(jobs, boxes, cpu count) processes.  The pool
-    keeps at most two boxes per worker in flight, submitting one more for
-    each result it takes in scan order, and a worker that dies raises
-    `BrokenProcessPool`.  Boxes are folded as they arrive, so the scan stops
-    at the first target hit.  This function alone decides the boxes.
-    Mapping every weight w to W - w maps each sum s to 2W - s and keeps
-    every tie and run count, so the census scans only the canonical half,
-    the vectors whose first weight other than W/2 lies below W/2, and counts
-    each of them twice when no target is hit, once for its mirror image,
-    which comes later in lexicographic order.  Those are the chunks with
-    vertex 0 at w0 < W/2 and every other vertex at 0..W; at even W, chunk
-    W/2 contributes the boxes "vertices 0..j-1 at W/2, vertex j at
-    0..W/2-1, the rest at 0..W" for j = 1..J-1, which count twice too, and
-    the box "vertices 0..J-1 at W/2, the rest at 0..W", its own image, which
-    counts once.  J is the first j >= 2 at which vertices 0..j-1 hold an
-    edge and a non-edge, or n if there is none.  Every pair at W/2 sums to
-    W, so when J < n every vector of that last box ties; when J = n the box
-    is the all-W/2 vector.  One vertex has W + 1 vectors and no pair sums,
-    each with k = 0, so that census is answered in closed form: (0,) is the
-    best and the hit of any target.
-    Symmetry pruning holds the rest of vertex 0's orbit at weights >= w0, a
-    bound the mirror does not keep, so when the orbit moves vertex 0 the
-    census scans every chunk w0 = 0..W with that bound (the skipped vectors
-    are not counted).  A box places weights vertex by vertex and skips every
-    prefix whose edge and non-edge sums already tie, so its cost grows with
-    the number of tie-free prefixes, not with (W+1)^n.  The edge sums and
-    the non-edge sums are two integer bitsets.  Entering a level costs one
-    shifted OR per earlier vertex into a tie mask that marks every tying
-    weight at once, so the level visits only its free weights; backing out
-    of a prefix undoes nothing.  The last two levels are fused: for each
-    free weight of vertex n-2 the last vertex's tie mask takes a fixed number
-    of whole-integer operations, and its free weights are scored in the same
-    loop (`_run_count`); a weight tuple is built only when the box's best
-    improves.  The explored count follows from the boxes and the hit, and
-    every explored vector outside the histogram is infeasible; every count,
+    Exhaustive mode is a census over boxes, each a product of per-vertex
+    weight sets with vertex 0 at one weight, scanned in turn or by a pool of
+    min(jobs, boxes, cpu count) processes.  The pool keeps at most two boxes
+    per worker in flight, submitting one more for each result it takes in
+    order, and a worker that dies raises `BrokenProcessPool`.  Boxes are
+    folded as they arrive.  This function alone decides the boxes.  Adding
+    c to every weight adds 2c to every pair sum, and mapping every weight w
+    to W - w maps each sum s to 2W - s; both keep every tie and run count.
+    J is the first j >= 2 at which vertices 0..j-1 hold an edge and a
+    non-edge, or n if there is none; once vertices 0..J-1 share one weight,
+    every pair among them has the same sum, so when J < n every vector left
+    ties.
+    Without a target, the census counts each vector once up to translation
+    (`_scan_relative`).  It scans relative vectors, vertex 0 at W in offset
+    weights 0..2W with every span at most W, and a leaf of span R stands for
+    its W + 1 - R translates.  Under the mirror u -> 2W - u it scans the
+    canonical half, the vectors whose first weight other than W is below W:
+    the boxes "vertices 1..j-1 at W, vertex j below W, the rest free" for
+    j = 1..J-1, which count twice, and the box "vertices 0..J-1 at W", its
+    own image, which counts once.  A pool gets the first box split by vertex
+    1's weight.  Symmetry pruning holds the rest of vertex 0's orbit at
+    weights >= vertex 0's, a bound that the mirror does not keep, so when
+    the orbit moves vertex 0 the census is one box with the orbit at W..2W
+    and no mirror.  The explored count is the size of the space: (W+1)^n,
+    or the sum over w0 of (W+1-w0)^(|orbit|-1) (W+1)^(n-|orbit|) under that
+    pruning.  The witness is the lexicographically first vector with the
+    best k, the least over those leaves of the translate with minimum 0 and
+    that of its mirror image.  Under pruning that moves vertex 0 this is
+    still the pruned space's first: the first best vector of {0..W}^n has
+    no orbit vertex below vertex 0, or an automorphism taking that vertex
+    to 0 would give an earlier one.
+    With a target, the census scans lexicographic boxes in order
+    (`_scan_chunk`) and stops at the first hit, so the explored count and
+    the histogram are those of a plain scan up to the hit.  It scans the
+    canonical half under w -> W - w, the vectors whose first weight other
+    than W/2 lies below W/2, and counts each of them twice when no target
+    is hit, once for its mirror image, which comes later in lexicographic
+    order.  Those are the chunks with vertex 0 at w0 < W/2 and every other
+    vertex at 0..W; at even W, chunk W/2 contributes the boxes "vertices
+    0..j-1 at W/2, vertex j at 0..W/2-1, the rest at 0..W" for j = 1..J-1,
+    which count twice too, and the box "vertices 0..J-1 at W/2, the rest at
+    0..W", its own image, which counts once.  When pruning moves vertex 0
+    it scans every chunk w0 = 0..W with the rest of the orbit at w0..W.
+    One vertex has W + 1 vectors and no pair sums, each with k = 0, so that
+    census is answered in closed form: (0,) is the best and the hit of any
+    target.
+    Both kernels place weights vertex by vertex and skip every prefix whose
+    edge and non-edge sums already tie, so their cost grows with the number
+    of tie-free prefixes, not with (W+1)^n.  The edge sums and the non-edge
+    sums are two integer bitsets.  Entering a level costs one shifted OR per
+    earlier vertex into a tie mask that marks every tying weight at once,
+    so the level visits only its free weights; backing out of a prefix
+    undoes nothing.  The last two levels are fused: for each free weight of
+    vertex n-2 the last vertex's tie mask takes a fixed number of
+    whole-integer operations, and its free weights are scored in the same
+    loop (`_run_count`); a weight tuple is built only for a box's best.
+    Every explored vector outside the histogram is infeasible; every count,
     the histogram and the witness match a plain vector-by-vector scan.
     Random mode draws `trials` vectors from a seeded generator and scores
     each with the same bitsets, stopping at its first tie.  Ties on the
@@ -490,51 +641,85 @@ def _search(graph: Graph, cfg: SearchConfig) -> SearchResult:
         n = graph.n
         rows = [_earlier_split(graph, i) for i in range(n)]
         orbit = _orbit_of_zero(graph) if cfg.prune_symmetry else ()
-        full = (1 << (bound + 1)) - 1
-        if len(orbit) > 1:
-            # the orbit bound w >= w0 does not survive the mirror, so pruned scans are full:
-            # chunk w0 holds vertex 0 at w0, the rest of its orbit at w0..W, others at 0..W
-            boxes = (
-                [1 << w0] + [full >> w0 << w0 if v in orbit else full for v in range(1, n)]
-                for w0 in range(bound + 1)
-            )
-            box_count, twinned = bound + 1, 0
+        # J: once vertices 0..J-1 at one weight hold an edge (a non-empty nb) and a
+        # non-edge (a non-empty non), every pair among them has the same sum and ties
+        cut = next((j for j in range(2, n) if all(map(any, zip(*rows[:j])))), n)
+        workers = min(cfg.jobs, os.cpu_count() or 1)
+        if cfg.target_k is None:
+            # relative vectors: vertex 0 at W in offset weights 0..2W
+            scan, extra = _scan_relative, (bound,)
+            mid, below, full = 1 << bound, (1 << bound) - 1, (1 << (2 * bound + 1)) - 1
+            if len(orbit) > 1:
+                # the orbit bound does not survive the mirror: one box, the rest of
+                # vertex 0's orbit at weights >= W, counting the vectors of {0..W}^n
+                # whose orbit weighs at least w0 (`search_min_k` says why its witness
+                # may still come from a mirror image)
+                boxes = [[mid] + [full >> bound << bound if v in orbit else full for v in range(1, n)]]
+                twinned, m = 0, len(orbit)
+                explored = sum(t ** (m - 1) for t in range(1, bound + 2)) * (bound + 1) ** (n - m)
+            else:
+                # the canonical half under the mirror u -> 2W - u, whose first weight
+                # other than W is below W, counts twice; the box past the cut is its
+                # own image and counts once
+                boxes = [[mid] * j + [below] + [full] * (n - 1 - j) for j in range(1, cut)]
+                boxes.append([mid] * cut + [full] * (n - cut))
+                twinned, explored = cut - 1, (bound + 1) ** n
+            box_count = len(boxes)
+            if workers > 1:
+                # a pool gets the first box split by vertex 1's weight
+                first = boxes.pop(0)
+                weights = [x for x in range(first[1].bit_length()) if first[1] >> x & 1]
+                if twinned:
+                    twinned += len(weights) - 1
+                box_count += len(weights) - 1
+                boxes = chain(([first[0], 1 << x, *first[2:]] for x in weights), boxes)
         else:
-            # the canonical half under the mirror w -> W - w: the chunks w0 < W/2
-            # count twice, for themselves and for their images above W/2
-            twinned = (bound + 1) // 2
-            boxes = ([1 << w0] + [full] * (n - 1) for w0 in range(twinned))
-            if bound % 2 == 0:
-                # chunk W/2 is its own image: its vectors whose first weight other than
-                # W/2 is below it count twice too.  Every pair at W/2 sums to W, so once
-                # vertices 0..cut-1 hold an edge (a non-empty nb) and a non-edge (a
-                # non-empty non), every vector left in the chunk ties.  The rest of the
-                # chunk, vertices 0..cut-1 at W/2, is one box, its own image, counted once
-                mid, below = 1 << (bound // 2), (1 << (bound // 2)) - 1
-                cut = next((j for j in range(2, n) if all(map(any, zip(*rows[:j])))), n)
-                split = ([mid] * j + [below] + [full] * (n - 1 - j) for j in range(1, cut))
-                boxes = chain(boxes, split, [[mid] * cut + [full] * (n - cut)])
-                twinned += cut - 1
-            box_count = twinned + (bound % 2 == 0)
-        workers = min(cfg.jobs, box_count, os.cpu_count() or 1) if cfg.jobs > 1 else 1
-        tasks = ((rows, spans, cfg.target_k) for spans in boxes)
+            scan, extra = _scan_chunk, (cfg.target_k,)
+            full = (1 << (bound + 1)) - 1
+            if len(orbit) > 1:
+                # the orbit bound w >= w0 does not survive the mirror, so pruned scans are full:
+                # chunk w0 holds vertex 0 at w0, the rest of its orbit at w0..W, others at 0..W
+                boxes = (
+                    [1 << w0] + [full >> w0 << w0 if v in orbit else full for v in range(1, n)]
+                    for w0 in range(bound + 1)
+                )
+                box_count, twinned = bound + 1, 0
+            else:
+                # the canonical half under the mirror w -> W - w: the chunks w0 < W/2
+                # count twice, for themselves and for their images above W/2
+                twinned = (bound + 1) // 2
+                boxes = ([1 << w0] + [full] * (n - 1) for w0 in range(twinned))
+                if bound % 2 == 0:
+                    # chunk W/2 is its own image: its vectors whose first weight other than
+                    # W/2 is below it count twice too.  Every vector left once vertices
+                    # 0..cut-1 sit at W/2 ties, and that rest is one box, its own image,
+                    # counted once
+                    mid, below = 1 << (bound // 2), (1 << (bound // 2)) - 1
+                    split = ([mid] * j + [below] + [full] * (n - 1 - j) for j in range(1, cut))
+                    boxes = chain(boxes, split, [[mid] * cut + [full] * (n - cut)])
+                    twinned += cut - 1
+                box_count = twinned + (bound % 2 == 0)
+        workers = min(workers, box_count)
+        tasks = ((rows, spans, *extra) for spans in boxes)
         if workers == 1:
-            total = _merge_chunks(map(_scan_chunk, tasks), twinned)
+            total = _merge_chunks(map(scan, tasks), twinned)
         else:
             # imported here: loading concurrent.futures.process costs every process about 30 ms
             from concurrent.futures import ProcessPoolExecutor
 
             # leaving the block waits for the boxes still in flight after an early stop
             with ProcessPoolExecutor(workers) as pool:
-                window = deque(pool.submit(_scan_chunk, t) for t in islice(tasks, 2 * workers))
+                window = deque(pool.submit(scan, t) for t in islice(tasks, 2 * workers))
 
                 def in_order():
                     while window:
                         chunk = window.popleft().result()
-                        window.extend(pool.submit(_scan_chunk, t) for t in islice(tasks, 1))
+                        window.extend(pool.submit(scan, t) for t in islice(tasks, 1))
                         yield chunk
 
                 total = _merge_chunks(in_order(), twinned)
+        if cfg.target_k is None:
+            total.explored = explored
     complete = cfg.mode == MODE_EXHAUSTIVE and not total.hit
 
     best_k = None

@@ -238,6 +238,49 @@ class TestExhaustive:
                         if graph.n == 5 and target_k is None:
                             assert search_min_k(graph, replace(cfg, jobs=2)) == want, (graph.edges(), cfg)
 
+    def test_relative_census_matches_direct_enumeration(self, monkeypatch):
+        # a census without a target counts each vector once up to translation; it
+        # must agree field for field with folding the oracle over {0..W}^n, at odd
+        # and even W, on graphs whose orbit moves vertex 0 (cycles, complete and
+        # edgeless graphs) or not, and with the first box split for a pool, which
+        # runs in-process here
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_executor([], []))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rng = random.Random(3607)
+        for n in range(2, 7):
+            complete = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            graphs = [Graph(n), Graph(n, complete), half_dense_graph(n, rng), half_dense_graph(n, rng)]
+            if n >= 3:
+                graphs.append(make_cycle(n))
+            for graph in graphs:
+                for bound in (2, 3) if n == 6 else (rng.choice((1, 3, 5)), rng.choice((2, 4))):
+                    for prune in (False, True):
+                        want = reference_census(graph, bound, None, prune)
+                        for jobs in (1, 2):
+                            cfg = SearchConfig(max_weight=bound, prune_symmetry=prune, jobs=jobs)
+                            assert search_min_k(graph, cfg) == want, (graph.edges(), cfg)
+
+    def test_slowest_accepted_small_censuses_run_at_once(self):
+        # the largest two-vertex census and the largest path-3 census under
+        # SPACE_LIMIT took 21 s and 62 s when every translate was scored apart
+        start = time.perf_counter()
+        for graph, bound in ((Graph(2), 3167), (Graph(2, [(0, 1)]), 3167), (make_path(3), 415)):
+            res = search_min_k(graph, SearchConfig(max_weight=bound))
+            size = bound + 1
+            assert res.explored == size**graph.n and res.exhaustive_within_bound
+            if graph.n == 2:
+                # one pair sum, never tied: k is the number of edges
+                assert res.k_histogram == {len(graph.edges()): size**2} and res.infeasible_count == 0
+            else:
+                # the non-edge {0, 2} ties unless w1 differs from w0 and w2; it lies
+                # between the two edge sums exactly when w1 lies between w0 and w2
+                outside = sum(w1 * w1 + (bound - w1) ** 2 for w1 in range(size))
+                between = sum(2 * w1 * (bound - w1) for w1 in range(size))
+                assert res.k_histogram == {1: outside, 2: between}
+            assert verify(res.best_witness, graph).equal
+            assert res.best_witness.weights == ((0, 0) if graph.n == 2 else (0, 1, 0))
+        assert time.perf_counter() - start < 10
+
     @pytest.mark.parametrize(
         "edges, bound, hit",
         [
@@ -386,7 +429,7 @@ class TestRunCount:
 
 
 def inline_executor(sizes, submitted):
-    """A ProcessPoolExecutor stand-in: records its size and each chunk's w0, and scans in-process."""
+    """A ProcessPoolExecutor stand-in: records its size and each box's spans, and scans in-process."""
 
     class InlineExecutor:
         def __init__(self, max_workers):
@@ -399,7 +442,7 @@ def inline_executor(sizes, submitted):
             return False
 
         def submit(self, func, task):
-            submitted.append(task[1][0].bit_length() - 1)
+            submitted.append(task[1])
             future = concurrent.futures.Future()
             future.set_result(func(task))
             return future
@@ -435,22 +478,30 @@ class TestDeterminismAndJobs:
         serial = search_min_k(g, SearchConfig(max_weight=3, jobs=1))
         assert sizes == []
         assert search_min_k(g, SearchConfig(max_weight=3, jobs=10**6)) == serial
-        assert all(size <= min(3 + 1, os.cpu_count() or 1) for size in sizes)
+        assert all(size <= min(3 + 2, os.cpu_count() or 1) for size in sizes)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        sizes.clear()
-        assert search_min_k(g, SearchConfig(max_weight=3, jobs=10**6)) == serial
-        assert sizes == [3 // 2 + 1]
-        # at even W the pool holds the W/2 chunks below W/2 and chunk W/2 as J
-        # boxes: vertices 0..2 of C_4 hold an edge and a non-edge, so J = 3
-        sizes.clear()
-        even = SearchConfig(max_weight=4, jobs=10**6)
-        assert search_min_k(g, even) == search_min_k(g, replace(even, jobs=1))
-        assert sizes == [4 // 2 + 3]
-        # vertex 0's orbit on C_4 is every vertex, so a pruned census scans every chunk
+        # vertices 0..2 of C_4 hold an edge and a non-edge, so J = 3: the pool gets the
+        # box "vertex 1 below W" split into W boxes by vertex 1's weight, the box
+        # "vertex 1 at W, vertex 2 below W", and the box "vertices 0..2 at W"
+        for bound in (3, 4):
+            sizes.clear()
+            cfg = SearchConfig(max_weight=bound, jobs=10**6)
+            assert search_min_k(g, cfg) == search_min_k(g, replace(cfg, jobs=1))
+            assert sizes == [bound + 2]
+        # vertex 0's orbit on C_4 is every vertex, so a pruned census is one box, split
+        # by vertex 1's weight, W..2W
         sizes.clear()
         pruned = SearchConfig(max_weight=3, jobs=10**6, prune_symmetry=True)
         assert search_min_k(g, pruned) == search_min_k(g, replace(pruned, jobs=1))
         assert sizes == [3 + 1]
+        # a target run scans lexicographic chunks: the W//2 + 1 chunks w0 <= W/2 at
+        # odd W, the W/2 chunks below W/2 and chunk W/2 as J boxes at even W, and
+        # every chunk when pruning moves vertex 0; C_4 never gets k = 0, so every box runs
+        for bound, prune, count in ((3, False, 3 // 2 + 1), (4, False, 4 // 2 + 3), (3, True, 3 + 1)):
+            sizes.clear()
+            cfg = SearchConfig(max_weight=bound, target_k=0, prune_symmetry=prune, jobs=10**6)
+            assert search_min_k(g, cfg) == search_min_k(g, replace(cfg, jobs=1))
+            assert sizes == [count]
 
     def test_pool_feed_stays_near_the_fold(self, monkeypatch):
         submitted = []
@@ -461,14 +512,18 @@ class TestDeterminismAndJobs:
             res = search_min_k(graph, SearchConfig(max_weight=bound, target_k=target_k, jobs=2))
             assert not res.exhaustive_within_bound
             hit = res.best_witness.weights[0]
-            assert submitted == list(range(len(submitted)))
+            assert [spans[0].bit_length() - 1 for spans in submitted] == list(range(len(submitted)))
             assert hit < len(submitted) <= hit + 1 + 2 * 2
-        # with no hit every box is submitted: chunks 0..2, then chunk 3 as two
-        # split boxes and the rest of it, where vertices 0..2 hold an edge and a non-edge
+        # with no target every box is submitted: vertex 0 sits at W = 6, the box
+        # "vertex 1 below W" comes split by vertex 1's weight, then "vertex 1 at W,
+        # vertex 2 below W" and "vertices 0..2 at W", where vertices 0..2 hold an
+        # edge and a non-edge
         submitted.clear()
         res = search_min_k(make_cycle(5), SearchConfig(max_weight=6, jobs=2))
         assert res == search_min_k(make_cycle(5), SearchConfig(max_weight=6))
-        assert submitted == [0, 1, 2] + [3] * 3
+        F, L, M = (1 << 13) - 1, (1 << 6) - 1, 1 << 6
+        split = [[M, 1 << x, F, F, F] for x in range(6)]
+        assert submitted == split + [[M, M, L, F, F], [M, M, M, F, F]]
 
     def test_early_stops_in_a_pool_shut_down(self):
         # ending a pool while a worker writes a result can hang its shutdown,
@@ -498,12 +553,12 @@ class TestDeterminismAndJobs:
             "import starpcg.search\n"
             "from concurrent.futures.process import BrokenProcessPool\n"
             "from starpcg import SearchConfig, make_cycle, search_min_k\n"
-            "scan = starpcg.search._scan_chunk\n"
+            "scan = starpcg.search._scan_relative\n"
             "def dying_scan(args):\n"
-            "    if args[1][0].bit_length() - 1 == 1:\n"
+            "    if args[1][1] == 1 << 1:\n"
             "        os._exit(1)\n"
             "    return scan(args)\n"
-            "starpcg.search._scan_chunk = dying_scan\n"
+            "starpcg.search._scan_relative = dying_scan\n"
             "try:\n"
             "    search_min_k(make_cycle(5), SearchConfig(max_weight=6, jobs=2))\n"
             "except BrokenProcessPool:\n"
@@ -518,15 +573,16 @@ class TestDeterminismAndJobs:
         assert proc.stdout == "BrokenProcessPool\n"
 
     def test_census_holds_one_chunk_at_a_time(self, monkeypatch):
-        # two vertices at W = 2000 make 1002 boxes, 1001 of them twinned; each
-        # stand-in box holds a 300-key histogram, about 12 MB if every box were kept
+        # a target run scans lexicographic chunks: two vertices at W = 2000 make
+        # 1002 boxes, 1001 of them twinned, and no leaf of the path reaches k = 0;
+        # each stand-in box holds a 300-key histogram, about 12 MB if every box were kept
         def wide_scan(args):
             return starpcg.search._ChunkStats(explored=300, histogram=dict.fromkeys(range(300), 1))
 
         monkeypatch.setattr(starpcg.search, "_scan_chunk", wide_scan)
         tracemalloc.start()
         try:
-            res = search_min_k(make_path(2), SearchConfig(max_weight=2000))
+            res = search_min_k(make_path(2), SearchConfig(max_weight=2000, target_k=0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -535,56 +591,57 @@ class TestDeterminismAndJobs:
         assert peak < 10**6
 
     def test_mirror_chunks_are_not_scanned(self, monkeypatch):
-        # the mirror w -> W - w keeps every count, so a census scans one vector of
-        # each mirror pair; the orbit bound of a pruned census does not survive the
-        # mirror, so there every chunk is scanned
+        # a census without a target scans relative vectors, vertex 0 at W in offset
+        # weights 0..2W and a span of at most W, each standing for its translates;
+        # the mirror u -> 2W - u keeps every count, so it scans one vector of each
+        # mirror pair, except in the last box, which is its own image and counts
+        # once.  The orbit bound of a pruned census does not survive the mirror, so
+        # there the census is one box with no mirror
         scanned = []
-        scan = starpcg.search._scan_chunk
+        scan = starpcg.search._scan_relative
 
         def recording_scan(args):
             scanned.append([[x for x in range(span.bit_length()) if span >> x & 1] for span in args[1]])
             return scan(args)
 
-        monkeypatch.setattr(starpcg.search, "_scan_chunk", recording_scan)
+        monkeypatch.setattr(starpcg.search, "_scan_relative", recording_scan)
         pendant = sweep_graphs()[0]
         assert orbit_of_zero(pendant) == {0}
-
-        def chunks(bound, n, first):
-            return [[[w0]] + [list(range(bound + 1))] * (n - 1) for w0 in first]
-
-        # at even W, chunk W/2 is split at the first weight other than W/2 until
-        # vertices 0..J-1 hold an edge and a non-edge; on both graphs J = 3
-        F, L, M = list(range(7)), [0, 1, 2], [3]
-        c5_even = chunks(6, 5, range(3)) + [[M, L, F, F, F], [M, M, L, F, F], [M, M, M, F, F]]
-        F, L, M = list(range(5)), [0, 1], [2]
-        pendant_even = chunks(4, 4, range(2)) + [[M, L, F, F], [M, M, L, F], [M, M, M, F]]
-        cases = (
-            (make_cycle(5), 5, False, chunks(5, 5, range(3))),
-            (make_cycle(5), 6, False, c5_even),
-            (make_cycle(5), 5, True, [[[w0]] + [list(range(w0, 6))] * 4 for w0 in range(6)]),
-            (pendant, 5, True, chunks(5, 4, range(3))),
-            (pendant, 4, True, pendant_even),
-        )
-        for graph, bound, prune, boxes in cases:
+        cycle = make_cycle(5)
+        assert orbit_of_zero(cycle) == set(range(5))
+        for graph, bound, prune in product((cycle, pendant), (4, 5, 6), (False, True)):
+            if graph is cycle and bound == 4:
+                continue
             scanned.clear()
-            cfg = SearchConfig(max_weight=bound, prune_symmetry=prune, jobs=1)
-            res = search_min_k(graph, cfg)
-            assert scanned == boxes
-            if not prune or orbit_of_zero(graph) == {0}:
-                assert res.explored == (bound + 1) ** graph.n
-                # at even W the last box is its own image and every vector in it ties;
-                # no other scanned vector's first weight other than W/2 lies above W/2
-                once = scanned[-1:] if bound % 2 == 0 else []
-                twice = [vec for box in scanned[: len(scanned) - len(once)] for vec in product(*box)]
-                last = [vec for box in once for vec in product(*box)]
-                for vec in twice:
-                    assert 2 * next((x for x in vec if 2 * x != bound), 0) < bound, vec
-                for vec in last:
-                    assert isinstance(min_intervals_for_weights(graph, vec), Infeasible), vec
-                # each mirror pair outside the last box is scanned once
-                mirrored = {tuple(bound - x for x in vec) for vec in twice}
-                covered = set(twice) | mirrored | set(last)
-                assert len(covered) == 2 * len(twice) + len(last) == (bound + 1) ** graph.n
+            res = search_min_k(graph, SearchConfig(max_weight=bound, prune_symmetry=prune))
+            n = graph.n
+            F, L, M, U = list(range(2 * bound + 1)), list(range(bound)), [bound], list(range(bound, 2 * bound + 1))
+            orbit = orbit_of_zero(graph) if prune else {0}
+            if len(orbit) > 1:
+                # one box: vertex 0 at W and the rest of its orbit at W..2W
+                assert scanned == [[M] + [U if v in orbit else F for v in range(1, n)]]
+            else:
+                # "vertex 1 below W", "vertex 1 at W, vertex 2 below W", then
+                # "vertices 0..2 at W": on both graphs vertices 0..2 hold an edge and a non-edge
+                assert scanned == [[M, L] + [F] * (n - 2), [M, M, L] + [F] * (n - 3), [M] * 3 + [F] * (n - 3)]
+            covered = Counter()
+            mirror = len(orbit) == 1
+            for index, box in enumerate(scanned):
+                twice = mirror and index < len(scanned) - 1
+                for u in product(*box):
+                    lo, hi = min(u), max(u)
+                    if hi - lo > bound:
+                        continue
+                    if mirror and not twice:
+                        # every vector of the last box ties: its vertices 0..2 share one weight
+                        assert isinstance(min_intervals_for_weights(graph, u), Infeasible), u
+                    for t in range(bound - (hi - lo) + 1):
+                        covered[tuple(x - lo + t for x in u)] += 1
+                        if twice:
+                            covered[tuple(hi - x + t for x in u)] += 1
+            space = [v for v in product(range(bound + 1), repeat=n) if all(v[o] >= v[0] for o in orbit)]
+            assert covered == dict.fromkeys(space, 1), (graph.edges(), bound, prune)
+            assert res.explored == len(space)
 
     def test_target_k_zero_stops_immediately(self):
         res = search_min_k(Graph(3), SearchConfig(max_weight=2, target_k=0))
