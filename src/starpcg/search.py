@@ -42,30 +42,19 @@ MODE_RANDOM = "random"
 class SearchConfig:
     """Search parameters; identical configs give identical results.
 
-    max_weight defaults to 2n when left unset.  target_k stops the scan at
-    the first vector (in lexicographic order) achieving at most target_k
-    intervals.  J <= n is the first j >= 2 at which vertices 0..j-1 hold an
-    edge and a non-edge (n if none does).  Without a target, the exhaustive
-    census counts each vector once up to translation: it scans relative
-    vectors, vertex 0 at W in offset weights 0..2W and every span at most W.
-    Unless symmetry pruning moves vertex 0, it scans J boxes, the canonical
-    half under the mirror u -> 2W - u, and counts the first J - 1 twice;
-    otherwise it scans one box.  With a target, it scans boxes of vectors in
-    lexicographic order.  Unless symmetry pruning moves vertex 0, it scans
-    only the canonical half under the mirror w -> W - w, the vectors whose
-    first weight other than W/2 is below W/2: W//2 + 1 boxes at odd W and
-    W/2 + J at even W, where chunk W/2 is split into J - 1 boxes and one box
-    of the rest.  Otherwise it scans one chunk per first weight, W + 1
-    boxes.  A one-vertex census is answered in closed form and scans no box.
-    jobs > 1 spreads the boxes over min(jobs, boxes, cpu count) processes,
-    and without a target the first box is split by vertex 1's weight; the
-    merge reproduces the serial scan exactly.  Random mode draws `trials`
-    vectors and reads a vertex's adjacency only once some vector gets that
-    far without a tie.  It ignores jobs and
-    prune_symmetry: it always runs in-process and never prunes by symmetry,
-    though `search_report` echoes both fields.  It refuses trials * n(n+1)/2
-    * (1 + (2W+1)//64) above RANDOM_WORK_LIMIT, as the census refuses
-    (W+1)^n * (1 + (2W+1)//64) above SPACE_LIMIT.
+    max_weight is W, the largest weight scanned; it defaults to 2n when left
+    unset.  mode is exhaustive (a census of {0..W}^n) or random.  trials is
+    the number of vectors random mode draws from a generator seeded with
+    rng_seed.  target_k stops the scan at the first vector (in lexicographic
+    order) achieving at most target_k intervals.  jobs > 1 spreads the
+    census's boxes over min(jobs, boxes, cpu count) processes; the merge
+    reproduces the serial scan exactly.  prune_symmetry skips the vectors in
+    which some image of vertex 0 under an automorphism weighs less than
+    vertex 0.  `search_min_k` states the boxes.  Random mode ignores jobs
+    and prune_symmetry: it always runs in-process and never prunes by
+    symmetry, though `search_report` echoes both fields.  It refuses trials
+    * n(n+1)/2 * (1 + (2W+1)//64) above RANDOM_WORK_LIMIT, as the census
+    refuses (W+1)^n * (1 + (2W+1)//64) above SPACE_LIMIT.
     """
 
     max_weight: int | None = None
@@ -175,30 +164,48 @@ def _scan_random(
     return stats
 
 
-def _scan_chunk(args) -> _ChunkStats:
+def _scan_box(args) -> _ChunkStats:
     """Depth-first census of a box: the vectors w with bit w[i] of spans[i] set for every i.
 
-    It serves runs with a target (`_scan_relative` serves the rest).  The
-    box has two or more vertices, and spans[0] holds one weight, as in
-    every box `_search` hands out.  Prefixes are extended in lexicographic
-    order, so leaves arrive in the order of a plain scan of the box.  Each
-    level builds one tie mask, the weights at which the vertex would tie,
-    and descends only the free weights, lowest first.  The last two levels
+    The box has two or more vertices, and spans[0] holds one weight, as in
+    every box `_search` hands out.  Each level builds one tie mask, the
+    weights at which the vertex would tie, and descends only the free
+    weights, lowest first, within the window [hi - W, lo + W] around the
+    prefix's lowest weight lo and highest weight hi.  The last two levels
     are one loop.  Level n-2 builds the last vertex's masks over vertices
     0..n-3 once per node; for each of its own free weights x it then finds
     the last vertex's tie mask with a fixed number of big-int operations,
-    whatever n is, and scores the last vertex's free weights in place.  As
-    leaves arrive in scan order, a leaf improves the box's best exactly when
-    its k is smaller, and only then is its weight tuple built.  The walk
-    counts only feasible leaves: `explored` is the box's size, or on a
-    target hit the number of box vectors up to the hit, which is what a
-    plain scan visits before it stops.
+    whatever n is, and scores the last vertex's free weights in place in
+    one of two leaf modes.  Vectors are compared as base-(W+1) integer keys,
+    and a tuple is built only for the box's best.
+
+    Without a target the box holds relative vectors: vertex 0 at W in
+    offset weights 0..2W, and the walk starts at lo = hi = W, so every span
+    stays at most W.  Adding c to every weight adds 2c to every pair sum,
+    which keeps every tie and run count, so a leaf u of span hi - lo stands
+    for its W + 1 - (hi - lo) translates in {0..W}^n and adds that many to
+    the histogram.  The lexicographically first translate of u is u - lo,
+    and that of its mirror image (w -> W - w) is hi - u; their keys are
+    key(u) - lo * R and hi * R - key(u) with R = key(1, ..., 1).
+    `explored` is left at 0: the caller knows the size of the space.
+
+    With a target the box holds absolute weights 0..W, and the walk starts
+    at lo = 0 and hi = W, so the window is {0..W} and drops no weight.
+    Prefixes are extended in lexicographic order, so leaves arrive in the
+    order of a plain scan of the box, and a leaf improves the box's best
+    exactly when its k is smaller.  The scan stops at the first k <=
+    target_k.  `explored` is the box's size, or on a hit the number of box
+    vectors up to the hit, which is what a plain scan visits before it stops.
     """
-    rows, spans, target_k = args
+    rows, spans, bound, target_k = args
     n = len(rows)
-    stats = _ChunkStats()
+    B = bound + 1
+    R = (B**n - 1) // bound
     run_count = _run_count
-    histogram = stats.histogram
+    # k is at most the number of edges, below n * n
+    hist = [0] * (n * n)
+    best_k = n * n
+    best_key = 0
     last = n - 1
     w = [0] * n
     # the last vertex's earlier neighbours and non-neighbours other than vertex
@@ -210,7 +217,8 @@ def _scan_chunk(args) -> _ChunkStats:
     # above every weight, so that no shift of the comb below is negative
     S = max(spans).bit_length()
 
-    def descend(i: int, E: int, N: int) -> bool:
+    def descend(i: int, E: int, N: int, lo: int, hi: int, key: int) -> bool:
+        nonlocal best_k, best_key
         nb, non = rows[i]
         ae = an = T = 0
         for j in nb:
@@ -221,13 +229,14 @@ def _scan_chunk(args) -> _ChunkStats:
             wj = w[j]
             an |= 1 << wj
             T |= E >> wj
-        free = 0 if ae & an else spans[i] & ~T
+        # the window [hi - W, lo + W] keeps the span at most W
+        free = 0 if ae & an else spans[i] & ~T & ((1 << (lo + B)) - (1 << (hi - bound)))
         if i < last - 1:
             while free:
                 low = free & -free
                 x = low.bit_length() - 1
                 w[i] = x
-                if descend(i + 1, E | ae << x, N | an << x):
+                if descend(i + 1, E | ae << x, N | an << x, lo if lo < x else x, hi if hi > x else x, key * B + x):
                     return True
                 free ^= low
             return False
@@ -267,163 +276,70 @@ def _scan_chunk(args) -> _ChunkStats:
             C |= an << (S - w[j])
         for j in non_last:
             C |= ae << (S - w[j])
-        best_k = n * n if stats.best is None else stats.best[0]  # n * n exceeds any k
         while free:
             low = free & -free
             x = low.bit_length() - 1
-            free_last = span_last & ~(fixed | (C << x) >> S | side >> x)
-            if free_last:
-                E1 = E | ae << x
-                N1 = N | an << x
-                ae1, an1 = (la | low, ln) if adj else (la, ln | low)
-            while free_last:
-                low_last = free_last & -free_last
-                # ae1 * low_last is ae1 << (the last vertex's weight), without finding it
-                k = run_count(E1 | ae1 * low_last, N1 | an1 * low_last)
-                histogram[k] = histogram.get(k, 0) + 1
-                if k < best_k:
-                    best_k = k
-                    w[last - 1] = x
-                    w[last] = low_last.bit_length() - 1
-                    stats.best = (k, tuple(w))
-                    if k <= target_k:
-                        stats.hit = True
-                        return True
-                free_last ^= low_last
             free ^= low
+            free_last = span_last & ~(fixed | (C << x) >> S | side >> x)
+            if target_k is None:
+                # the window again, with vertex n-2 placed; a lexicographic box's
+                # window is {0..W} whatever x is
+                lo2 = lo if lo < x else x
+                hi2 = hi if hi > x else x
+                free_last &= (1 << (lo2 + B)) - (1 << (hi2 - bound))
+            if not free_last:
+                continue
+            E1 = E | ae << x
+            N1 = N | an << x
+            ae1, an1 = (la | low, ln) if adj else (la, ln | low)
+            base = (key * B + x) * B
+            if target_k is None:
+                while free_last:
+                    low_last = free_last & -free_last
+                    # ae1 * low_last is ae1 << (the last vertex's weight), without finding it
+                    k = run_count(E1 | ae1 * low_last, N1 | an1 * low_last)
+                    y = low_last.bit_length() - 1
+                    lo3 = lo2 if lo2 < y else y
+                    hi3 = hi2 if hi2 > y else y
+                    hist[k] += B - hi3 + lo3
+                    if k <= best_k:
+                        first = base + y - lo3 * R
+                        image = hi3 * R - base - y
+                        if image < first:
+                            first = image
+                        if k < best_k or first < best_key:
+                            best_k = k
+                            best_key = first
+                    free_last ^= low_last
+            else:
+                while free_last:
+                    low_last = free_last & -free_last
+                    k = run_count(E1 | ae1 * low_last, N1 | an1 * low_last)
+                    hist[k] += 1
+                    if k < best_k:
+                        best_k = k
+                        best_key = base + low_last.bit_length() - 1
+                        if k <= target_k:
+                            return True
+                    free_last ^= low_last
         return False
 
-    if descend(0, 0, 0):
-        # the hit's rank in the box's lexicographic order, in mixed radix
-        rank = 0
-        for span, x in zip(spans, w):
-            rank = rank * span.bit_count() + (span & ((1 << x) - 1)).bit_count()
-        stats.explored = rank + 1
-    else:
-        stats.explored = math.prod(map(int.bit_count, spans))
-    return stats
-
-
-def _scan_relative(args) -> _ChunkStats:
-    """Census of a box of vectors up to translation, for runs without a target.
-
-    Adding c to every weight adds 2c to every pair sum, which keeps every
-    tie and run count, so the walk places one vector of each translation
-    class: vertex 0 at W, in offset weights 0..2W, and every later vertex
-    in the window [hi - W, lo + W] around the prefix's lowest weight lo and
-    highest weight hi, so that the span stays at most W.  A leaf u of span
-    hi - lo stands for its W + 1 - (hi - lo) translates in {0..W}^n, and
-    adds that many to the histogram.  The box is given as in `_scan_chunk`,
-    spans[0] = {W}, and the walk is the same: one tie mask per level, the
-    last two levels fused.  The lexicographically first translate of u is
-    u - lo, and that of its mirror image (w -> W - w) is hi - u; both are
-    compared as base-(W+1) integer keys, key(u) - lo * R and hi * R - key(u)
-    with R = key(1, ..., 1), and a tuple is built only for the box's best.
-    `explored` is left at 0: the caller knows the size of the space.
-    """
-    rows, spans, bound = args
-    n = len(rows)
-    B = bound + 1
-    R = (B**n - 1) // bound
-    run_count = _run_count
-    # k is at most the number of edges, below n * n
-    hist = [0] * (n * n)
-    best_k = n * n
-    best_key = 0
-    last = n - 1
-    w = [0] * n
-    nb_last, non_last = rows[last]
-    adj = last - 1 in nb_last
-    nb_last, non_last = (nb_last[:-1], non_last) if adj else (nb_last, non_last[:-1])
-    span_last = spans[last]
-    S = max(spans).bit_length()
-
-    def descend(i: int, E: int, N: int, lo: int, hi: int, key: int) -> None:
-        nonlocal best_k, best_key
-        nb, non = rows[i]
-        ae = an = T = 0
-        for j in nb:
-            wj = w[j]
-            ae |= 1 << wj
-            T |= N >> wj
-        for j in non:
-            wj = w[j]
-            an |= 1 << wj
-            T |= E >> wj
-        # the window [hi - W, lo + W] keeps the span at most W
-        free = 0 if ae & an else spans[i] & ~T & ((1 << (lo + B)) - (1 << (hi - bound)))
-        if i < last - 1:
-            while free:
-                low = free & -free
-                x = low.bit_length() - 1
-                w[i] = x
-                descend(i + 1, E | ae << x, N | an << x, lo if lo < x else x, hi if hi > x else x, key * B + x)
-                free ^= low
-            return
-        if not free:
-            return
-        # the fused last two levels, as in `_scan_chunk`
-        if adj:
-            side, fixed = N, an
-        else:
-            side, fixed = E, ae
-        la = ln = 0
-        for j in nb_last:
-            wj = w[j]
-            la |= 1 << wj
-            fixed |= N >> wj
-        for j in non_last:
-            wj = w[j]
-            ln |= 1 << wj
-            fixed |= E >> wj
-        if la & ln or not span_last & ~fixed:
-            return
-        free &= ~(ln if adj else la)
-        if not free:
-            return
-        C = 0
-        for j in nb_last:
-            C |= an << (S - w[j])
-        for j in non_last:
-            C |= ae << (S - w[j])
-        while free:
-            low = free & -free
-            x = low.bit_length() - 1
-            lo2 = lo if lo < x else x
-            hi2 = hi if hi > x else x
-            window = (1 << (lo2 + B)) - (1 << (hi2 - bound))
-            free_last = span_last & ~(fixed | (C << x) >> S | side >> x) & window
-            if free_last:
-                E1 = E | ae << x
-                N1 = N | an << x
-                ae1, an1 = (la | low, ln) if adj else (la, ln | low)
-                base = (key * B + x) * B
-            while free_last:
-                low_last = free_last & -free_last
-                k = run_count(E1 | ae1 * low_last, N1 | an1 * low_last)
-                y = low_last.bit_length() - 1
-                lo3 = lo2 if lo2 < y else y
-                hi3 = hi2 if hi2 > y else y
-                hist[k] += B - hi3 + lo3
-                if k <= best_k:
-                    first = base + y - lo3 * R
-                    image = hi3 * R - base - y
-                    if image < first:
-                        first = image
-                    if k < best_k or first < best_key:
-                        best_k = k
-                        best_key = first
-                free_last ^= low_last
-            free ^= low
-
-    descend(0, 0, 0, bound, bound, 0)
-    stats = _ChunkStats(histogram={k: c for k, c in enumerate(hist) if c})
+    hit = descend(0, 0, 0, 0 if target_k is not None else bound, bound, 0)
+    stats = _ChunkStats(histogram={k: c for k, c in enumerate(hist) if c}, hit=hit)
     if best_k < n * n:
         digits = []
         for _ in range(n):
             best_key, d = divmod(best_key, B)
             digits.append(d)
         stats.best = (best_k, tuple(reversed(digits)))
+    if hit:
+        # the hit's rank in the box's lexicographic order, in mixed radix
+        rank = 0
+        for span, x in zip(spans, stats.best[1]):
+            rank = rank * span.bit_count() + (span & ((1 << x) - 1)).bit_count()
+        stats.explored = rank + 1
+    elif target_k is not None:
+        stats.explored = math.prod(map(int.bit_count, spans))
     return stats
 
 
@@ -568,41 +484,43 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
     non-edge, or n if there is none; once vertices 0..J-1 share one weight,
     every pair among them has the same sum, so when J < n every vector left
     ties.
-    Without a target, the census counts each vector once up to translation
-    (`_scan_relative`).  It scans relative vectors, vertex 0 at W in offset
-    weights 0..2W with every span at most W, and a leaf of span R stands for
-    its W + 1 - R translates.  Under the mirror u -> 2W - u it scans the
-    canonical half, the vectors whose first weight other than W is below W:
-    the boxes "vertices 1..j-1 at W, vertex j below W, the rest free" for
-    j = 1..J-1, which count twice, and the box "vertices 0..J-1 at W", its
-    own image, which counts once.  A pool gets the first box split by vertex
+    One kernel, `_scan_box`, scans every box; the target picks its leaf
+    mode.  Without a target, the census counts each vector once up to
+    translation.  It scans relative vectors, vertex 0 at W in offset weights
+    0..2W with every span at most W, and a leaf of span R stands for its
+    W + 1 - R translates.  Under the mirror u -> 2W - u it scans the canonical
+    half, the vectors whose first weight other than W is below W: the boxes
+    "vertices 1..j-1 at W, vertex j below W, the rest free" for j = 1..J-1,
+    which count twice, and the box "vertices 0..J-1 at W", its own image,
+    which counts once: J boxes.  A pool gets the first box split by vertex
     1's weight.  Symmetry pruning holds the rest of vertex 0's orbit at
     weights >= vertex 0's, a bound that the mirror does not keep, so when
     the orbit moves vertex 0 the census is one box with the orbit at W..2W
-    and no mirror.  The explored count is the size of the space: (W+1)^n,
-    or the sum over w0 of (W+1-w0)^(|orbit|-1) (W+1)^(n-|orbit|) under that
+    and no mirror.  The explored count is the size of the space: (W+1)^n, or
+    the sum over w0 of (W+1-w0)^(|orbit|-1) (W+1)^(n-|orbit|) under that
     pruning.  The witness is the lexicographically first vector with the
     best k, the least over those leaves of the translate with minimum 0 and
     that of its mirror image.  Under pruning that moves vertex 0 this is
-    still the pruned space's first: the first best vector of {0..W}^n has
-    no orbit vertex below vertex 0, or an automorphism taking that vertex
-    to 0 would give an earlier one.
-    With a target, the census scans lexicographic boxes in order
-    (`_scan_chunk`) and stops at the first hit, so the explored count and
-    the histogram are those of a plain scan up to the hit.  It scans the
+    still the pruned space's first: the first best vector of {0..W}^n has no
+    orbit vertex below vertex 0, or an automorphism taking that vertex to 0
+    would give an earlier one.
+    With a target, the census scans boxes of absolute weights 0..W in
+    lexicographic order and stops at the first hit, so the explored count
+    and the histogram are those of a plain scan up to the hit.  It scans the
     canonical half under w -> W - w, the vectors whose first weight other
-    than W/2 lies below W/2, and counts each of them twice when no target
-    is hit, once for its mirror image, which comes later in lexicographic
+    than W/2 lies below W/2, and counts each of them twice when no target is
+    hit, once for its mirror image, which comes later in lexicographic
     order.  Those are the chunks with vertex 0 at w0 < W/2 and every other
-    vertex at 0..W; at even W, chunk W/2 contributes the boxes "vertices
-    0..j-1 at W/2, vertex j at 0..W/2-1, the rest at 0..W" for j = 1..J-1,
-    which count twice too, and the box "vertices 0..J-1 at W/2, the rest at
-    0..W", its own image, which counts once.  When pruning moves vertex 0
-    it scans every chunk w0 = 0..W with the rest of the orbit at w0..W.
+    vertex at 0..W, W//2 + 1 boxes at odd W; at even W, chunk W/2
+    contributes the boxes "vertices 0..j-1 at W/2, vertex j at 0..W/2-1, the
+    rest at 0..W" for j = 1..J-1, which count twice too, and the box
+    "vertices 0..J-1 at W/2, the rest at 0..W", its own image, which counts
+    once: W/2 + J boxes.  When pruning moves vertex 0 it scans the W + 1
+    chunks w0 = 0..W with the rest of the orbit at w0..W.
     One vertex has W + 1 vectors and no pair sums, each with k = 0, so that
     census is answered in closed form: (0,) is the best and the hit of any
     target.
-    Both kernels place weights vertex by vertex and skip every prefix whose
+    Both modes place weights vertex by vertex and skip every prefix whose
     edge and non-edge sums already tie, so their cost grows with the number
     of tie-free prefixes, not with (W+1)^n.  The edge sums and the non-edge
     sums are two integer bitsets.  Entering a level costs one shifted OR per
@@ -645,80 +563,67 @@ def _search(graph: Graph, cfg: SearchConfig) -> SearchResult:
         # non-edge (a non-empty non), every pair among them has the same sum and ties
         cut = next((j for j in range(2, n) if all(map(any, zip(*rows[:j])))), n)
         workers = min(cfg.jobs, os.cpu_count() or 1)
-        if cfg.target_k is None:
-            # relative vectors: vertex 0 at W in offset weights 0..2W
-            scan, extra = _scan_relative, (bound,)
-            mid, below, full = 1 << bound, (1 << bound) - 1, (1 << (2 * bound + 1)) - 1
-            if len(orbit) > 1:
-                # the orbit bound does not survive the mirror: one box, the rest of
-                # vertex 0's orbit at weights >= W, counting the vectors of {0..W}^n
-                # whose orbit weighs at least w0 (`search_min_k` says why its witness
-                # may still come from a mirror image)
-                boxes = [[mid] + [full >> bound << bound if v in orbit else full for v in range(1, n)]]
-                twinned, m = 0, len(orbit)
-                explored = sum(t ** (m - 1) for t in range(1, bound + 2)) * (bound + 1) ** (n - m)
-            else:
-                # the canonical half under the mirror u -> 2W - u, whose first weight
-                # other than W is below W, counts twice; the box past the cut is its
-                # own image and counts once
-                boxes = [[mid] * j + [below] + [full] * (n - 1 - j) for j in range(1, cut)]
-                boxes.append([mid] * cut + [full] * (n - cut))
-                twinned, explored = cut - 1, (bound + 1) ** n
-            box_count = len(boxes)
-            if workers > 1:
-                # a pool gets the first box split by vertex 1's weight
-                first = boxes.pop(0)
-                weights = [x for x in range(first[1].bit_length()) if first[1] >> x & 1]
-                if twinned:
-                    twinned += len(weights) - 1
-                box_count += len(weights) - 1
-                boxes = chain(([first[0], 1 << x, *first[2:]] for x in weights), boxes)
+        relative = cfg.target_k is None
+        # relative vectors put vertex 0 at W in offset weights 0..2W; lexicographic
+        # boxes keep the weights 0..W
+        full = (1 << (2 * bound + 1 if relative else bound + 1)) - 1
+        if len(orbit) > 1:
+            # the orbit bound w >= w0 does not survive the mirror, so pruned scans
+            # have no mirror: chunk w0 holds vertex 0 at w0, the rest of its orbit at
+            # weights >= w0, and the others free.  A relative census is the one
+            # chunk w0 = W (`search_min_k` says why its witness may still come
+            # from a mirror image)
+            w0s = [bound] if relative else range(bound + 1)
+            boxes = ([1 << w0] + [full >> w0 << w0 if v in orbit else full for v in range(1, n)] for w0 in w0s)
+            box_count, twinned, m = len(w0s), 0, len(orbit)
+            # the size of the space a relative census reports: the vectors of
+            # {0..W}^n whose orbit weighs at least w0
+            explored = sum(t ** (m - 1) for t in range(1, bound + 2)) * (bound + 1) ** (n - m)
         else:
-            scan, extra = _scan_chunk, (cfg.target_k,)
-            full = (1 << (bound + 1)) - 1
-            if len(orbit) > 1:
-                # the orbit bound w >= w0 does not survive the mirror, so pruned scans are full:
-                # chunk w0 holds vertex 0 at w0, the rest of its orbit at w0..W, others at 0..W
-                boxes = (
-                    [1 << w0] + [full >> w0 << w0 if v in orbit else full for v in range(1, n)]
-                    for w0 in range(bound + 1)
-                )
-                box_count, twinned = bound + 1, 0
-            else:
-                # the canonical half under the mirror w -> W - w: the chunks w0 < W/2
-                # count twice, for themselves and for their images above W/2
-                twinned = (bound + 1) // 2
-                boxes = ([1 << w0] + [full] * (n - 1) for w0 in range(twinned))
-                if bound % 2 == 0:
-                    # chunk W/2 is its own image: its vectors whose first weight other than
-                    # W/2 is below it count twice too.  Every vector left once vertices
-                    # 0..cut-1 sit at W/2 ties, and that rest is one box, its own image,
-                    # counted once
-                    mid, below = 1 << (bound // 2), (1 << (bound // 2)) - 1
-                    split = ([mid] * j + [below] + [full] * (n - 1 - j) for j in range(1, cut))
-                    boxes = chain(boxes, split, [[mid] * cut + [full] * (n - cut)])
-                    twinned += cut - 1
-                box_count = twinned + (bound % 2 == 0)
+            # the canonical half under the mirror: the lexicographic chunks w0 < W/2
+            # count twice, for themselves and for their images above W/2
+            twinned = 0 if relative else (bound + 1) // 2
+            boxes = ([1 << w0] + [full] * (n - 1) for w0 in range(twinned))
+            box_count, explored = twinned, (bound + 1) ** n
+            if relative or bound % 2 == 0:
+                # the chunk at the centre c (W, or W/2) is its own image: its vectors
+                # whose first weight other than c is below c count twice too.  Every
+                # vector left once vertices 0..cut-1 sit at c ties, and that rest is
+                # one box, its own image, counted once
+                centre = bound if relative else bound // 2
+                mid, below = 1 << centre, (1 << centre) - 1
+                split = ([mid] * j + [below] + [full] * (n - 1 - j) for j in range(1, cut))
+                boxes = chain(boxes, split, [[mid] * cut + [full] * (n - cut)])
+                twinned += cut - 1
+                box_count = twinned + 1
+        if relative and workers > 1:
+            # a pool gets the first box split by vertex 1's weight
+            first = next(boxes)
+            weights = [x for x in range(first[1].bit_length()) if first[1] >> x & 1]
+            if twinned:
+                twinned += len(weights) - 1
+            box_count += len(weights) - 1
+            boxes = chain(([first[0], 1 << x, *first[2:]] for x in weights), boxes)
         workers = min(workers, box_count)
-        tasks = ((rows, spans, *extra) for spans in boxes)
+        tasks = ((rows, spans, bound, cfg.target_k) for spans in boxes)
         if workers == 1:
-            total = _merge_chunks(map(scan, tasks), twinned)
+            total = _merge_chunks(map(_scan_box, tasks), twinned)
         else:
             # imported here: loading concurrent.futures.process costs every process about 30 ms
             from concurrent.futures import ProcessPoolExecutor
 
             # leaving the block waits for the boxes still in flight after an early stop
             with ProcessPoolExecutor(workers) as pool:
-                window = deque(pool.submit(scan, t) for t in islice(tasks, 2 * workers))
+                window = deque(pool.submit(_scan_box, t) for t in islice(tasks, 2 * workers))
 
                 def in_order():
                     while window:
                         chunk = window.popleft().result()
-                        window.extend(pool.submit(scan, t) for t in islice(tasks, 1))
+                        window.extend(pool.submit(_scan_box, t) for t in islice(tasks, 1))
                         yield chunk
 
                 total = _merge_chunks(in_order(), twinned)
-        if cfg.target_k is None:
+        if relative:
             total.explored = explored
     complete = cfg.mode == MODE_EXHAUSTIVE and not total.hit
 

@@ -553,12 +553,12 @@ class TestDeterminismAndJobs:
             "import starpcg.search\n"
             "from concurrent.futures.process import BrokenProcessPool\n"
             "from starpcg import SearchConfig, make_cycle, search_min_k\n"
-            "scan = starpcg.search._scan_relative\n"
+            "scan = starpcg.search._scan_box\n"
             "def dying_scan(args):\n"
             "    if args[1][1] == 1 << 1:\n"
             "        os._exit(1)\n"
             "    return scan(args)\n"
-            "starpcg.search._scan_relative = dying_scan\n"
+            "starpcg.search._scan_box = dying_scan\n"
             "try:\n"
             "    search_min_k(make_cycle(5), SearchConfig(max_weight=6, jobs=2))\n"
             "except BrokenProcessPool:\n"
@@ -579,7 +579,7 @@ class TestDeterminismAndJobs:
         def wide_scan(args):
             return starpcg.search._ChunkStats(explored=300, histogram=dict.fromkeys(range(300), 1))
 
-        monkeypatch.setattr(starpcg.search, "_scan_chunk", wide_scan)
+        monkeypatch.setattr(starpcg.search, "_scan_box", wide_scan)
         tracemalloc.start()
         try:
             res = search_min_k(make_path(2), SearchConfig(max_weight=2000, target_k=0))
@@ -598,13 +598,13 @@ class TestDeterminismAndJobs:
         # once.  The orbit bound of a pruned census does not survive the mirror, so
         # there the census is one box with no mirror
         scanned = []
-        scan = starpcg.search._scan_relative
+        scan = starpcg.search._scan_box
 
         def recording_scan(args):
             scanned.append([[x for x in range(span.bit_length()) if span >> x & 1] for span in args[1]])
             return scan(args)
 
-        monkeypatch.setattr(starpcg.search, "_scan_relative", recording_scan)
+        monkeypatch.setattr(starpcg.search, "_scan_box", recording_scan)
         pendant = sweep_graphs()[0]
         assert orbit_of_zero(pendant) == {0}
         cycle = make_cycle(5)
@@ -642,6 +642,69 @@ class TestDeterminismAndJobs:
             space = [v for v in product(range(bound + 1), repeat=n) if all(v[o] >= v[0] for o in orbit)]
             assert covered == dict.fromkeys(space, 1), (graph.edges(), bound, prune)
             assert res.explored == len(space)
+
+    def test_lexicographic_chunks_are_not_scanned_twice(self, monkeypatch):
+        # a target run scans boxes of absolute weights in lexicographic order: the
+        # chunks w0 < W/2, which count twice, once for their images under the mirror
+        # w -> W - w, and at even W chunk W/2 as the boxes "vertices 0..j-1 at W/2,
+        # vertex j below W/2" for j < J, which count twice too, and one box of the
+        # rest, its own image, which counts once.  The orbit bound of a pruned census
+        # does not survive the mirror, so there it scans every chunk once.  Target 0
+        # is never hit on graphs with an edge, so every box runs
+        scanned = []
+        scan = starpcg.search._scan_box
+
+        def recording_scan(args):
+            scanned.append([[x for x in range(span.bit_length()) if span >> x & 1] for span in args[1]])
+            return scan(args)
+
+        monkeypatch.setattr(starpcg.search, "_scan_box", recording_scan)
+        pendant = sweep_graphs()[0]
+        cycle = make_cycle(5)
+        for graph, bound, prune in product((cycle, pendant), (4, 5, 6), (False, True)):
+            assert tie_cut(graph) == 3
+            scanned.clear()
+            res = search_min_k(graph, SearchConfig(max_weight=bound, target_k=0, prune_symmetry=prune))
+            assert res.exhaustive_within_bound
+            n = graph.n
+            F, half = list(range(bound + 1)), bound // 2
+            orbit = orbit_of_zero(graph) if prune else {0}
+            if len(orbit) > 1:
+                # chunk w0 holds vertex 0 at w0 and the rest of its orbit at w0..W
+                want = [[[w0]] + [F[w0:] if v in orbit else F for v in range(1, n)] for w0 in F]
+                twinned = 0
+            else:
+                want = [[[w0]] + [F] * (n - 1) for w0 in range((bound + 1) // 2)]
+                twinned = len(want)
+                if bound % 2 == 0:
+                    M, L = [half], F[:half]
+                    want += [[M, L] + [F] * (n - 2), [M, M, L] + [F] * (n - 3), [M] * 3 + [F] * (n - 3)]
+                    twinned += 2
+            assert scanned == want, (graph.edges(), bound, prune)
+            covered = Counter()
+            for index, box in enumerate(scanned):
+                for u in product(*box):
+                    covered[u] += 1
+                    if index < twinned:
+                        covered[tuple(bound - x for x in u)] += 1
+                    elif len(orbit) == 1:
+                        # the last box at even W: vertices 0..2 share one weight and
+                        # hold an edge and a non-edge, so every vector ties
+                        assert isinstance(min_intervals_for_weights(graph, u), Infeasible), u
+            space = [v for v in product(F, repeat=n) if all(v[o] >= v[0] for o in orbit)]
+            assert covered == dict.fromkeys(space, 1), (graph.edges(), bound, prune)
+            assert res.explored == len(space)
+
+    def test_target_misses_match_the_census(self):
+        # a target below every k stops nothing, so the lexicographic scan must give
+        # the relative census's result field for field; these spaces are too large
+        # for reference_census, and no benchmark workload runs a target
+        start = time.perf_counter()
+        for graph, bound, target_k in ((make_path(3), 120, 0), (make_cycle(7), 10, 1), (make_grid([3, 3]), 9, 2)):
+            census = search_min_k(graph, SearchConfig(max_weight=bound))
+            assert census.best_k > target_k
+            assert search_min_k(graph, SearchConfig(max_weight=bound, target_k=target_k)) == census, graph.edges()
+        assert time.perf_counter() - start < 10
 
     def test_target_k_zero_stops_immediately(self):
         res = search_min_k(Graph(3), SearchConfig(max_weight=2, target_k=0))
