@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=_int_arg, help="census worker processes (random mode runs in-process)"
     )
     p.add_argument(
-        "--prune-symmetry", action="store_true", help="census only (random mode never prunes)"
+        "--prune-symmetry", action="store_true", help="target runs only (a census uses symmetry itself)"
     )
     p.add_argument(
         "--human", action="store_true", default=False, help="render a text summary instead of JSON"

@@ -33,6 +33,11 @@ SPACE_LIMIT = 10**9
 # 5*10^6 trials on one vertex, 13 s; the most memory, 87 MB peak RSS, goes
 # to one trial on two vertices at W = 5.3*10^7.
 RANDOM_WORK_LIMIT = 5 * 10**6
+# Bounds `_orbit_of_zero`: the candidate images it tests over all its searches.
+# Cycles, grids and Q_4 need under 100.  In single runs on a 2-vCPU x86-64
+# host, the longest search among seeded random 3- to 5-regular graphs on 24
+# to 28 vertices needed 21,285 tests (44 ms) and stops at this cap in 41 ms.
+ORBIT_STEPS = 20_000
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_RANDOM = "random"
@@ -48,13 +53,15 @@ class SearchConfig:
     rng_seed.  target_k stops the scan at the first vector (in lexicographic
     order) achieving at most target_k intervals.  jobs > 1 spreads the
     census's boxes over min(jobs, boxes, cpu count) processes; the merge
-    reproduces the serial scan exactly.  prune_symmetry skips the vectors in
-    which some image of vertex 0 under an automorphism weighs less than
-    vertex 0.  `search_min_k` states the boxes.  Random mode ignores jobs
-    and prune_symmetry: it always runs in-process and never prunes by
-    symmetry, though `search_report` echoes both fields.  It refuses trials
-    * n(n+1)/2 * (1 + (2W+1)//64) above RANDOM_WORK_LIMIT, as the census
-    refuses (W+1)^n * (1 + (2W+1)//64) above SPACE_LIMIT.
+    reproduces the serial scan exactly.  prune_symmetry changes target runs
+    only: it skips the vectors in which some image of vertex 0 under an
+    automorphism weighs less than vertex 0.  A census without a target picks
+    its boxes itself, using vertex 0's orbit when that pays, and its counts
+    are exact either way.  `search_min_k` states the boxes.  Random mode
+    ignores jobs and prune_symmetry: it always runs in-process and never
+    prunes by symmetry, though `search_report` echoes both fields.  It
+    refuses trials * n(n+1)/2 * (1 + (2W+1)//64) above RANDOM_WORK_LIMIT, as
+    the census refuses (W+1)^n * (1 + (2W+1)//64) above SPACE_LIMIT.
     """
 
     max_weight: int | None = None
@@ -187,7 +194,13 @@ def _scan_box(args) -> _ChunkStats:
     the histogram.  The lexicographically first translate of u is u - lo,
     and that of its mirror image (w -> W - w) is hi - u; their keys are
     key(u) - lo * R and hi * R - key(u) with R = key(1, ..., 1).
-    `explored` is left at 0: the caller knows the size of the space.
+    `explored` is left at 0: the caller knows the size of the space.  With
+    a non-empty `orbit`, the orbit of vertex 0 under a group of
+    automorphisms, the box holds the rest of the orbit at W..2W, and a leaf
+    with m orbit vertices at W goes to histogram m.  The m of vertices
+    0..n-3 is read once per level-(n-2) node; vertex n-2 at W adds one, and
+    so does the last vertex at W, its lowest weight.  The box's histogram
+    then holds the sum over m of c_{m,k} * lcm(1..|orbit|) / m, an integer.
 
     With a target the box holds absolute weights 0..W, and the walk starts
     at lo = 0 and hi = W, so the window is {0..W} and drops no weight.
@@ -197,13 +210,26 @@ def _scan_box(args) -> _ChunkStats:
     target_k.  `explored` is the box's size, or on a hit the number of box
     vectors up to the hit, which is what a plain scan visits before it stops.
     """
-    rows, spans, bound, target_k = args
+    rows, spans, bound, target_k, orbit = args
     n = len(rows)
     B = bound + 1
     R = (B**n - 1) // bound
     run_count = _run_count
-    # k is at most the number of edges, below n * n
+    # k is at most the number of edges, below n * n.  hists[m] counts the leaves
+    # with m orbit vertices at vertex 0's weight W; without an orbit every leaf
+    # goes to hists[0]
     hist = [0] * (n * n)
+    hists = [hist]
+    # the orbit vertices below n-2, read once per level-(n-2) node; vertex n-2
+    # adds to m at weight W, and the last vertex at its lowest weight, W
+    head = ()
+    x_orbit = -1
+    y_orbit = 0
+    if orbit:
+        hists += ([0] * (n * n) for _ in orbit)
+        head = [v for v in orbit if v < n - 2]
+        x_orbit = bound if n - 2 in orbit else -1
+        y_orbit = 1 << bound if n - 1 in orbit else 0
     best_k = n * n
     best_key = 0
     last = n - 1
@@ -276,6 +302,7 @@ def _scan_box(args) -> _ChunkStats:
             C |= an << (S - w[j])
         for j in non_last:
             C |= ae << (S - w[j])
+        m = [w[v] for v in head].count(bound) if head else 0
         while free:
             low = free & -free
             x = low.bit_length() - 1
@@ -294,6 +321,10 @@ def _scan_box(args) -> _ChunkStats:
             ae1, an1 = (la | low, ln) if adj else (la, ln | low)
             base = (key * B + x) * B
             if target_k is None:
+                # with vertex n-2 placed; the last vertex at W adds one more
+                mx = m + (x == x_orbit)
+                hx = hists[mx]
+                h = hists[mx + 1] if free_last & y_orbit else hx
                 while free_last:
                     low_last = free_last & -free_last
                     # ae1 * low_last is ae1 << (the last vertex's weight), without finding it
@@ -301,7 +332,8 @@ def _scan_box(args) -> _ChunkStats:
                     y = low_last.bit_length() - 1
                     lo3 = lo2 if lo2 < y else y
                     hi3 = hi2 if hi2 > y else y
-                    hist[k] += B - hi3 + lo3
+                    h[k] += B - hi3 + lo3
+                    h = hx
                     if k <= best_k:
                         first = base + y - lo3 * R
                         image = hi3 * R - base - y
@@ -326,6 +358,15 @@ def _scan_box(args) -> _ChunkStats:
 
     hit = descend(0, 0, 0, 0 if target_k is not None else bound, bound, 0)
     stats = _ChunkStats(histogram={k: c for k, c in enumerate(hist) if c}, hit=hit)
+    if orbit:
+        # a leaf with m orbit vertices at W counts 1/m, scaled by lcm(1..|orbit|)
+        # to stay an integer; `_search` divides the scale out
+        scale = math.lcm(*range(1, len(orbit) + 1))
+        stats.histogram = {}
+        for m in range(1, len(hists)):
+            for k, c in enumerate(hists[m]):
+                if c:
+                    stats.histogram[k] = stats.histogram.get(k, 0) + c * (scale // m)
     if best_k < n * n:
         digits = []
         for _ in range(n):
@@ -369,23 +410,35 @@ def _merge_chunks(chunks: Iterable[_ChunkStats], twinned: int) -> _ChunkStats:
     return total
 
 
-def _orbit_of_zero(graph: Graph) -> tuple[int, ...]:
-    """Images of vertex 0 under the graph's automorphisms, in increasing order.
+def _orbit_of_zero(graph: Graph, least: int = 0) -> tuple[int, ...]:
+    """Vertex 0's orbit under the automorphisms found, in increasing order.
 
-    Vertex 0 is its own image.  Every other vertex of its degree gets one
-    backtracking search for an adjacency-preserving bijection sending 0
-    there, all over one placement order: vertices in breadth-first order
-    from vertex 0, each further component from its lowest vertex.  A vertex
-    with a parent in that order must map to a neighbour of its parent's
-    image, so its candidates are those neighbours; a component's root may
-    map to any unused vertex.  Each candidate must have the vertex's degree
-    and its adjacency to every placed vertex.  Seeded random 3- and
-    4-regular graphs on 16 to 29 vertices take milliseconds each; graphs
-    whose every vertex looks alike from any breadth-first search, such as
-    asymmetric strongly regular graphs, are unmeasured and may take
-    exponential time.
+    Vertex 0 is its own image, and only a vertex with vertex 0's degree and
+    sorted neighbour degrees can be another; when fewer than `least` other
+    vertices qualify, the orbit is (0,) without a search.  Each candidate
+    that no map found so far reaches gets one backtracking search for an
+    adjacency-preserving bijection sending 0 there, all over one placement
+    order: vertices in breadth-first order from vertex 0, each further
+    component from its lowest vertex.  A vertex with a parent in that order
+    must map to a neighbour of its parent's image, so its candidates are
+    those neighbours; a component's root may map to any unused vertex.
+    Each candidate must have the vertex's degree and its adjacency to every
+    placed vertex.  The orbit is closed under every map found, so it is
+    always the orbit of a group of automorphisms.  The searches share
+    ORBIT_STEPS candidate tests; once those are spent the result is the
+    orbit of the maps found so far, a group's orbit still, so every use of
+    the orbit in `search_min_k` stays exact.
     """
     n = graph.n
+    degree = [graph.degree(v) for v in range(n)]
+    profile = sorted(degree[u] for u in graph.neighbors(0))
+    alike = [
+        v
+        for v in range(1, n)
+        if degree[v] == degree[0] and sorted(degree[u] for u in graph.neighbors(v)) == profile
+    ]
+    if len(alike) < least:
+        return (0,)
     order: list[int] = []
     parent = [-1] * n
     seen = [False] * n
@@ -403,15 +456,20 @@ def _orbit_of_zero(graph: Graph) -> tuple[int, ...]:
                     seen[v] = True
                     parent[v] = u
                     order.append(v)
+    steps = 0
 
     def extend(pos: int) -> bool:
+        nonlocal steps
         if pos == n:
             return True
         u = order[pos]
         p = parent[u]
         for cand in range(n) if p < 0 else sorted(graph.neighbors(image[p])):
-            if used[cand] or graph.degree(cand) != graph.degree(u):
+            if used[cand] or degree[cand] != degree[u]:
                 continue
+            steps += 1
+            if steps > ORBIT_STEPS:
+                return False
             if all(graph.has_edge(u, t) == graph.has_edge(cand, image[t]) for t in order[:pos]):
                 image[u] = cand
                 used[cand] = True
@@ -420,17 +478,27 @@ def _orbit_of_zero(graph: Graph) -> tuple[int, ...]:
                 used[cand] = False
         return False
 
-    orbit = [0]
-    for target in range(1, n):
-        if graph.degree(target) != graph.degree(0):
+    maps: list[list[int]] = []
+    orbit = {0}
+    for target in alike:
+        if target in orbit:
             continue
         image = [-1] * n
         used = [False] * n
         image[0] = target
         used[target] = True
         if extend(1):
-            orbit.append(target)
-    return tuple(orbit)
+            maps.append(image)
+            frontier = list(orbit)
+            while frontier:
+                v = frontier.pop()
+                for g in maps:
+                    if g[v] not in orbit:
+                        orbit.add(g[v])
+                        frontier.append(g[v])
+        elif steps > ORBIT_STEPS:
+            break
+    return tuple(sorted(orbit))
 
 
 def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
@@ -492,18 +560,24 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
     half, the vectors whose first weight other than W is below W: the boxes
     "vertices 1..j-1 at W, vertex j below W, the rest free" for j = 1..J-1,
     which count twice, and the box "vertices 0..J-1 at W", its own image,
-    which counts once: J boxes.  A pool gets the first box split by vertex
-    1's weight.  Symmetry pruning holds the rest of vertex 0's orbit at
-    weights >= vertex 0's, a bound that the mirror does not keep, so when
-    the orbit moves vertex 0 the census is one box with the orbit at W..2W
-    and no mirror.  The explored count is the size of the space: (W+1)^n, or
-    the sum over w0 of (W+1-w0)^(|orbit|-1) (W+1)^(n-|orbit|) under that
-    pruning.  The witness is the lexicographically first vector with the
-    best k, the least over those leaves of the translate with minimum 0 and
-    that of its mirror image.  Under pruning that moves vertex 0 this is
-    still the pruned space's first: the first best vector of {0..W}^n has no
-    orbit vertex below vertex 0, or an automorphism taking that vertex to 0
-    would give an earlier one.
+    which counts once: J boxes.  When vertex 0's orbit O under the
+    automorphisms `_orbit_of_zero` finds has three or more vertices, the
+    census is instead one box, vertex 0 at W and the rest of O at W..2W, with
+    no mirror.  Give each vector the weight 1/m, for the m vertices of O at
+    O's lowest weight, to each of those vertices.  An automorphism maps
+    {0..W}^n onto itself, keeps every count and permutes O, so every vertex
+    of O receives the same total weight, and every count is |O| times the
+    sum of 1/m over the vectors in which vertex 0 is lightest among O: the
+    box's vectors, up to translation.  The orbit search is skipped when
+    W + 1 < n, where every tie-free vector gives two twins one weight, and
+    when fewer than two other vertices share vertex 0's degree and sorted
+    neighbour degrees.  A pool gets the first box split by vertex 1's
+    weight.  The explored count is the size of the space, (W+1)^n.  The
+    witness is the lexicographically first vector with the best k, the least
+    over those leaves of the translate with minimum 0 and that of its mirror
+    image.  The orbit-weighted box holds it too: the first best vector of
+    {0..W}^n has no orbit vertex below vertex 0, or an automorphism taking
+    that vertex to 0 would give an earlier one.
     With a target, the census scans boxes of absolute weights 0..W in
     lexicographic order and stops at the first hit, so the explored count
     and the histogram are those of a plain scan up to the hit.  It scans the
@@ -515,8 +589,11 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
     contributes the boxes "vertices 0..j-1 at W/2, vertex j at 0..W/2-1, the
     rest at 0..W" for j = 1..J-1, which count twice too, and the box
     "vertices 0..J-1 at W/2, the rest at 0..W", its own image, which counts
-    once: W/2 + J boxes.  When pruning moves vertex 0 it scans the W + 1
-    chunks w0 = 0..W with the rest of the orbit at w0..W.
+    once: W/2 + J boxes.  Symmetry pruning, for target runs only, holds the
+    rest of vertex 0's orbit at weights >= vertex 0's, a bound that the
+    mirror does not keep, so when the orbit moves vertex 0 it scans the
+    W + 1 chunks w0 = 0..W with the rest of the orbit at w0..W; the first
+    hit is still a plain scan's, by the argument above.
     One vertex has W + 1 vectors and no pair sums, each with k = 0, so that
     census is answered in closed form: (0,) is the best and the hit of any
     target.
@@ -558,33 +635,37 @@ def _search(graph: Graph, cfg: SearchConfig) -> SearchResult:
     else:
         n = graph.n
         rows = [_earlier_split(graph, i) for i in range(n)]
-        orbit = _orbit_of_zero(graph) if cfg.prune_symmetry else ()
+        relative = cfg.target_k is None
+        if relative:
+            # the orbit-weighted box beats the mirror's halving from |orbit| = 3 on.
+            # Below W + 1 = n every tie-free vector gives two vertices one weight,
+            # which only twins may share, so tie pruning does the work
+            orbit = _orbit_of_zero(graph, 2) if bound + 1 >= n else ()
+            if len(orbit) < 3:
+                orbit = ()
+        else:
+            orbit = _orbit_of_zero(graph) if cfg.prune_symmetry else ()
         # J: once vertices 0..J-1 at one weight hold an edge (a non-empty nb) and a
         # non-edge (a non-empty non), every pair among them has the same sum and ties
         cut = next((j for j in range(2, n) if all(map(any, zip(*rows[:j])))), n)
-        workers = min(cfg.jobs, os.cpu_count() or 1)
-        relative = cfg.target_k is None
+        workers = min(cfg.jobs, os.cpu_count() or 1) if cfg.jobs > 1 else 1
         # relative vectors put vertex 0 at W in offset weights 0..2W; lexicographic
         # boxes keep the weights 0..W
         full = (1 << (2 * bound + 1 if relative else bound + 1)) - 1
         if len(orbit) > 1:
-            # the orbit bound w >= w0 does not survive the mirror, so pruned scans
-            # have no mirror: chunk w0 holds vertex 0 at w0, the rest of its orbit at
-            # weights >= w0, and the others free.  A relative census is the one
-            # chunk w0 = W (`search_min_k` says why its witness may still come
-            # from a mirror image)
+            # vertex 0 at w0 and the rest of its orbit at weights >= w0, a bound the
+            # mirror does not keep.  A census is the one box w0 = W, each leaf
+            # weighted by 1/m for the m orbit vertices at W; a pruned target run
+            # scans the chunks w0 = 0..W
             w0s = [bound] if relative else range(bound + 1)
             boxes = ([1 << w0] + [full >> w0 << w0 if v in orbit else full for v in range(1, n)] for w0 in w0s)
-            box_count, twinned, m = len(w0s), 0, len(orbit)
-            # the size of the space a relative census reports: the vectors of
-            # {0..W}^n whose orbit weighs at least w0
-            explored = sum(t ** (m - 1) for t in range(1, bound + 2)) * (bound + 1) ** (n - m)
+            box_count, twinned = len(w0s), 0
         else:
             # the canonical half under the mirror: the lexicographic chunks w0 < W/2
             # count twice, for themselves and for their images above W/2
             twinned = 0 if relative else (bound + 1) // 2
             boxes = ([1 << w0] + [full] * (n - 1) for w0 in range(twinned))
-            box_count, explored = twinned, (bound + 1) ** n
+            box_count = twinned
             if relative or bound % 2 == 0:
                 # the chunk at the centre c (W, or W/2) is its own image: its vectors
                 # whose first weight other than c is below c count twice too.  Every
@@ -605,7 +686,8 @@ def _search(graph: Graph, cfg: SearchConfig) -> SearchResult:
             box_count += len(weights) - 1
             boxes = chain(([first[0], 1 << x, *first[2:]] for x in weights), boxes)
         workers = min(workers, box_count)
-        tasks = ((rows, spans, bound, cfg.target_k) for spans in boxes)
+        # a census weights its leaves by the orbit; a target run's boxes only prune
+        tasks = ((rows, spans, bound, cfg.target_k, orbit if relative else ()) for spans in boxes)
         if workers == 1:
             total = _merge_chunks(map(_scan_box, tasks), twinned)
         else:
@@ -624,7 +706,12 @@ def _search(graph: Graph, cfg: SearchConfig) -> SearchResult:
 
                 total = _merge_chunks(in_order(), twinned)
         if relative:
-            total.explored = explored
+            total.explored = (bound + 1) ** n
+            if orbit:
+                # count_k = |orbit| * sum over m of c_{m,k} / m, which `_scan_box`
+                # scaled by lcm(1..|orbit|)
+                scale = math.lcm(*range(1, len(orbit) + 1))
+                total.histogram = {k: c * len(orbit) // scale for k, c in total.histogram.items()}
     complete = cfg.mode == MODE_EXHAUSTIVE and not total.hit
 
     best_k = None

@@ -409,7 +409,7 @@ class TestMink:
         p.add_argument("--target-k", type=int)
         p.add_argument("--jobs", type=int, help="census worker processes (random mode runs in-process)")
         p.add_argument(
-            "--prune-symmetry", action="store_true", help="census only (random mode never prunes)"
+            "--prune-symmetry", action="store_true", help="target runs only (a census uses symmetry itself)"
         )
         p.add_argument("--human", action="store_true", help="render a text summary instead of JSON")
         p.add_argument("-o", "--output", default="-")
@@ -486,11 +486,13 @@ class TestMink:
         assert code == EXIT_OK and obj["best_k"] == 1
 
     def test_prune_symmetry_on_an_asymmetric_cubic_graph_finishes(self, tmp_path):
-        # the automorphism search once ran for over 45 s on this 24-vertex graph
+        # the automorphism search once ran for over 45 s on this 24-vertex graph;
+        # pruning applies to target runs, and target 0 is never hit on a graph with edges
         target = tmp_path / "g.json"
         target.write_text(json.dumps(random_regular(random.Random(24), 24, 3).to_dict()))
+        argv = ["mink", str(target), "--max-weight", "1", "--target-k", "0", "--prune-symmetry"]
         proc = subprocess.run(
-            [sys.executable, "-m", "starpcg", "mink", str(target), "--max-weight", "1", "--prune-symmetry"],
+            [sys.executable, "-m", "starpcg", *argv],
             capture_output=True,
             text=True,
             timeout=60,

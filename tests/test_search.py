@@ -84,8 +84,13 @@ def fold(graph, vectors, target_k=None, skip=lambda vec: False):
 
 
 def reference_census(graph, bound, target_k=None, prune_symmetry=False):
-    """Plain lexicographic scan of {0..W}^n with the symmetry skip and first-hit stop."""
-    orbit = orbit_of_zero(graph) if prune_symmetry else ()
+    """Plain lexicographic scan of {0..W}^n with the first-hit stop.
+
+    Symmetry pruning skips the vectors in which an image of vertex 0 weighs
+    less than vertex 0, in a target run only: a census without a target is
+    exact whatever prune_symmetry says.
+    """
+    orbit = orbit_of_zero(graph) if prune_symmetry and target_k is not None else ()
     return fold(
         graph,
         product(range(bound + 1), repeat=graph.n),
@@ -227,12 +232,15 @@ class TestExhaustive:
             graphs += [Graph(n), Graph(n, complete), half_dense_graph(n, rng), half_dense_graph(n, rng)]
         for graph in graphs:
             for bound in (2, 4, 6):
+                full = reference_census(graph, bound)
                 for prune in (False, True):
-                    full = reference_census(graph, bound, None, prune)
                     for target_k in (None, 0, 1):
-                        # a target below every k stops nothing, so the full scan is its answer
-                        misses = target_k is None or full.best_k is None or full.best_k > target_k
-                        want = full if misses else reference_census(graph, bound, target_k, prune)
+                        # a census is the full scan, and so is an unpruned run whose
+                        # target lies below every k, since it stops nothing
+                        if target_k is None or not prune and (full.best_k is None or full.best_k > target_k):
+                            want = full
+                        else:
+                            want = reference_census(graph, bound, target_k, prune)
                         cfg = SearchConfig(max_weight=bound, target_k=target_k, prune_symmetry=prune)
                         assert search_min_k(graph, cfg) == want, (graph.edges(), cfg)
                         if graph.n == 5 and target_k is None:
@@ -254,8 +262,8 @@ class TestExhaustive:
                 graphs.append(make_cycle(n))
             for graph in graphs:
                 for bound in (2, 3) if n == 6 else (rng.choice((1, 3, 5)), rng.choice((2, 4))):
+                    want = reference_census(graph, bound)
                     for prune in (False, True):
-                        want = reference_census(graph, bound, None, prune)
                         for jobs in (1, 2):
                             cfg = SearchConfig(max_weight=bound, prune_symmetry=prune, jobs=jobs)
                             assert search_min_k(graph, cfg) == want, (graph.edges(), cfg)
@@ -480,20 +488,23 @@ class TestDeterminismAndJobs:
         assert search_min_k(g, SearchConfig(max_weight=3, jobs=10**6)) == serial
         assert all(size <= min(3 + 2, os.cpu_count() or 1) for size in sizes)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        # vertices 0..2 of C_4 hold an edge and a non-edge, so J = 3: the pool gets the
-        # box "vertex 1 below W" split into W boxes by vertex 1's weight, the box
+        # vertex 0's orbit on C_4 is every vertex, so a census is one box, split by
+        # vertex 1's weight, W..2W, whether it prunes or not
+        for bound in (3, 4):
+            for prune in (False, True):
+                sizes.clear()
+                cfg = SearchConfig(max_weight=bound, jobs=10**6, prune_symmetry=prune)
+                assert search_min_k(g, cfg) == search_min_k(g, replace(cfg, jobs=1))
+                assert sizes == [bound + 1]
+        # vertex 0's orbit on the path 0-1-2-3 is {0, 3}, so the census keeps the
+        # mirror.  Vertices 0..2 hold an edge and a non-edge, so J = 3: the pool gets
+        # the box "vertex 1 below W" split into W boxes by vertex 1's weight, the box
         # "vertex 1 at W, vertex 2 below W", and the box "vertices 0..2 at W"
         for bound in (3, 4):
             sizes.clear()
             cfg = SearchConfig(max_weight=bound, jobs=10**6)
-            assert search_min_k(g, cfg) == search_min_k(g, replace(cfg, jobs=1))
+            assert search_min_k(make_path(4), cfg) == search_min_k(make_path(4), replace(cfg, jobs=1))
             assert sizes == [bound + 2]
-        # vertex 0's orbit on C_4 is every vertex, so a pruned census is one box, split
-        # by vertex 1's weight, W..2W
-        sizes.clear()
-        pruned = SearchConfig(max_weight=3, jobs=10**6, prune_symmetry=True)
-        assert search_min_k(g, pruned) == search_min_k(g, replace(pruned, jobs=1))
-        assert sizes == [3 + 1]
         # a target run scans lexicographic chunks: the W//2 + 1 chunks w0 <= W/2 at
         # odd W, the W/2 chunks below W/2 and chunk W/2 as J boxes at even W, and
         # every chunk when pruning moves vertex 0; C_4 never gets k = 0, so every box runs
@@ -514,16 +525,20 @@ class TestDeterminismAndJobs:
             hit = res.best_witness.weights[0]
             assert [spans[0].bit_length() - 1 for spans in submitted] == list(range(len(submitted)))
             assert hit < len(submitted) <= hit + 1 + 2 * 2
-        # with no target every box is submitted: vertex 0 sits at W = 6, the box
-        # "vertex 1 below W" comes split by vertex 1's weight, then "vertex 1 at W,
-        # vertex 2 below W" and "vertices 0..2 at W", where vertices 0..2 hold an
-        # edge and a non-edge
-        submitted.clear()
-        res = search_min_k(make_cycle(5), SearchConfig(max_weight=6, jobs=2))
-        assert res == search_min_k(make_cycle(5), SearchConfig(max_weight=6))
-        F, L, M = (1 << 13) - 1, (1 << 6) - 1, 1 << 6
-        split = [[M, 1 << x, F, F, F] for x in range(6)]
-        assert submitted == split + [[M, M, L, F, F], [M, M, M, F, F]]
+        # with no target every box is submitted, vertex 0 at W = 6.  On the path 5
+        # the box "vertex 1 below W" comes split by vertex 1's weight, then "vertex 1
+        # at W, vertex 2 below W" and "vertices 0..2 at W", where vertices 0..2 hold
+        # an edge and a non-edge.  On C_5 the one orbit-weighted box comes split by
+        # vertex 1's weight, W..2W
+        F, L, M, U = (1 << 13) - 1, (1 << 6) - 1, 1 << 6, (1 << 13) - (1 << 6)
+        for graph, boxes in (
+            (make_path(5), [[M, 1 << x, F, F, F] for x in range(6)] + [[M, M, L, F, F], [M, M, M, F, F]]),
+            (make_cycle(5), [[M, 1 << x, U, U, U] for x in range(6, 13)]),
+        ):
+            submitted.clear()
+            res = search_min_k(graph, SearchConfig(max_weight=6, jobs=2))
+            assert res == search_min_k(graph, SearchConfig(max_weight=6))
+            assert submitted == boxes
 
     def test_early_stops_in_a_pool_shut_down(self):
         # ending a pool while a worker writes a result can hang its shutdown,
@@ -552,7 +567,7 @@ class TestDeterminismAndJobs:
             "import os\n"
             "import starpcg.search\n"
             "from concurrent.futures.process import BrokenProcessPool\n"
-            "from starpcg import SearchConfig, make_cycle, search_min_k\n"
+            "from starpcg import SearchConfig, make_path, search_min_k\n"
             "scan = starpcg.search._scan_box\n"
             "def dying_scan(args):\n"
             "    if args[1][1] == 1 << 1:\n"
@@ -560,7 +575,7 @@ class TestDeterminismAndJobs:
             "    return scan(args)\n"
             "starpcg.search._scan_box = dying_scan\n"
             "try:\n"
-            "    search_min_k(make_cycle(5), SearchConfig(max_weight=6, jobs=2))\n"
+            "    search_min_k(make_path(5), SearchConfig(max_weight=6, jobs=2))\n"
             "except BrokenProcessPool:\n"
             "    print('BrokenProcessPool')\n"
         )
@@ -592,11 +607,13 @@ class TestDeterminismAndJobs:
 
     def test_mirror_chunks_are_not_scanned(self, monkeypatch):
         # a census without a target scans relative vectors, vertex 0 at W in offset
-        # weights 0..2W and a span of at most W, each standing for its translates;
-        # the mirror u -> 2W - u keeps every count, so it scans one vector of each
-        # mirror pair, except in the last box, which is its own image and counts
-        # once.  The orbit bound of a pruned census does not survive the mirror, so
-        # there the census is one box with no mirror
+        # weights 0..2W and a span of at most W, each standing for its translates.
+        # When vertex 0's orbit has three or more vertices the census is one box,
+        # vertex 0 at W and the rest of its orbit at W..2W, each leaf weighted by
+        # |orbit|/m for its m orbit vertices at W.  Otherwise the mirror
+        # u -> 2W - u keeps every count, so it scans one vector of each mirror
+        # pair, except in the last box, which is its own image and counts once.
+        # Pruning changes neither
         scanned = []
         scan = starpcg.search._scan_box
 
@@ -610,46 +627,48 @@ class TestDeterminismAndJobs:
         cycle = make_cycle(5)
         assert orbit_of_zero(cycle) == set(range(5))
         for graph, bound, prune in product((cycle, pendant), (4, 5, 6), (False, True)):
-            if graph is cycle and bound == 4:
-                continue
             scanned.clear()
             res = search_min_k(graph, SearchConfig(max_weight=bound, prune_symmetry=prune))
+            assert res == reference_census(graph, bound), (graph.edges(), bound, prune)
             n = graph.n
             F, L, M, U = list(range(2 * bound + 1)), list(range(bound)), [bound], list(range(bound, 2 * bound + 1))
-            orbit = orbit_of_zero(graph) if prune else {0}
-            if len(orbit) > 1:
-                # one box: vertex 0 at W and the rest of its orbit at W..2W
-                assert scanned == [[M] + [U if v in orbit else F for v in range(1, n)]]
-            else:
-                # "vertex 1 below W", "vertex 1 at W, vertex 2 below W", then
-                # "vertices 0..2 at W": on both graphs vertices 0..2 hold an edge and a non-edge
-                assert scanned == [[M, L] + [F] * (n - 2), [M, M, L] + [F] * (n - 3), [M] * 3 + [F] * (n - 3)]
             covered = Counter()
-            mirror = len(orbit) == 1
+            if graph is cycle:
+                assert scanned == [[M] + [U] * (n - 1)]
+                for u in product(*scanned[0]):
+                    lo, hi = min(u), max(u)
+                    if hi - lo <= bound:
+                        for t in range(bound - (hi - lo) + 1):
+                            covered[tuple(x - lo + t for x in u)] += 1
+                # each vector in which vertex 0 is lightest among the orbit, once
+                space = [v for v in product(range(bound + 1), repeat=n) if v[0] == min(v)]
+                assert covered == dict.fromkeys(space, 1), bound
+                continue
+            # "vertex 1 below W", "vertex 1 at W, vertex 2 below W", then "vertices
+            # 0..2 at W": vertices 0..2 hold an edge and a non-edge
+            assert scanned == [[M, L] + [F] * (n - 2), [M, M, L] + [F] * (n - 3), [M] * 3 + [F] * (n - 3)]
             for index, box in enumerate(scanned):
-                twice = mirror and index < len(scanned) - 1
+                twice = index < len(scanned) - 1
                 for u in product(*box):
                     lo, hi = min(u), max(u)
                     if hi - lo > bound:
                         continue
-                    if mirror and not twice:
+                    if not twice:
                         # every vector of the last box ties: its vertices 0..2 share one weight
                         assert isinstance(min_intervals_for_weights(graph, u), Infeasible), u
                     for t in range(bound - (hi - lo) + 1):
                         covered[tuple(x - lo + t for x in u)] += 1
                         if twice:
                             covered[tuple(hi - x + t for x in u)] += 1
-            space = [v for v in product(range(bound + 1), repeat=n) if all(v[o] >= v[0] for o in orbit)]
-            assert covered == dict.fromkeys(space, 1), (graph.edges(), bound, prune)
-            assert res.explored == len(space)
+            assert covered == dict.fromkeys(product(range(bound + 1), repeat=n), 1), (bound, prune)
 
     def test_lexicographic_chunks_are_not_scanned_twice(self, monkeypatch):
         # a target run scans boxes of absolute weights in lexicographic order: the
         # chunks w0 < W/2, which count twice, once for their images under the mirror
         # w -> W - w, and at even W chunk W/2 as the boxes "vertices 0..j-1 at W/2,
         # vertex j below W/2" for j < J, which count twice too, and one box of the
-        # rest, its own image, which counts once.  The orbit bound of a pruned census
-        # does not survive the mirror, so there it scans every chunk once.  Target 0
+        # rest, its own image, which counts once.  The orbit bound of a pruned target
+        # run does not survive the mirror, so there it scans every chunk once.  Target 0
         # is never hit on graphs with an edge, so every box runs
         scanned = []
         scan = starpcg.search._scan_box
@@ -793,13 +812,116 @@ class TestExhaustiveEvidence:
         assert verify(res.best_witness, g).equal
 
 
+def relabeled(graph, seed):
+    """`graph` with its vertices permuted by a seeded shuffle."""
+    perm = random.Random(seed).sample(range(graph.n), graph.n)
+    return Graph(graph.n, [(perm[u], perm[v]) for u, v in graph.edges()])
+
+
+class TestOrbitWeightedCensus:
+    # a census whose vertex 0 has an orbit O of three or more vertices scans one
+    # box, vertex 0 at W and the rest of O at W..2W, and counts each leaf |O|/m
+    # times for its m orbit vertices at W.  On K_4, the edgeless graph, C_4 and
+    # K_{3,2} with vertex 0 in the part of three, orbit vertices are twins and
+    # share weights in feasible vectors, so m >= 2 occurs (all four at W, on K_4)
+    TWINS = (
+        Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+        Graph(4),
+        make_cycle(4),
+        Graph(5, [(u, v) for u in range(3) for v in (3, 4)]),
+    )
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """Patch in an in-process pool of two workers; return the orbit sizes that boxes are weighted by."""
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_executor([], []))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        weighted = []
+        scan = starpcg.search._scan_box
+
+        def recording_scan(args):
+            weighted.append(len(args[4]))
+            return scan(args)
+
+        monkeypatch.setattr(starpcg.search, "_scan_box", recording_scan)
+        return weighted
+
+    def test_weighted_census_matches_direct_enumeration(self, monkeypatch):
+        # W on both sides of n - 1: below it every tie-free vector gives two
+        # vertices one weight, so the census skips the orbit search
+        weighted = self.recorded(monkeypatch)
+        cases = [(make_cycle(5), 5), (relabeled(make_cycle(5), 5), 5), *zip(self.TWINS, (4, 4, 4, 3))]
+        for graph, orbit in cases:
+            n = graph.n
+            for bound in (n - 2, n - 1, n):
+                want = reference_census(graph, bound)
+                for jobs in (1, 2):
+                    weighted.clear()
+                    assert search_min_k(graph, SearchConfig(max_weight=bound, jobs=jobs)) == want, (graph.edges(), bound)
+                    assert set(weighted) == {orbit if bound >= n - 1 else 0}
+
+    def test_weighted_census_matches_the_mirror_census(self, monkeypatch):
+        # past five vertices direct enumeration takes too long, so the reference is
+        # the census with no budget for the orbit search, which keeps the mirror's
+        # boxes (checked against direct enumeration in TestExhaustive)
+        weighted = self.recorded(monkeypatch)
+        steps = starpcg.search.ORBIT_STEPS
+        cases = [
+            (make_cycle(6), 6),
+            (make_cycle(7), 7),
+            (make_cycle(8), 8),
+            (relabeled(make_cycle(7), 7), 7),
+            (relabeled(make_cycle(8), 8), 8),
+            (make_grid([2, 3]), 4),
+            (relabeled(make_grid([2, 3]), 21), 4),
+            # vertex 0 is a middle vertex, whose orbit of 2 keeps the mirror
+            (relabeled(make_grid([2, 3]), 23), 0),
+            (make_grid([3, 3]), 4),
+            (make_grid([2, 2, 2]), 8),
+        ]
+        for graph, orbit in cases:
+            n = graph.n
+            for bound in (n - 2, n - 1, n):
+                cfg = SearchConfig(max_weight=bound)
+                monkeypatch.setattr(starpcg.search, "ORBIT_STEPS", 0)
+                mirror = search_min_k(graph, cfg)
+                monkeypatch.setattr(starpcg.search, "ORBIT_STEPS", steps)
+                for jobs in (1, 2):
+                    weighted.clear()
+                    assert search_min_k(graph, replace(cfg, jobs=jobs)) == mirror, (graph.edges(), bound)
+                    assert set(weighted) == {orbit if bound >= n - 1 else 0}, (graph.edges(), bound)
+
+    def test_any_orbit_search_budget_keeps_the_census(self, monkeypatch):
+        # a spent budget leaves the orbit of the maps found so far, the orbit of a
+        # group of automorphisms, and a census weighted by it stays exact; on Q_3
+        # some budgets stop between the group's orbits of sizes 2, 4 and 8
+        graphs = [(make_grid([2, 2, 2]), 7), (make_cycle(6), 6), (make_grid([3, 3]), 8), (self.TWINS[0], 4)]
+        want = [search_min_k(graph, SearchConfig(max_weight=bound)) for graph, bound in graphs]
+        sizes = set()
+        for budget in range(0, 40, 3):
+            monkeypatch.setattr(starpcg.search, "ORBIT_STEPS", budget)
+            sizes.add(len(starpcg.search._orbit_of_zero(graphs[0][0])))
+            for (graph, bound), result in zip(graphs, want):
+                assert search_min_k(graph, SearchConfig(max_weight=bound)) == result, (graph.edges(), budget)
+        assert sizes == {1, 2, 4, 8}
+        # the orbit is closed under every map found, so two maps of C_40, a
+        # reflection and a rotation, reach the whole orbit within 100 steps
+        monkeypatch.setattr(starpcg.search, "ORBIT_STEPS", 100)
+        assert starpcg.search._orbit_of_zero(make_cycle(40)) == tuple(range(40))
+
+
 class TestSymmetryPruning:
     def test_same_minimum_with_and_without(self):
+        # a census is exact whatever prune_symmetry says; a target run prunes.
+        # Target 0 is never hit on a graph with an edge, so each target run scans
+        # its whole space
         for graph in (make_cycle(5), make_path(3), make_grid([2, 2])):
             plain = search_min_k(graph, SearchConfig(max_weight=4))
-            pruned = search_min_k(graph, SearchConfig(max_weight=4, prune_symmetry=True))
-            assert plain.best_k == pruned.best_k
-            assert pruned.explored < plain.explored
+            assert search_min_k(graph, SearchConfig(max_weight=4, prune_symmetry=True)) == plain
+            unpruned = search_min_k(graph, SearchConfig(max_weight=4, target_k=0))
+            pruned = search_min_k(graph, SearchConfig(max_weight=4, target_k=0, prune_symmetry=True))
+            assert plain.best_k == unpruned.best_k == pruned.best_k
+            assert pruned.explored < unpruned.explored
             assert verify(pruned.best_witness, graph).equal
 
     def test_orbit_backtracker_matches_every_permutation(self):
