@@ -34,9 +34,11 @@ SPACE_LIMIT = 10**9
 # to one trial on two vertices at W = 5.3*10^7.
 RANDOM_WORK_LIMIT = 5 * 10**6
 # Bounds `_orbit_of_zero`: the candidate images it tests over all its searches.
-# Cycles, grids and Q_4 need under 100.  In single runs on a 2-vCPU x86-64
-# host, the longest search among seeded random 3- to 5-regular graphs on 24
-# to 28 vertices needed 21,285 tests (44 ms) and stops at this cap in 41 ms.
+# Only a census with W + 1 >= n searches for an orbit, and SPACE_LIMIT keeps
+# that at n <= 9: 9^9 passes and 10^10 does not.  In a single run on a 2-vCPU
+# x86-64 host, the longest search among 29,004 seeded random graphs on 2 to 9
+# vertices, some of them 2- to 4-regular, needed 498 tests (under 1 ms).  The
+# cap stays as a safety bound; a spent budget leaves the census exact.
 ORBIT_STEPS = 20_000
 
 MODE_EXHAUSTIVE = "exhaustive"
@@ -53,15 +55,13 @@ class SearchConfig:
     rng_seed.  target_k stops the scan at the first vector (in lexicographic
     order) achieving at most target_k intervals.  jobs > 1 spreads the
     census's boxes over min(jobs, boxes, cpu count) processes; the merge
-    reproduces the serial scan exactly.  prune_symmetry changes target runs
-    only: it skips the vectors in which some image of vertex 0 under an
-    automorphism weighs less than vertex 0.  A census without a target picks
-    its boxes itself, using vertex 0's orbit when that pays, and its counts
-    are exact either way.  `search_min_k` states the boxes.  Random mode
-    ignores jobs and prune_symmetry: it always runs in-process and never
-    prunes by symmetry, though `search_report` echoes both fields.  It
-    refuses trials * n(n+1)/2 * (1 + (2W+1)//64) above RANDOM_WORK_LIMIT, as
-    the census refuses (W+1)^n * (1 + (2W+1)//64) above SPACE_LIMIT.
+    reproduces the serial scan exactly.  A census without a target picks its
+    boxes itself, using vertex 0's orbit when that pays, and its counts are
+    exact either way.  `search_min_k` states the boxes.  Random mode ignores
+    jobs: it always runs in-process, though `search_report` echoes the
+    field.  It refuses trials * n(n+1)/2 * (1 + (2W+1)//64) above
+    RANDOM_WORK_LIMIT, as the census refuses (W+1)^n * (1 + (2W+1)//64)
+    above SPACE_LIMIT.
     """
 
     max_weight: int | None = None
@@ -70,7 +70,6 @@ class SearchConfig:
     rng_seed: int = 0
     target_k: int | None = None
     jobs: int = 1
-    prune_symmetry: bool = False
 
 
 @dataclass(frozen=True)
@@ -410,13 +409,12 @@ def _merge_chunks(chunks: Iterable[_ChunkStats], twinned: int) -> _ChunkStats:
     return total
 
 
-def _orbit_of_zero(graph: Graph, least: int = 0) -> tuple[int, ...]:
+def _orbit_of_zero(graph: Graph) -> tuple[int, ...]:
     """Vertex 0's orbit under the automorphisms found, in increasing order.
 
     Vertex 0 is its own image, and only a vertex with vertex 0's degree and
-    sorted neighbour degrees can be another; when fewer than `least` other
-    vertices qualify, the orbit is (0,) without a search.  Each candidate
-    that no map found so far reaches gets one backtracking search for an
+    sorted neighbour degrees can be another.  Each candidate that no map
+    found so far reaches gets one backtracking search for an
     adjacency-preserving bijection sending 0 there, all over one placement
     order: vertices in breadth-first order from vertex 0, each further
     component from its lowest vertex.  A vertex with a parent in that order
@@ -437,8 +435,6 @@ def _orbit_of_zero(graph: Graph, least: int = 0) -> tuple[int, ...]:
         for v in range(1, n)
         if degree[v] == degree[0] and sorted(degree[u] for u in graph.neighbors(v)) == profile
     ]
-    if len(alike) < least:
-        return (0,)
     order: list[int] = []
     parent = [-1] * n
     seen = [False] * n
@@ -513,8 +509,6 @@ def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
     _check_int(cfg.jobs, "jobs", 1)
     if cfg.target_k is not None:
         _check_int(cfg.target_k, "target_k", 0)
-    if type(cfg.prune_symmetry) is not bool:
-        raise ValueError(f"prune_symmetry must be a bool, got {_shown(cfg.prune_symmetry)}")
     bound = cfg.max_weight if cfg.max_weight is not None else 2 * graph.n
     _check_int(bound, "max_weight", 1)
     if cfg.mode == MODE_EXHAUSTIVE:
@@ -569,15 +563,14 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
     of O receives the same total weight, and every count is |O| times the
     sum of 1/m over the vectors in which vertex 0 is lightest among O: the
     box's vectors, up to translation.  The orbit search is skipped when
-    W + 1 < n, where every tie-free vector gives two twins one weight, and
-    when fewer than two other vertices share vertex 0's degree and sorted
-    neighbour degrees.  A pool gets the first box split by vertex 1's
-    weight.  The explored count is the size of the space, (W+1)^n.  The
-    witness is the lexicographically first vector with the best k, the least
-    over those leaves of the translate with minimum 0 and that of its mirror
-    image.  The orbit-weighted box holds it too: the first best vector of
-    {0..W}^n has no orbit vertex below vertex 0, or an automorphism taking
-    that vertex to 0 would give an earlier one.
+    W + 1 < n, where every tie-free vector gives two twins one weight.  A
+    pool gets the first box split by vertex 1's weight.  The explored count
+    is the size of the space, (W+1)^n.  The witness is the lexicographically
+    first vector with the best k, the least over those leaves of the
+    translate with minimum 0 and that of its mirror image.  The
+    orbit-weighted box holds it too: the first best vector of {0..W}^n has
+    no orbit vertex below vertex 0, or an automorphism taking that vertex to
+    0 would give an earlier one.
     With a target, the census scans boxes of absolute weights 0..W in
     lexicographic order and stops at the first hit, so the explored count
     and the histogram are those of a plain scan up to the hit.  It scans the
@@ -589,11 +582,8 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
     contributes the boxes "vertices 0..j-1 at W/2, vertex j at 0..W/2-1, the
     rest at 0..W" for j = 1..J-1, which count twice too, and the box
     "vertices 0..J-1 at W/2, the rest at 0..W", its own image, which counts
-    once: W/2 + J boxes.  Symmetry pruning, for target runs only, holds the
-    rest of vertex 0's orbit at weights >= vertex 0's, a bound that the
-    mirror does not keep, so when the orbit moves vertex 0 it scans the
-    W + 1 chunks w0 = 0..W with the rest of the orbit at w0..W; the first
-    hit is still a plain scan's, by the argument above.
+    once: W/2 + J boxes.  A target that is never hit returns the census's
+    result, which a census without a target finds faster.
     One vertex has W + 1 vectors and no pair sums, each with k = 0, so that
     census is answered in closed form: (0,) is the best and the hit of any
     target.
@@ -636,15 +626,12 @@ def _search(graph: Graph, cfg: SearchConfig) -> SearchResult:
         n = graph.n
         rows = [_earlier_split(graph, i) for i in range(n)]
         relative = cfg.target_k is None
-        if relative:
-            # the orbit-weighted box beats the mirror's halving from |orbit| = 3 on.
-            # Below W + 1 = n every tie-free vector gives two vertices one weight,
-            # which only twins may share, so tie pruning does the work
-            orbit = _orbit_of_zero(graph, 2) if bound + 1 >= n else ()
-            if len(orbit) < 3:
-                orbit = ()
-        else:
-            orbit = _orbit_of_zero(graph) if cfg.prune_symmetry else ()
+        # a census's orbit-weighted box beats the mirror's halving from |orbit| = 3
+        # on.  Below W + 1 = n every tie-free vector gives two vertices one weight,
+        # which only twins may share, so tie pruning does the work
+        orbit = _orbit_of_zero(graph) if relative and bound + 1 >= n else ()
+        if len(orbit) < 3:
+            orbit = ()
         # J: once vertices 0..J-1 at one weight hold an edge (a non-empty nb) and a
         # non-edge (a non-empty non), every pair among them has the same sum and ties
         cut = next((j for j in range(2, n) if all(map(any, zip(*rows[:j])))), n)
@@ -652,14 +639,12 @@ def _search(graph: Graph, cfg: SearchConfig) -> SearchResult:
         # relative vectors put vertex 0 at W in offset weights 0..2W; lexicographic
         # boxes keep the weights 0..W
         full = (1 << (2 * bound + 1 if relative else bound + 1)) - 1
-        if len(orbit) > 1:
-            # vertex 0 at w0 and the rest of its orbit at weights >= w0, a bound the
-            # mirror does not keep.  A census is the one box w0 = W, each leaf
-            # weighted by 1/m for the m orbit vertices at W; a pruned target run
-            # scans the chunks w0 = 0..W
-            w0s = [bound] if relative else range(bound + 1)
-            boxes = ([1 << w0] + [full >> w0 << w0 if v in orbit else full for v in range(1, n)] for w0 in w0s)
-            box_count, twinned = len(w0s), 0
+        if orbit:
+            # one box, vertex 0 at W and the rest of its orbit at W..2W, without the
+            # mirror; each leaf is weighted by 1/m for the m orbit vertices at W
+            upper = full >> bound << bound
+            boxes = iter([[1 << bound] + [upper if v in orbit else full for v in range(1, n)]])
+            box_count, twinned = 1, 0
         else:
             # the canonical half under the mirror: the lexicographic chunks w0 < W/2
             # count twice, for themselves and for their images above W/2
@@ -686,8 +671,7 @@ def _search(graph: Graph, cfg: SearchConfig) -> SearchResult:
             box_count += len(weights) - 1
             boxes = chain(([first[0], 1 << x, *first[2:]] for x in weights), boxes)
         workers = min(workers, box_count)
-        # a census weights its leaves by the orbit; a target run's boxes only prune
-        tasks = ((rows, spans, bound, cfg.target_k, orbit if relative else ()) for spans in boxes)
+        tasks = ((rows, spans, bound, cfg.target_k, orbit) for spans in boxes)
         if workers == 1:
             total = _merge_chunks(map(_scan_box, tasks), twinned)
         else:
@@ -749,7 +733,6 @@ def search_report(graph: Graph, cfg: SearchConfig | None = None) -> dict:
             "seed": cfg.rng_seed if cfg.mode == MODE_RANDOM else None,
             "target_k": cfg.target_k,
             "jobs": cfg.jobs,
-            "prune_symmetry": cfg.prune_symmetry,
         },
         "best_k": result.best_k,
         "best_witness": result.best_witness.to_dict() if result.best_witness else None,

@@ -6,7 +6,6 @@ import dataclasses
 import io
 import json
 import os
-import random
 import shutil
 import subprocess
 import sys
@@ -21,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_regular
 from starpcg import MODE_EXHAUSTIVE, MODE_RANDOM, Graph, Witness, cycle_witness, make_cycle
 from starpcg import cli
 from starpcg.cli import (
@@ -408,9 +406,6 @@ class TestMink:
         p.add_argument("--seed", type=int)
         p.add_argument("--target-k", type=int)
         p.add_argument("--jobs", type=int, help="census worker processes (random mode runs in-process)")
-        p.add_argument(
-            "--prune-symmetry", action="store_true", help="target runs only (a census uses symmetry itself)"
-        )
         p.add_argument("--human", action="store_true", help="render a text summary instead of JSON")
         p.add_argument("-o", "--output", default="-")
         return p
@@ -436,7 +431,6 @@ class TestMink:
             (["--seed", "3"], {"rng_seed": 3}),
             (["--target-k", "2"], {"target_k": 2}),
             (["--jobs", "2"], {"jobs": 2}),
-            (["--prune-symmetry"], {"prune_symmetry": True}),
         ],
     )
     def test_an_option_left_out_keeps_the_search_default(self, capsys, argv, fields):
@@ -479,26 +473,17 @@ class TestMink:
         assert obj["best_k"] == 2
         assert obj["explored"] < 7**5
 
-    def test_prune_symmetry_flag(self, capsys):
-        code, obj = run_json(
-            capsys, "mink", "cycle", "4", "--max-weight", "4", "--prune-symmetry"
-        )
-        assert code == EXIT_OK and obj["best_k"] == 1
-
-    def test_prune_symmetry_on_an_asymmetric_cubic_graph_finishes(self, tmp_path):
-        # the automorphism search once ran for over 45 s on this 24-vertex graph;
-        # pruning applies to target runs, and target 0 is never hit on a graph with edges
-        target = tmp_path / "g.json"
-        target.write_text(json.dumps(random_regular(random.Random(24), 24, 3).to_dict()))
-        argv = ["mink", str(target), "--max-weight", "1", "--target-k", "0", "--prune-symmetry"]
+    def test_prune_symmetry_is_refused(self):
+        # the option is gone: a census uses vertex 0's orbit by itself, and a
+        # target run keeps one scan layout
         proc = subprocess.run(
-            [sys.executable, "-m", "starpcg", *argv],
+            [sys.executable, "-m", "starpcg", "mink", "cycle", "5", "--prune-symmetry"],
             capture_output=True,
             text=True,
             timeout=60,
         )
-        assert proc.returncode == EXIT_OK, proc.stderr
-        assert json.loads(proc.stdout)["exhaustive_within_bound"] is True
+        assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+        assert "--prune-symmetry" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
     def test_oversized_space_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "mink", "cycle", "3", "--max-weight", "1000")

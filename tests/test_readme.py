@@ -1,10 +1,14 @@
-"""The README's examples run as written."""
+"""The README's examples run as written, and its option list matches the CLI."""
 
+import argparse
 import os
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from starpcg import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -45,3 +49,14 @@ def test_command_line_examples(tmp_path):
 
 def test_library_quick_start():
     exec(compile(_block("Library quick start", "python"), str(README), "exec"), {})
+
+
+def test_mink_option_list_matches_the_parser():
+    # the README's sentence lists every mink search option, and no other
+    text = README.read_text(encoding="utf-8")
+    lead = "Each `mink` search option sets the `SearchConfig` field of its name:"
+    sentence = re.split(r"\.\s", text.split(lead, 1)[1], maxsplit=1)[0]
+    listed = re.findall(r"`(--[\w-]+)`", sentence)
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {s for a in sub.choices["mink"]._actions for s in a.option_strings if s.startswith("--")}
+    assert sorted(listed) == sorted(options - {"--help", "--human", "--output"})

@@ -36,7 +36,6 @@ def cert(kind="interleaving", x=0, vs=(1, 4), us=(2,)):
 
 LIBRARY = {
     "search-mode": lambda: search_min_k(C5, SearchConfig(mode="x" * 10**6)),
-    "search-prune-symmetry": lambda: search_min_k(C5, SearchConfig(prune_symmetry=[0] * 10**5)),
     "certificate-vs": lambda: check_certificate(cert(vs="a" * 10**6, us=()), C5, W),
     "certificate-kind": lambda: check_certificate(cert(kind="z" * 10**6), C5, W),
     "certificate-pivot": lambda: check_certificate(cert(x=E), C5, W),

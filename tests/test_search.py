@@ -11,7 +11,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import permutations, product
 
 import pytest
@@ -53,15 +53,13 @@ def orbit_of_zero(graph):
     }
 
 
-def fold(graph, vectors, target_k=None, skip=lambda vec: False):
+def fold(graph, vectors, target_k=None):
     """The promised SearchResult, by scoring each vector with the oracle in order."""
     explored = infeasible = 0
     histogram = {}
     best = None
     hit = False
     for vec in vectors:
-        if skip(vec):
-            continue
         explored += 1
         res = min_intervals_for_weights(graph, vec)
         if not isinstance(res, Feasible):
@@ -83,20 +81,9 @@ def fold(graph, vectors, target_k=None, skip=lambda vec: False):
     )
 
 
-def reference_census(graph, bound, target_k=None, prune_symmetry=False):
-    """Plain lexicographic scan of {0..W}^n with the first-hit stop.
-
-    Symmetry pruning skips the vectors in which an image of vertex 0 weighs
-    less than vertex 0, in a target run only: a census without a target is
-    exact whatever prune_symmetry says.
-    """
-    orbit = orbit_of_zero(graph) if prune_symmetry and target_k is not None else ()
-    return fold(
-        graph,
-        product(range(bound + 1), repeat=graph.n),
-        target_k,
-        skip=lambda vec: any(vec[v] < vec[0] for v in orbit),
-    )
+def reference_census(graph, bound, target_k=None):
+    """Plain lexicographic scan of {0..W}^n with the first-hit stop."""
+    return fold(graph, product(range(bound + 1), repeat=graph.n), target_k)
 
 
 def half_dense_graph(n, rng):
@@ -182,18 +169,15 @@ class TestExhaustive:
 
     def test_matches_direct_enumeration(self):
         # the census must agree field for field with folding the oracle over
-        # the whole space, whatever the early stop, pruning and worker count
+        # the whole space, whatever the early stop and worker count
         rng = random.Random(11860)
         for graph in sweep_graphs():
             bound = rng.randint(1, 3)
             for target_k in (None, 0, 1, 2):
-                for prune in (False, True):
-                    want = reference_census(graph, bound, target_k, prune)
-                    for jobs in (1, 2):
-                        cfg = SearchConfig(
-                            max_weight=bound, target_k=target_k, prune_symmetry=prune, jobs=jobs
-                        )
-                        assert search_min_k(graph, cfg) == want, (graph.edges(), cfg)
+                want = reference_census(graph, bound, target_k)
+                for jobs in (1, 2):
+                    cfg = SearchConfig(max_weight=bound, target_k=target_k, jobs=jobs)
+                    assert search_min_k(graph, cfg) == want, (graph.edges(), cfg)
 
     def test_matches_direct_enumeration_past_one_machine_word(self):
         # sums reach 2W, so at these bounds the tie masks and sum bitsets span
@@ -212,10 +196,9 @@ class TestExhaustive:
         )
         for graph, bound, targets in cases:
             for target_k in targets:
-                for prune in (False, True):
-                    want = reference_census(graph, bound, target_k, prune)
-                    cfg = SearchConfig(max_weight=bound, target_k=target_k, prune_symmetry=prune)
-                    assert search_min_k(graph, cfg) == want, (graph.edges(), cfg)
+                want = reference_census(graph, bound, target_k)
+                cfg = SearchConfig(max_weight=bound, target_k=target_k)
+                assert search_min_k(graph, cfg) == want, (graph.edges(), cfg)
 
     def test_matches_direct_enumeration_at_even_bounds(self):
         # at even W the census splits chunk W/2 into the boxes "vertices 0..j-1
@@ -233,18 +216,17 @@ class TestExhaustive:
         for graph in graphs:
             for bound in (2, 4, 6):
                 full = reference_census(graph, bound)
-                for prune in (False, True):
-                    for target_k in (None, 0, 1):
-                        # a census is the full scan, and so is an unpruned run whose
-                        # target lies below every k, since it stops nothing
-                        if target_k is None or not prune and (full.best_k is None or full.best_k > target_k):
-                            want = full
-                        else:
-                            want = reference_census(graph, bound, target_k, prune)
-                        cfg = SearchConfig(max_weight=bound, target_k=target_k, prune_symmetry=prune)
-                        assert search_min_k(graph, cfg) == want, (graph.edges(), cfg)
-                        if graph.n == 5 and target_k is None:
-                            assert search_min_k(graph, replace(cfg, jobs=2)) == want, (graph.edges(), cfg)
+                for target_k in (None, 0, 1):
+                    # a census is the full scan, and so is a run whose target lies
+                    # below every k, since it stops nothing
+                    if target_k is None or full.best_k is None or full.best_k > target_k:
+                        want = full
+                    else:
+                        want = reference_census(graph, bound, target_k)
+                    cfg = SearchConfig(max_weight=bound, target_k=target_k)
+                    assert search_min_k(graph, cfg) == want, (graph.edges(), cfg)
+                    if graph.n == 5 and target_k is None:
+                        assert search_min_k(graph, replace(cfg, jobs=2)) == want, (graph.edges(), cfg)
 
     def test_relative_census_matches_direct_enumeration(self, monkeypatch):
         # a census without a target counts each vector once up to translation; it
@@ -263,10 +245,9 @@ class TestExhaustive:
             for graph in graphs:
                 for bound in (2, 3) if n == 6 else (rng.choice((1, 3, 5)), rng.choice((2, 4))):
                     want = reference_census(graph, bound)
-                    for prune in (False, True):
-                        for jobs in (1, 2):
-                            cfg = SearchConfig(max_weight=bound, prune_symmetry=prune, jobs=jobs)
-                            assert search_min_k(graph, cfg) == want, (graph.edges(), cfg)
+                    for jobs in (1, 2):
+                        cfg = SearchConfig(max_weight=bound, jobs=jobs)
+                        assert search_min_k(graph, cfg) == want, (graph.edges(), cfg)
 
     def test_slowest_accepted_small_censuses_run_at_once(self):
         # the largest two-vertex census and the largest path-3 census under
@@ -304,12 +285,11 @@ class TestExhaustive:
         # boxes that split chunk W/2, so explored is that box's rank plus every
         # box before it
         graph = Graph(len(hit), edges)
-        for prune in (False, True):
-            want = reference_census(graph, bound, 1, prune)
-            assert want.best_witness.weights == hit and not want.exhaustive_within_bound
-            for jobs in (1, 2):
-                cfg = SearchConfig(max_weight=bound, target_k=1, prune_symmetry=prune, jobs=jobs)
-                assert search_min_k(graph, cfg) == want, cfg
+        want = reference_census(graph, bound, 1)
+        assert want.best_witness.weights == hit and not want.exhaustive_within_bound
+        for jobs in (1, 2):
+            cfg = SearchConfig(max_weight=bound, target_k=1, jobs=jobs)
+            assert search_min_k(graph, cfg) == want, cfg
 
     def test_even_bounds_where_the_all_half_prefix_ties_early(self):
         # with vertices 0..J-1 at W/2 every pair sums to W, so once they hold an
@@ -354,11 +334,10 @@ class TestExhaustive:
         graph = Graph(1)
         for bound in range(1, 41):
             for target_k in (None, 0, 3):
-                for prune in (False, True):
-                    want = reference_census(graph, bound, target_k, prune)
-                    for jobs in (1, 2):
-                        cfg = SearchConfig(max_weight=bound, target_k=target_k, prune_symmetry=prune, jobs=jobs)
-                        assert search_min_k(graph, cfg) == want, cfg
+                want = reference_census(graph, bound, target_k)
+                for jobs in (1, 2):
+                    cfg = SearchConfig(max_weight=bound, target_k=target_k, jobs=jobs)
+                    assert search_min_k(graph, cfg) == want, cfg
         assert sizes == []
 
     @pytest.mark.parametrize(
@@ -489,13 +468,12 @@ class TestDeterminismAndJobs:
         assert all(size <= min(3 + 2, os.cpu_count() or 1) for size in sizes)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         # vertex 0's orbit on C_4 is every vertex, so a census is one box, split by
-        # vertex 1's weight, W..2W, whether it prunes or not
+        # vertex 1's weight, W..2W
         for bound in (3, 4):
-            for prune in (False, True):
-                sizes.clear()
-                cfg = SearchConfig(max_weight=bound, jobs=10**6, prune_symmetry=prune)
-                assert search_min_k(g, cfg) == search_min_k(g, replace(cfg, jobs=1))
-                assert sizes == [bound + 1]
+            sizes.clear()
+            cfg = SearchConfig(max_weight=bound, jobs=10**6)
+            assert search_min_k(g, cfg) == search_min_k(g, replace(cfg, jobs=1))
+            assert sizes == [bound + 1]
         # vertex 0's orbit on the path 0-1-2-3 is {0, 3}, so the census keeps the
         # mirror.  Vertices 0..2 hold an edge and a non-edge, so J = 3: the pool gets
         # the box "vertex 1 below W" split into W boxes by vertex 1's weight, the box
@@ -506,11 +484,11 @@ class TestDeterminismAndJobs:
             assert search_min_k(make_path(4), cfg) == search_min_k(make_path(4), replace(cfg, jobs=1))
             assert sizes == [bound + 2]
         # a target run scans lexicographic chunks: the W//2 + 1 chunks w0 <= W/2 at
-        # odd W, the W/2 chunks below W/2 and chunk W/2 as J boxes at even W, and
-        # every chunk when pruning moves vertex 0; C_4 never gets k = 0, so every box runs
-        for bound, prune, count in ((3, False, 3 // 2 + 1), (4, False, 4 // 2 + 3), (3, True, 3 + 1)):
+        # odd W, and the W/2 chunks below W/2 and chunk W/2 as J boxes at even W;
+        # C_4 never gets k = 0, so every box runs
+        for bound, count in ((3, 3 // 2 + 1), (4, 4 // 2 + 3)):
             sizes.clear()
-            cfg = SearchConfig(max_weight=bound, target_k=0, prune_symmetry=prune, jobs=10**6)
+            cfg = SearchConfig(max_weight=bound, target_k=0, jobs=10**6)
             assert search_min_k(g, cfg) == search_min_k(g, replace(cfg, jobs=1))
             assert sizes == [count]
 
@@ -612,8 +590,7 @@ class TestDeterminismAndJobs:
         # vertex 0 at W and the rest of its orbit at W..2W, each leaf weighted by
         # |orbit|/m for its m orbit vertices at W.  Otherwise the mirror
         # u -> 2W - u keeps every count, so it scans one vector of each mirror
-        # pair, except in the last box, which is its own image and counts once.
-        # Pruning changes neither
+        # pair, except in the last box, which is its own image and counts once
         scanned = []
         scan = starpcg.search._scan_box
 
@@ -626,10 +603,10 @@ class TestDeterminismAndJobs:
         assert orbit_of_zero(pendant) == {0}
         cycle = make_cycle(5)
         assert orbit_of_zero(cycle) == set(range(5))
-        for graph, bound, prune in product((cycle, pendant), (4, 5, 6), (False, True)):
+        for graph, bound in product((cycle, pendant), (4, 5, 6)):
             scanned.clear()
-            res = search_min_k(graph, SearchConfig(max_weight=bound, prune_symmetry=prune))
-            assert res == reference_census(graph, bound), (graph.edges(), bound, prune)
+            res = search_min_k(graph, SearchConfig(max_weight=bound))
+            assert res == reference_census(graph, bound), (graph.edges(), bound)
             n = graph.n
             F, L, M, U = list(range(2 * bound + 1)), list(range(bound)), [bound], list(range(bound, 2 * bound + 1))
             covered = Counter()
@@ -660,16 +637,15 @@ class TestDeterminismAndJobs:
                         covered[tuple(x - lo + t for x in u)] += 1
                         if twice:
                             covered[tuple(hi - x + t for x in u)] += 1
-            assert covered == dict.fromkeys(product(range(bound + 1), repeat=n), 1), (bound, prune)
+            assert covered == dict.fromkeys(product(range(bound + 1), repeat=n), 1), bound
 
     def test_lexicographic_chunks_are_not_scanned_twice(self, monkeypatch):
         # a target run scans boxes of absolute weights in lexicographic order: the
         # chunks w0 < W/2, which count twice, once for their images under the mirror
         # w -> W - w, and at even W chunk W/2 as the boxes "vertices 0..j-1 at W/2,
         # vertex j below W/2" for j < J, which count twice too, and one box of the
-        # rest, its own image, which counts once.  The orbit bound of a pruned target
-        # run does not survive the mirror, so there it scans every chunk once.  Target 0
-        # is never hit on graphs with an edge, so every box runs
+        # rest, its own image, which counts once.  Target 0 is never hit on graphs
+        # with an edge, so every box runs
         scanned = []
         scan = starpcg.search._scan_box
 
@@ -680,46 +656,50 @@ class TestDeterminismAndJobs:
         monkeypatch.setattr(starpcg.search, "_scan_box", recording_scan)
         pendant = sweep_graphs()[0]
         cycle = make_cycle(5)
-        for graph, bound, prune in product((cycle, pendant), (4, 5, 6), (False, True)):
+        for graph, bound in product((cycle, pendant), (4, 5, 6)):
             assert tie_cut(graph) == 3
             scanned.clear()
-            res = search_min_k(graph, SearchConfig(max_weight=bound, target_k=0, prune_symmetry=prune))
+            res = search_min_k(graph, SearchConfig(max_weight=bound, target_k=0))
             assert res.exhaustive_within_bound
             n = graph.n
             F, half = list(range(bound + 1)), bound // 2
-            orbit = orbit_of_zero(graph) if prune else {0}
-            if len(orbit) > 1:
-                # chunk w0 holds vertex 0 at w0 and the rest of its orbit at w0..W
-                want = [[[w0]] + [F[w0:] if v in orbit else F for v in range(1, n)] for w0 in F]
-                twinned = 0
-            else:
-                want = [[[w0]] + [F] * (n - 1) for w0 in range((bound + 1) // 2)]
-                twinned = len(want)
-                if bound % 2 == 0:
-                    M, L = [half], F[:half]
-                    want += [[M, L] + [F] * (n - 2), [M, M, L] + [F] * (n - 3), [M] * 3 + [F] * (n - 3)]
-                    twinned += 2
-            assert scanned == want, (graph.edges(), bound, prune)
+            want = [[[w0]] + [F] * (n - 1) for w0 in range((bound + 1) // 2)]
+            twinned = len(want)
+            if bound % 2 == 0:
+                M, L = [half], F[:half]
+                want += [[M, L] + [F] * (n - 2), [M, M, L] + [F] * (n - 3), [M] * 3 + [F] * (n - 3)]
+                twinned += 2
+            assert scanned == want, (graph.edges(), bound)
             covered = Counter()
             for index, box in enumerate(scanned):
                 for u in product(*box):
                     covered[u] += 1
                     if index < twinned:
                         covered[tuple(bound - x for x in u)] += 1
-                    elif len(orbit) == 1:
+                    else:
                         # the last box at even W: vertices 0..2 share one weight and
                         # hold an edge and a non-edge, so every vector ties
                         assert isinstance(min_intervals_for_weights(graph, u), Infeasible), u
-            space = [v for v in product(F, repeat=n) if all(v[o] >= v[0] for o in orbit)]
-            assert covered == dict.fromkeys(space, 1), (graph.edges(), bound, prune)
+            space = list(product(F, repeat=n))
+            assert covered == dict.fromkeys(space, 1), (graph.edges(), bound)
             assert res.explored == len(space)
 
     def test_target_misses_match_the_census(self):
         # a target below every k stops nothing, so the lexicographic scan must give
         # the relative census's result field for field; these spaces are too large
-        # for reference_census, and no benchmark workload runs a target
+        # for reference_census, and no benchmark workload runs a target.  C_6, the
+        # 2x3 grid and K_{3,3} take the orbit-weighted census
         start = time.perf_counter()
-        for graph, bound, target_k in ((make_path(3), 120, 0), (make_cycle(7), 10, 1), (make_grid([3, 3]), 9, 2)):
+        k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+        cases = (
+            (make_path(3), 120, 0),
+            (make_cycle(7), 10, 1),
+            (make_grid([3, 3]), 9, 2),
+            (make_cycle(6), 8, 1),
+            (make_grid([2, 3]), 8, 0),
+            (k33, 6, 0),
+        )
+        for graph, bound, target_k in cases:
             census = search_min_k(graph, SearchConfig(max_weight=bound))
             assert census.best_k > target_k
             assert search_min_k(graph, SearchConfig(max_weight=bound, target_k=target_k)) == census, graph.edges()
@@ -911,19 +891,6 @@ class TestOrbitWeightedCensus:
 
 
 class TestSymmetryPruning:
-    def test_same_minimum_with_and_without(self):
-        # a census is exact whatever prune_symmetry says; a target run prunes.
-        # Target 0 is never hit on a graph with an edge, so each target run scans
-        # its whole space
-        for graph in (make_cycle(5), make_path(3), make_grid([2, 2])):
-            plain = search_min_k(graph, SearchConfig(max_weight=4))
-            assert search_min_k(graph, SearchConfig(max_weight=4, prune_symmetry=True)) == plain
-            unpruned = search_min_k(graph, SearchConfig(max_weight=4, target_k=0))
-            pruned = search_min_k(graph, SearchConfig(max_weight=4, target_k=0, prune_symmetry=True))
-            assert plain.best_k == unpruned.best_k == pruned.best_k
-            assert pruned.explored < unpruned.explored
-            assert verify(pruned.best_witness, graph).equal
-
     def test_orbit_backtracker_matches_every_permutation(self):
         # a vertex tried as an image and then given up must be freed again:
         # without that, 0 -> 2 on edges (0,3), (1,4), (2,3) is never found
@@ -950,13 +917,6 @@ class TestSymmetryPruning:
             moved = starpcg.search._orbit_of_zero(relabeled)
             assert time.perf_counter() - start < 1, n
             assert set(moved) == {perm[v] for v in orbit}, n
-
-    def test_asymmetric_graph_prunes_nothing(self):
-        # a pendant triangle has no automorphism moving vertex 0
-        g = Graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
-        plain = search_min_k(g, SearchConfig(max_weight=3))
-        pruned = search_min_k(g, SearchConfig(max_weight=3, prune_symmetry=True))
-        assert plain == pruned
 
 
 class TestValidation:
@@ -997,9 +957,9 @@ class TestValidation:
             ("jobs", 1.5),
             ("jobs", True),
             ("jobs", None),
-            ("prune_symmetry", "no"),
-            ("prune_symmetry", 1),
-            ("prune_symmetry", None),
+            ("mode", None),
+            ("mode", 1),
+            ("trials", True),
             ("rng_seed", None),
             ("rng_seed", True),
             ("rng_seed", 1.5),
@@ -1133,6 +1093,9 @@ class TestReporting:
         assert report["exhaustive_within_bound"] is True
         assert report["config"]["max_weight"] == 4
         assert report["config"]["trials"] is None  # exhaustive mode
+        # the echo names every SearchConfig field in order, rng_seed as seed, and no other key
+        names = ["seed" if f.name == "rng_seed" else f.name for f in fields(SearchConfig)]
+        assert list(report["config"]) == names
         assert set(report["k_histogram"]) <= {"1", "2", "3"}
         wit = report["best_witness"]
         assert isinstance(wit["weights"], list) and isinstance(wit["intervals"], list)
