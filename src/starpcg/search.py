@@ -19,26 +19,28 @@ from .graphs import Graph, _check_int, _oversized, _shown
 from .stars import Feasible, Witness, min_intervals_for_weights
 
 # Bounds the census's (W+1)^n * (1 + (2W+1)//64) leaf word operations.  It
-# sees neither tie pruning nor the census's counting up to translation, so
-# the slowest censuses it accepts are on graphs that seldom tie.  Single runs
-# of the relative census on a 2-vCPU x86-64 host, with figures that vary with
-# the host's load: Graph(2) at W = 3167, the largest two-vertex census, took
-# 0.02 s; path 3 at W = 415 took 0.47 s, path 4 at W = 124 took 3.7 s, and
-# path 5 at W = 53 took 16 s, the slowest measured with edges.  An edgeless
-# graph never ties: Graph(9) at W = 9 took 262 s, and only a node budget that
-# the walk counts would bound it.
+# sees neither tie pruning nor the census's counting up to translation and
+# symmetry, so the slowest censuses it accepts are on graphs that seldom tie
+# and have few automorphisms.  Single runs of the relative census on a 2-vCPU
+# x86-64 host, with figures that vary with the host's load: Graph(2) at
+# W = 3167, the largest two-vertex census, took 0.02 s; path 3 at W = 415
+# took 0.35 s, path 4 at W = 124 took 3.6 s, and path 5 at W = 53 took 14 s,
+# the slowest measured.  An edgeless graph never ties, but its stabilizer
+# chain leaves a scan of sorted vectors: Graph(9) at W = 9 took 0.17 s, and a
+# 9-vertex graph with one edge 0.30 s.
 SPACE_LIMIT = 10**9
 # Bounds random mode's trials * n(n+1)/2 * (1 + (2W+1)//64) word operations.
 # The slowest request it accepts, in a single run on the same host, is
 # 5*10^6 trials on one vertex, 13 s; the most memory, 87 MB peak RSS, goes
 # to one trial on two vertices at W = 5.3*10^7.
 RANDOM_WORK_LIMIT = 5 * 10**6
-# Bounds `_orbit_of_zero`: the candidate images it tests over all its searches.
-# Only a census with W + 1 >= n searches for an orbit, and SPACE_LIMIT keeps
-# that at n <= 9: 9^9 passes and 10^10 does not.  In a single run on a 2-vCPU
-# x86-64 host, the longest search among 29,004 seeded random graphs on 2 to 9
-# vertices, some of them 2- to 4-regular, needed 498 tests (under 1 ms).  The
-# cap stays as a safety bound; a spent budget leaves the census exact.
+# Bounds `_stabilizer_chain`: the candidate images it tests over all its
+# searches.  Only a census with W + 1 >= n searches for a chain, and
+# SPACE_LIMIT keeps that at n <= 9: 9^9 passes and 10^10 does not.  In a
+# single run on a 2-vCPU x86-64 host, the longest chain search among 28,516
+# seeded graphs on 2 to 9 vertices (random, randomly labelled 2- to 4-regular,
+# edgeless and complete) needed 622 tests (0.4 ms).  The cap stays as a safety
+# bound; a spent budget leaves the census exact.
 ORBIT_STEPS = 20_000
 
 MODE_EXHAUSTIVE = "exhaustive"
@@ -56,8 +58,8 @@ class SearchConfig:
     order) achieving at most target_k intervals.  jobs > 1 spreads the
     census's boxes over min(jobs, boxes, cpu count) processes; the merge
     reproduces the serial scan exactly.  A census without a target picks its
-    boxes itself, using vertex 0's orbit when that pays, and its counts are
-    exact either way.  `search_min_k` states the boxes.  Random mode ignores
+    boxes itself, using the automorphisms it finds when that pays, and its
+    counts are exact either way.  `search_min_k` states the boxes.  Random mode ignores
     jobs: it always runs in-process, though `search_report` echoes the
     field.  It refuses trials * n(n+1)/2 * (1 + (2W+1)//64) above
     RANDOM_WORK_LIMIT, as the census refuses (W+1)^n * (1 + (2W+1)//64)
@@ -193,13 +195,22 @@ def _scan_box(args) -> _ChunkStats:
     the histogram.  The lexicographically first translate of u is u - lo,
     and that of its mirror image (w -> W - w) is hi - u; their keys are
     key(u) - lo * R and hi * R - key(u) with R = key(1, ..., 1).
-    `explored` is left at 0: the caller knows the size of the space.  With
-    a non-empty `orbit`, the orbit of vertex 0 under a group of
-    automorphisms, the box holds the rest of the orbit at W..2W, and a leaf
-    with m orbit vertices at W goes to histogram m.  The m of vertices
-    0..n-3 is read once per level-(n-2) node; vertex n-2 at W adds one, and
-    so does the last vertex at W, its lowest weight.  The box's histogram
-    then holds the sum over m of c_{m,k} * lcm(1..|orbit|) / m, an integer.
+    `explored` is left at 0: the caller knows the size of the space.
+
+    `levels` holds the non-trivial orbits O_i of a stabilizer chain (see
+    `_stabilizer_chain`), each led by its level's vertex i; it is empty
+    outside the census's chain box.  The box holds every vertex of O_i at
+    or above w_i: vertex 0's orbit at W..2W in the spans, and every deeper
+    level as a floor, the largest w_i over the levels whose orbit holds the
+    vertex, applied as the vertex is placed.  A leaf counts
+    prod |O_i| / prod m_i times, where m_i is the number of vertices of O_i
+    at w_i, so it goes to the histogram of its product P = prod m_i.  Only
+    twins of i can share w_i in a tie-free leaf, so without twins in the
+    orbits every leaf has P = 1; otherwise the counts are read once per
+    weight of vertex n-2, since the last vertex can add to them only at its
+    floor, its lowest weight.  The box's histogram holds the sum over P of
+    c_{P,k} * L / P, with L = prod lcm(1..|O_i|) (1 without levels), an
+    integer.
 
     With a target the box holds absolute weights 0..W, and the walk starts
     at lo = 0 and hi = W, so the window is {0..W} and drops no weight.
@@ -209,26 +220,47 @@ def _scan_box(args) -> _ChunkStats:
     target_k.  `explored` is the box's size, or on a hit the number of box
     vectors up to the hit, which is what a plain scan visits before it stops.
     """
-    rows, spans, bound, target_k, orbit = args
+    rows, spans, bound, target_k, levels = args
     n = len(rows)
     B = bound + 1
     R = (B**n - 1) // bound
     run_count = _run_count
-    # k is at most the number of edges, below n * n.  hists[m] counts the leaves
-    # with m orbit vertices at vertex 0's weight W; without an orbit every leaf
-    # goes to hists[0]
+    # k is at most the number of edges, below n * n.  hists[P] counts the leaves
+    # whose chain levels have prod m_i = P; without levels every leaf has P = 1
     hist = [0] * (n * n)
-    hists = [hist]
-    # the orbit vertices below n-2, read once per level-(n-2) node; vertex n-2
-    # adds to m at weight W, and the last vertex at its lowest weight, W
-    head = ()
-    x_orbit = -1
-    y_orbit = 0
-    if orbit:
-        hists += ([0] * (n * n) for _ in orbit)
-        head = [v for v in orbit if v < n - 2]
-        x_orbit = bound if n - 2 in orbit else -1
-        y_orbit = 1 << bound if n - 1 in orbit else 0
+    hists = {1: hist}
+    # floors[v]: the level vertices i >= 1 whose orbit holds v, so w[v] >= w[i];
+    # vertex 0's orbit lies at W..2W in the spans.  The last vertex's floor is
+    # the largest w[i] over `lifts`, its levels i <= n-3 (0 included), and x
+    # too in a `pair`, the level {n-2, n-1}
+    floors: list[list[int]] = [[] for _ in range(n)]
+    lifts = []
+    pair = False
+    # Only twins (N(u) - v = N(v) - u) share a weight in a tie-free vector: a
+    # vertex adjacent to one of them alone would make one sum both an edge and
+    # a non-edge sum.  So m_i counts i and its twins in O_i at w_i: `twins`
+    # holds each level i whose orbit has twins of i, with those twins other
+    # than the last vertex, and whether the last vertex is one.  Without twins
+    # every leaf has P = 1
+    if levels:
+        nbrs = [set(nb) for nb, _ in rows]
+        for v, (nb, _) in enumerate(rows):
+            for j in nb:
+                nbrs[j].add(v)
+    twins = []
+    for orbit in levels:
+        i = orbit[0]
+        if i:
+            for v in orbit[1:]:
+                floors[v].append(i)
+        if i == n - 2:
+            pair = True
+        elif n - 1 in orbit:
+            lifts.append(i)
+        alike = [v for v in orbit[1:] if nbrs[v] - {i} == nbrs[i] - {v}]
+        if alike:
+            twins.append((i, [v for v in alike if v < n - 1], n - 1 in alike))
+    lifted = pair or bool(lifts)
     best_k = n * n
     best_key = 0
     last = n - 1
@@ -241,6 +273,12 @@ def _scan_box(args) -> _ChunkStats:
     span_last = spans[last]
     # above every weight, so that no shift of the comb below is negative
     S = max(spans).bit_length()
+
+    def hist_of(P: int) -> list[int]:
+        h = hists.get(P)
+        if h is None:
+            h = hists[P] = [0] * (n * n)
+        return h
 
     def descend(i: int, E: int, N: int, lo: int, hi: int, key: int) -> bool:
         nonlocal best_k, best_key
@@ -256,6 +294,9 @@ def _scan_box(args) -> _ChunkStats:
             T |= E >> wj
         # the window [hi - W, lo + W] keeps the span at most W
         free = 0 if ae & an else spans[i] & ~T & ((1 << (lo + B)) - (1 << (hi - bound)))
+        if floors[i]:
+            f = max([w[j] for j in floors[i]])
+            free = free >> f << f
         if i < last - 1:
             while free:
                 low = free & -free
@@ -288,8 +329,9 @@ def _scan_box(args) -> _ChunkStats:
             wj = w[j]
             ln |= 1 << wj
             fixed |= E >> wj
-        # the last vertex ties at every weight, whatever x is
-        if la & ln or not span_last & ~fixed:
+        # the last vertex ties at every weight at or above its floor, whatever x is
+        fy = fy0 = max([w[i] for i in lifts]) if lifts else 0
+        if la & ln or not (span_last & ~fixed) >> fy0:
             return False
         # drop the x at which the last vertex would split vertex n-2 from an
         # earlier vertex of equal weight
@@ -301,7 +343,8 @@ def _scan_box(args) -> _ChunkStats:
             C |= an << (S - w[j])
         for j in non_last:
             C |= ae << (S - w[j])
-        m = [w[v] for v in head].count(bound) if head else 0
+        # without twins every leaf goes to `hist`
+        h = hx = hist
         while free:
             low = free & -free
             x = low.bit_length() - 1
@@ -313,6 +356,9 @@ def _scan_box(args) -> _ChunkStats:
                 lo2 = lo if lo < x else x
                 hi2 = hi if hi > x else x
                 free_last &= (1 << (lo2 + B)) - (1 << (hi2 - bound))
+                if lifted:
+                    fy = x if pair and x > fy0 else fy0
+                    free_last = free_last >> fy << fy
             if not free_last:
                 continue
             E1 = E | ae << x
@@ -320,10 +366,17 @@ def _scan_box(args) -> _ChunkStats:
             ae1, an1 = (la | low, ln) if adj else (la, ln | low)
             base = (key * B + x) * B
             if target_k is None:
-                # with vertex n-2 placed; the last vertex at W adds one more
-                mx = m + (x == x_orbit)
-                hx = hists[mx]
-                h = hists[mx + 1] if free_last & y_orbit else hx
+                if twins:
+                    # P with vertex n-2 placed, and P_y with the last vertex at its
+                    # floor fy, its lowest weight, too
+                    w[last - 1] = x
+                    P = P_y = 1
+                    for i, vs, holds_last in twins:
+                        c = 1 + [w[v] for v in vs].count(w[i])
+                        P *= c
+                        P_y *= c + 1 if holds_last and w[i] == fy else c
+                    hx = hist_of(P)
+                    h = hist_of(P_y) if free_last >> fy & 1 else hx
                 while free_last:
                     low_last = free_last & -free_last
                     # ae1 * low_last is ae1 << (the last vertex's weight), without finding it
@@ -356,16 +409,14 @@ def _scan_box(args) -> _ChunkStats:
         return False
 
     hit = descend(0, 0, 0, 0 if target_k is not None else bound, bound, 0)
-    stats = _ChunkStats(histogram={k: c for k, c in enumerate(hist) if c}, hit=hit)
-    if orbit:
-        # a leaf with m orbit vertices at W counts 1/m, scaled by lcm(1..|orbit|)
-        # to stay an integer; `_search` divides the scale out
-        scale = math.lcm(*range(1, len(orbit) + 1))
-        stats.histogram = {}
-        for m in range(1, len(hists)):
-            for k, c in enumerate(hists[m]):
-                if c:
-                    stats.histogram[k] = stats.histogram.get(k, 0) + c * (scale // m)
+    # a leaf of product P counts 1/P, scaled by L to stay an integer; `_search`
+    # divides L out
+    scale = math.prod(math.lcm(*range(1, len(orbit) + 1)) for orbit in levels)
+    stats = _ChunkStats(hit=hit)
+    for P, h in hists.items():
+        for k, c in enumerate(h):
+            if c:
+                stats.histogram[k] = stats.histogram.get(k, 0) + c * (scale // P)
     if best_k < n * n:
         digits = []
         for _ in range(n):
@@ -409,92 +460,126 @@ def _merge_chunks(chunks: Iterable[_ChunkStats], twinned: int) -> _ChunkStats:
     return total
 
 
-def _orbit_of_zero(graph: Graph) -> tuple[int, ...]:
-    """Vertex 0's orbit under the automorphisms found, in increasing order.
+def _stabilizer_chain(graph: Graph) -> list[tuple[int, ...]]:
+    """The orbits O_0..O_{n-1} of a stabilizer chain, each in increasing order.
 
-    Vertex 0 is its own image, and only a vertex with vertex 0's degree and
-    sorted neighbour degrees can be another.  Each candidate that no map
-    found so far reaches gets one backtracking search for an
-    adjacency-preserving bijection sending 0 there, all over one placement
-    order: vertices in breadth-first order from vertex 0, each further
-    component from its lowest vertex.  A vertex with a parent in that order
-    must map to a neighbour of its parent's image, so its candidates are
-    those neighbours; a component's root may map to any unused vertex.
-    Each candidate must have the vertex's degree and its adjacency to every
-    placed vertex.  The orbit is closed under every map found, so it is
-    always the orbit of a group of automorphisms.  The searches share
-    ORBIT_STEPS candidate tests; once those are spent the result is the
-    orbit of the maps found so far, a group's orbit still, so every use of
-    the orbit in `search_min_k` stays exact.
+    O_i is the closure of {i} under the automorphisms found that fix
+    0..i-1 pointwise, so i is its least vertex and the groups are nested.
+    Levels are searched from the deepest up, so each level's closure uses
+    the maps found below it.  At level i only a vertex t > i with i's
+    degree, sorted neighbour degrees and adjacency to 0..i-1 can be an
+    image of i, and each such t that no map found so far reaches gets one
+    backtracking search for an adjacency-preserving bijection fixing
+    0..i-1 and sending i to t.  It places the other vertices in one
+    breadth-first order from vertex 0, each further component from its
+    lowest vertex; a vertex with a parent in that order must map to a
+    neighbour of its parent's image, and every candidate must match the
+    vertex's degree and sorted neighbour degrees and its adjacency to every
+    placed vertex.  The searches share ORBIT_STEPS candidate tests; once
+    those are spent, the level being searched keeps the orbit of the maps
+    found so far and the levels above it keep O_i = {i}.  Every O_i is
+    then still the orbit of a group of automorphisms fixing 0..i-1, nested
+    as before, so every use of the chain in `search_min_k` stays exact.
     """
     n = graph.n
-    degree = [graph.degree(v) for v in range(n)]
-    profile = sorted(degree[u] for u in graph.neighbors(0))
-    alike = [
-        v
-        for v in range(1, n)
-        if degree[v] == degree[0] and sorted(degree[u] for u in graph.neighbors(v)) == profile
-    ]
-    order: list[int] = []
+    nbrs = [sorted(graph.neighbors(v)) for v in range(n)]
+    # adjacency as bitsets, and a class id per (degree, sorted neighbour degrees)
+    degree = [len(a) for a in nbrs]
+    adj: list[int] = []
+    shape: list[int] = []
+    shapes: dict[tuple[int, ...], int] = {}
+    for a in nbrs:
+        bits = 0
+        profile = []
+        for u in a:
+            bits |= 1 << u
+            profile.append(degree[u])
+        profile.sort()
+        adj.append(bits)
+        shape.append(shapes.setdefault((len(a), *profile), len(shapes)))
+    # breadth-first order from vertex 0, each further component from its lowest
+    # vertex, with each vertex's parent in that order (-1 for a root)
+    bfs: list[int] = []
     parent = [-1] * n
     seen = [False] * n
     for root in range(n):
         if seen[root]:
             continue
         seen[root] = True
-        head = len(order)
-        order.append(root)
-        while head < len(order):
-            u = order[head]
+        head = len(bfs)
+        bfs.append(root)
+        while head < len(bfs):
+            u = bfs[head]
             head += 1
-            for v in sorted(graph.neighbors(u)):
+            for v in nbrs[u]:
                 if not seen[v]:
                     seen[v] = True
                     parent[v] = u
-                    order.append(v)
+                    bfs.append(v)
+    orbits = [(v,) for v in range(n)]
+    maps: list[list[int]] = []
     steps = 0
 
-    def extend(pos: int) -> bool:
+    def close(orbit: set[int]) -> None:
+        frontier = list(orbit)
+        while frontier:
+            v = frontier.pop()
+            for g in maps:
+                if g[v] not in orbit:
+                    orbit.add(g[v])
+                    frontier.append(g[v])
+
+    def extend(pos: int, used: int) -> bool:
+        # used: the images of the vertices placed before position pos
         nonlocal steps
         if pos == n:
             return True
         u = order[pos]
         p = parent[u]
-        for cand in range(n) if p < 0 else sorted(graph.neighbors(image[p])):
-            if used[cand] or degree[cand] != degree[u]:
+        # a candidate's placed neighbours must be the images of u's
+        mapped = 0
+        for t in nbrs[u]:
+            if rank[t] < pos:
+                mapped |= 1 << image[t]
+        for cand in range(n) if p < 0 else nbrs[image[p]]:
+            if used >> cand & 1 or shape[cand] != shape[u]:
                 continue
             steps += 1
             if steps > ORBIT_STEPS:
                 return False
-            if all(graph.has_edge(u, t) == graph.has_edge(cand, image[t]) for t in order[:pos]):
+            if adj[cand] & used == mapped:
                 image[u] = cand
-                used[cand] = True
-                if extend(pos + 1):
+                if extend(pos + 1, used | 1 << cand):
                     return True
-                used[cand] = False
         return False
 
-    maps: list[list[int]] = []
-    orbit = {0}
-    for target in alike:
-        if target in orbit:
+    for i in range(n - 2, -1, -1):
+        fixed = (1 << i) - 1
+        alike = [t for t in range(i + 1, n) if shape[t] == shape[i] and not (adj[t] ^ adj[i]) & fixed]
+        if not alike:
             continue
-        image = [-1] * n
-        used = [False] * n
-        image[0] = target
-        used[target] = True
-        if extend(1):
-            maps.append(image)
-            frontier = list(orbit)
-            while frontier:
-                v = frontier.pop()
-                for g in maps:
-                    if g[v] not in orbit:
-                        orbit.add(g[v])
-                        frontier.append(g[v])
-        elif steps > ORBIT_STEPS:
+        # 0..i first, then the rest in breadth-first order, where every parent
+        # still comes before its children
+        order = [*range(i + 1), *(v for v in bfs if v > i)]
+        rank = [0] * n
+        for pos, v in enumerate(order):
+            rank[v] = pos
+        # every map found so far, at this level or below, fixes 0..i-1
+        orbit = {i}
+        close(orbit)
+        for t in alike:
+            if t in orbit:
+                continue
+            image = list(range(i)) + [t] + [-1] * (n - i - 1)
+            if extend(i + 1, fixed | 1 << t):
+                maps.append(image)
+                close(orbit)
+            elif steps > ORBIT_STEPS:
+                break
+        orbits[i] = tuple(sorted(orbit))
+        if steps > ORBIT_STEPS:
             break
-    return tuple(sorted(orbit))
+    return orbits
 
 
 def _validated(graph: Graph, cfg: SearchConfig) -> SearchConfig:
@@ -542,35 +627,45 @@ def search_min_k(graph: Graph, cfg: SearchConfig | None = None) -> SearchResult:
     folded as they arrive.  This function alone decides the boxes.  Adding
     c to every weight adds 2c to every pair sum, and mapping every weight w
     to W - w maps each sum s to 2W - s; both keep every tie and run count.
-    J is the first j >= 2 at which vertices 0..j-1 hold an edge and a
-    non-edge, or n if there is none; once vertices 0..J-1 share one weight,
-    every pair among them has the same sum, so when J < n every vector left
-    ties.
+    Two vertices u and v share a weight in a tie-free vector only if they
+    are twins, N(u) - v = N(v) - u: a vertex adjacent to one of them alone
+    would make one sum both an edge and a non-edge sum.  T is the first
+    vertex that is not a twin of vertex 0, or n if there is none.  J is the
+    first j >= 2 at which vertices 0..j-1 hold an edge and a non-edge, or n;
+    once vertices 0..J-1 share one weight, every pair among them has the
+    same sum, so when J < n every vector left ties.
     One kernel, `_scan_box`, scans every box; the target picks its leaf
     mode.  Without a target, the census counts each vector once up to
     translation.  It scans relative vectors, vertex 0 at W in offset weights
     0..2W with every span at most W, and a leaf of span R stands for its
     W + 1 - R translates.  Under the mirror u -> 2W - u it scans the canonical
     half, the vectors whose first weight other than W is below W: the boxes
-    "vertices 1..j-1 at W, vertex j below W, the rest free" for j = 1..J-1,
-    which count twice, and the box "vertices 0..J-1 at W", its own image,
-    which counts once: J boxes.  When vertex 0's orbit O under the
-    automorphisms `_orbit_of_zero` finds has three or more vertices, the
-    census is instead one box, vertex 0 at W and the rest of O at W..2W, with
-    no mirror.  Give each vector the weight 1/m, for the m vertices of O at
-    O's lowest weight, to each of those vertices.  An automorphism maps
-    {0..W}^n onto itself, keeps every count and permutes O, so every vertex
-    of O receives the same total weight, and every count is |O| times the
-    sum of 1/m over the vectors in which vertex 0 is lightest among O: the
-    box's vectors, up to translation.  The orbit search is skipped when
-    W + 1 < n, where every tie-free vector gives two twins one weight.  A
-    pool gets the first box split by vertex 1's weight.  The explored count
-    is the size of the space, (W+1)^n.  The witness is the lexicographically
-    first vector with the best k, the least over those leaves of the
-    translate with minimum 0 and that of its mirror image.  The
-    orbit-weighted box holds it too: the first best vector of {0..W}^n has
-    no orbit vertex below vertex 0, or an automorphism taking that vertex to
-    0 would give an earlier one.
+    "vertices 1..j-1 at W, vertex j below W, the rest free" for j = 1..T,
+    which count twice.  Once vertices 0 and T share a weight every vector
+    ties, so the boxes past T and the all-W vector are not scanned; when
+    every vertex is a twin of vertex 0, the all-W vector is its own image
+    and counts once: T boxes either way.  The stabilizer chain of
+    `_stabilizer_chain` replaces the mirror when W + 1 >= n and its orbits
+    O_i, restricted to vertices 0..n-2, multiply to 3 or more; the mirror
+    halves the walk from vertex 1 on, while the last vertex's floor below
+    prunes only the last two levels.  Below W + 1 = n every tie-free vector gives two
+    twins one weight, and tie pruning does the work.  O_i is an orbit of a
+    group H_i of automorphisms fixing 0..i-1, with H_0 >= H_1 >= ...  The
+    census is then one box: vertex 0 at W, and every vertex of O_i at or
+    above w_i.  Give each vector the weight 1/m_0, for the m_0 vertices of
+    O_0 at O_0's lowest weight, to each of those vertices.  An automorphism
+    maps {0..W}^n onto itself, keeps every count and permutes O_0, so each
+    count is |O_0| times the sum of 1/m_0 over the vectors in which vertex 0
+    is lightest among O_0.  H_1 fixes vertex 0 and keeps O_0, so it keeps
+    that weighted sum, and level 1 divides it again in the same way, and so
+    on down the chain: each count is prod |O_i| times the sum of
+    1/prod m_i over the box's vectors, up to translation.  A pool gets the
+    first box split by vertex 1's weight.  The explored count is the size
+    of the space, (W+1)^n.  The witness is the lexicographically first
+    vector with the best k, the least over those leaves of the translate
+    with minimum 0 and that of its mirror image.  The chain's box holds it
+    too: a map of H_i taking i to a lighter vertex of O_i would give an
+    earlier vector with the same k, since it fixes 0..i-1.
     With a target, the census scans boxes of absolute weights 0..W in
     lexicographic order and stops at the first hit, so the explored count
     and the histogram are those of a plain scan up to the hit.  It scans the
@@ -626,24 +721,26 @@ def _search(graph: Graph, cfg: SearchConfig) -> SearchResult:
         n = graph.n
         rows = [_earlier_split(graph, i) for i in range(n)]
         relative = cfg.target_k is None
-        # a census's orbit-weighted box beats the mirror's halving from |orbit| = 3
-        # on.  Below W + 1 = n every tie-free vector gives two vertices one weight,
-        # which only twins may share, so tie pruning does the work
-        orbit = _orbit_of_zero(graph) if relative and bound + 1 >= n else ()
-        if len(orbit) < 3:
-            orbit = ()
-        # J: once vertices 0..J-1 at one weight hold an edge (a non-empty nb) and a
-        # non-edge (a non-empty non), every pair among them has the same sum and ties
-        cut = next((j for j in range(2, n) if all(map(any, zip(*rows[:j])))), n)
+        # a census's chain box beats the mirror's halving once the chain's orbits,
+        # restricted to vertices 0..n-2, multiply to 3 or more: the mirror halves
+        # the walk from vertex 1 on, while the last vertex's floor prunes only
+        # the last two levels.  Below W + 1 = n every tie-free vector gives two vertices one
+        # weight, which only twins may share, so tie pruning does the work
+        levels = ()
+        if relative and bound + 1 >= n:
+            levels = tuple(orbit for orbit in _stabilizer_chain(graph) if len(orbit) > 1)
+            if math.prod(len(orbit) - (orbit[-1] == n - 1) for orbit in levels) < 3:
+                levels = ()
         workers = min(cfg.jobs, os.cpu_count() or 1) if cfg.jobs > 1 else 1
         # relative vectors put vertex 0 at W in offset weights 0..2W; lexicographic
         # boxes keep the weights 0..W
         full = (1 << (2 * bound + 1 if relative else bound + 1)) - 1
-        if orbit:
+        if levels:
             # one box, vertex 0 at W and the rest of its orbit at W..2W, without the
-            # mirror; each leaf is weighted by 1/m for the m orbit vertices at W
+            # mirror; `_scan_box` applies the deeper levels' floors and weights
             upper = full >> bound << bound
-            boxes = iter([[1 << bound] + [upper if v in orbit else full for v in range(1, n)]])
+            zero = levels[0] if levels[0][0] == 0 else ()
+            boxes = iter([[1 << bound] + [upper if v in zero else full for v in range(1, n)]])
             box_count, twinned = 1, 0
         else:
             # the canonical half under the mirror: the lexicographic chunks w0 < W/2
@@ -653,15 +750,30 @@ def _search(graph: Graph, cfg: SearchConfig) -> SearchResult:
             box_count = twinned
             if relative or bound % 2 == 0:
                 # the chunk at the centre c (W, or W/2) is its own image: its vectors
-                # whose first weight other than c is below c count twice too.  Every
-                # vector left once vertices 0..cut-1 sit at c ties, and that rest is
-                # one box, its own image, counted once
+                # whose first weight other than c is below c count twice too
                 centre = bound if relative else bound // 2
                 mid, below = 1 << centre, (1 << centre) - 1
-                split = ([mid] * j + [below] + [full] * (n - 1 - j) for j in range(1, cut))
-                boxes = chain(boxes, split, [[mid] * cut + [full] * (n - cut)])
-                twinned += cut - 1
-                box_count = twinned + 1
+                if relative:
+                    # T: the first vertex that is not a twin of vertex 0, or n.  A
+                    # vertex telling vertices 0 and T apart makes one sum both an edge
+                    # and a non-edge sum when they share a weight, so the boxes past T
+                    # and the all-W vector tie whenever T < n
+                    nb0 = graph.neighbors(0)
+                    cut = next((t for t in range(1, n) if graph.neighbors(t) - {0} != nb0 - {t}), n)
+                    splits = min(cut, n - 1)
+                    rest = [[mid] * n] if cut == n else []
+                else:
+                    # J: once vertices 0..J-1 at one weight hold an edge (a non-empty
+                    # nb) and a non-edge (a non-empty non), every pair among them has
+                    # the same sum, so the rest past J ties; a lexicographic scan still
+                    # counts it up to a hit, as one box, its own image, counted once
+                    cut = next((j for j in range(2, n) if all(map(any, zip(*rows[:j])))), n)
+                    splits = cut - 1
+                    rest = [[mid] * cut + [full] * (n - cut)]
+                split = ([mid] * j + [below] + [full] * (n - 1 - j) for j in range(1, splits + 1))
+                boxes = chain(boxes, split, rest)
+                twinned += splits
+                box_count = twinned + len(rest)
         if relative and workers > 1:
             # a pool gets the first box split by vertex 1's weight
             first = next(boxes)
@@ -671,7 +783,7 @@ def _search(graph: Graph, cfg: SearchConfig) -> SearchResult:
             box_count += len(weights) - 1
             boxes = chain(([first[0], 1 << x, *first[2:]] for x in weights), boxes)
         workers = min(workers, box_count)
-        tasks = ((rows, spans, bound, cfg.target_k, orbit) for spans in boxes)
+        tasks = ((rows, spans, bound, cfg.target_k, levels) for spans in boxes)
         if workers == 1:
             total = _merge_chunks(map(_scan_box, tasks), twinned)
         else:
@@ -691,11 +803,12 @@ def _search(graph: Graph, cfg: SearchConfig) -> SearchResult:
                 total = _merge_chunks(in_order(), twinned)
         if relative:
             total.explored = (bound + 1) ** n
-            if orbit:
-                # count_k = |orbit| * sum over m of c_{m,k} / m, which `_scan_box`
-                # scaled by lcm(1..|orbit|)
-                scale = math.lcm(*range(1, len(orbit) + 1))
-                total.histogram = {k: c * len(orbit) // scale for k, c in total.histogram.items()}
+            if levels:
+                # count_k = prod |O_i| * sum over P of c_{P,k} / P, which `_scan_box`
+                # scaled by L = prod lcm(1..|O_i|)
+                size = math.prod(map(len, levels))
+                scale = math.prod(math.lcm(*range(1, len(orbit) + 1)) for orbit in levels)
+                total.histogram = {k: c * size // scale for k, c in total.histogram.items()}
     complete = cfg.mode == MODE_EXHAUSTIVE and not total.hit
 
     best_k = None

@@ -1,6 +1,8 @@
 """Bounded exhaustive and randomized weight-space search."""
 
 import concurrent.futures
+import hashlib
+import json
 import math
 import multiprocessing
 import os
@@ -12,6 +14,7 @@ import time
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -43,14 +46,27 @@ def best_or_inf(result):
     return math.inf if result.best_k is None else result.best_k
 
 
-def orbit_of_zero(graph):
-    """Images of vertex 0 under all automorphisms, by trying every permutation."""
+def automorphisms(graph):
+    """Every automorphism of `graph`, by trying every permutation."""
     edges = set(graph.edges())
-    return {
-        p[0]
-        for p in permutations(range(graph.n))
-        if all(tuple(sorted((p[u], p[v]))) in edges for u, v in edges)
-    }
+    return [
+        p for p in permutations(range(graph.n)) if all(tuple(sorted((p[u], p[v]))) in edges for u, v in edges)
+    ]
+
+
+def orbit_of_zero(graph):
+    """Images of vertex 0 under all automorphisms."""
+    return {p[0] for p in automorphisms(graph)}
+
+
+def stabilizer_orbits(graph):
+    """O_i: the images of i under the automorphisms fixing 0..i-1, for every i."""
+    group = automorphisms(graph)
+    orbits = []
+    for i in range(graph.n):
+        orbits.append(tuple(sorted({p[i] for p in group})))
+        group = [p for p in group if p[i] == i]
+    return orbits
 
 
 def fold(graph, vectors, target_k=None):
@@ -467,22 +483,22 @@ class TestDeterminismAndJobs:
         assert search_min_k(g, SearchConfig(max_weight=3, jobs=10**6)) == serial
         assert all(size <= min(3 + 2, os.cpu_count() or 1) for size in sizes)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        # vertex 0's orbit on C_4 is every vertex, so a census is one box, split by
-        # vertex 1's weight, W..2W
+        # vertex 0's orbit on C_4 is every vertex, so a census is the chain's one
+        # box, split by vertex 1's weight, W..2W
         for bound in (3, 4):
             sizes.clear()
             cfg = SearchConfig(max_weight=bound, jobs=10**6)
             assert search_min_k(g, cfg) == search_min_k(g, replace(cfg, jobs=1))
             assert sizes == [bound + 1]
-        # vertex 0's orbit on the path 0-1-2-3 is {0, 3}, so the census keeps the
-        # mirror.  Vertices 0..2 hold an edge and a non-edge, so J = 3: the pool gets
-        # the box "vertex 1 below W" split into W boxes by vertex 1's weight, the box
-        # "vertex 1 at W, vertex 2 below W", and the box "vertices 0..2 at W"
+        # the chain of the path 0-1-2-3 has orbits {0, 3} and {1, 2}, which
+        # multiply to 2 on vertices 0..2, so the census keeps the mirror.  Vertex 1
+        # is no twin of vertex 0, so T = 1: the pool gets the one box "vertex 1
+        # below W", split into W boxes by vertex 1's weight
         for bound in (3, 4):
             sizes.clear()
             cfg = SearchConfig(max_weight=bound, jobs=10**6)
             assert search_min_k(make_path(4), cfg) == search_min_k(make_path(4), replace(cfg, jobs=1))
-            assert sizes == [bound + 2]
+            assert sizes == [bound]
         # a target run scans lexicographic chunks: the W//2 + 1 chunks w0 <= W/2 at
         # odd W, and the W/2 chunks below W/2 and chunk W/2 as J boxes at even W;
         # C_4 never gets k = 0, so every box runs
@@ -504,13 +520,12 @@ class TestDeterminismAndJobs:
             assert [spans[0].bit_length() - 1 for spans in submitted] == list(range(len(submitted)))
             assert hit < len(submitted) <= hit + 1 + 2 * 2
         # with no target every box is submitted, vertex 0 at W = 6.  On the path 5
-        # the box "vertex 1 below W" comes split by vertex 1's weight, then "vertex 1
-        # at W, vertex 2 below W" and "vertices 0..2 at W", where vertices 0..2 hold
-        # an edge and a non-edge.  On C_5 the one orbit-weighted box comes split by
-        # vertex 1's weight, W..2W
-        F, L, M, U = (1 << 13) - 1, (1 << 6) - 1, 1 << 6, (1 << 13) - (1 << 6)
+        # vertex 1 is no twin of vertex 0 (T = 1), so the one box "vertex 1 below W"
+        # comes split by vertex 1's weight.  On C_5 the chain's one box comes split
+        # by vertex 1's weight, W..2W
+        F, M, U = (1 << 13) - 1, 1 << 6, (1 << 13) - (1 << 6)
         for graph, boxes in (
-            (make_path(5), [[M, 1 << x, F, F, F] for x in range(6)] + [[M, M, L, F, F], [M, M, M, F, F]]),
+            (make_path(5), [[M, 1 << x, F, F, F] for x in range(6)]),
             (make_cycle(5), [[M, 1 << x, U, U, U] for x in range(6, 13)]),
         ):
             submitted.clear()
@@ -586,11 +601,12 @@ class TestDeterminismAndJobs:
     def test_mirror_chunks_are_not_scanned(self, monkeypatch):
         # a census without a target scans relative vectors, vertex 0 at W in offset
         # weights 0..2W and a span of at most W, each standing for its translates.
-        # When vertex 0's orbit has three or more vertices the census is one box,
-        # vertex 0 at W and the rest of its orbit at W..2W, each leaf weighted by
-        # |orbit|/m for its m orbit vertices at W.  Otherwise the mirror
-        # u -> 2W - u keeps every count, so it scans one vector of each mirror
-        # pair, except in the last box, which is its own image and counts once
+        # C_5 takes the chain's one box: vertex 0 at W, the rest of its orbit at
+        # W..2W, every vertex of a deeper orbit O_i at or above w_i, and each leaf
+        # weighted by prod |O_i| / prod m_i for its m_i vertices of O_i at w_i.
+        # The pendant triangle keeps the mirror u -> 2W - u, which keeps every
+        # count, so it scans one vector of each mirror pair: vertex 1 is no twin of
+        # vertex 0 (T = 1), so the one box "vertex 1 below W" counts twice
         scanned = []
         scan = starpcg.search._scan_box
 
@@ -603,6 +619,9 @@ class TestDeterminismAndJobs:
         assert orbit_of_zero(pendant) == {0}
         cycle = make_cycle(5)
         assert orbit_of_zero(cycle) == set(range(5))
+        levels = [orbit for orbit in starpcg.search._stabilizer_chain(cycle) if len(orbit) > 1]
+        assert levels == [(0, 1, 2, 3, 4), (1, 4)]
+        group = automorphisms(cycle)
         for graph, bound in product((cycle, pendant), (4, 5, 6)):
             scanned.clear()
             res = search_min_k(graph, SearchConfig(max_weight=bound))
@@ -614,30 +633,33 @@ class TestDeterminismAndJobs:
                 assert scanned == [[M] + [U] * (n - 1)]
                 for u in product(*scanned[0]):
                     lo, hi = min(u), max(u)
-                    if hi - lo <= bound:
-                        for t in range(bound - (hi - lo) + 1):
-                            covered[tuple(x - lo + t for x in u)] += 1
-                # each vector in which vertex 0 is lightest among the orbit, once
-                space = [v for v in product(range(bound + 1), repeat=n) if v[0] == min(v)]
-                assert covered == dict.fromkeys(space, 1), bound
-                continue
-            # "vertex 1 below W", "vertex 1 at W, vertex 2 below W", then "vertices
-            # 0..2 at W": vertices 0..2 hold an edge and a non-edge
-            assert scanned == [[M, L] + [F] * (n - 2), [M, M, L] + [F] * (n - 3), [M] * 3 + [F] * (n - 3)]
-            for index, box in enumerate(scanned):
-                twice = index < len(scanned) - 1
-                for u in product(*box):
-                    lo, hi = min(u), max(u)
-                    if hi - lo > bound:
+                    if hi - lo > bound or any(u[v] < u[orbit[0]] for orbit in levels for v in orbit):
                         continue
-                    if not twice:
-                        # every vector of the last box ties: its vertices 0..2 share one weight
-                        assert isinstance(min_intervals_for_weights(graph, u), Infeasible), u
+                    share = Fraction(
+                        math.prod(map(len, levels)),
+                        math.prod(sum(u[v] == u[orbit[0]] for v in orbit) for orbit in levels),
+                    )
+                    for t in range(bound - (hi - lo) + 1):
+                        covered[tuple(x - lo + t for x in u)] += share
+                # each vector's orbit under the automorphisms is covered once per member
+                for vec in product(range(bound + 1), repeat=n):
+                    images = {tuple(vec[g[i]] for i in range(n)) for g in group}
+                    assert sum(covered[image] for image in images) == len(images), (vec, bound)
+                continue
+            assert scanned == [[M, L] + [F] * (n - 2)]
+            for u in product(*scanned[0]):
+                lo, hi = min(u), max(u)
+                if hi - lo <= bound:
                     for t in range(bound - (hi - lo) + 1):
                         covered[tuple(x - lo + t for x in u)] += 1
-                        if twice:
-                            covered[tuple(hi - x + t for x in u)] += 1
-            assert covered == dict.fromkeys(product(range(bound + 1), repeat=n), 1), bound
+                        covered[tuple(hi - x + t for x in u)] += 1
+            for vec in product(range(bound + 1), repeat=n):
+                if not covered[vec]:
+                    # the unscanned boxes put vertices 0 and 1 at one weight, and
+                    # vertex 2 is adjacent to 1 alone
+                    assert isinstance(min_intervals_for_weights(graph, vec), Infeasible), vec
+                else:
+                    assert covered[vec] == 1, (vec, bound)
 
     def test_lexicographic_chunks_are_not_scanned_twice(self, monkeypatch):
         # a target run scans boxes of absolute weights in lexicographic order: the
@@ -799,28 +821,34 @@ def relabeled(graph, seed):
 
 
 class TestOrbitWeightedCensus:
-    # a census whose vertex 0 has an orbit O of three or more vertices scans one
-    # box, vertex 0 at W and the rest of O at W..2W, and counts each leaf |O|/m
-    # times for its m orbit vertices at W.  On K_4, the edgeless graph, C_4 and
-    # K_{3,2} with vertex 0 in the part of three, orbit vertices are twins and
-    # share weights in feasible vectors, so m >= 2 occurs (all four at W, on K_4)
+    # a census with W + 1 >= n whose stabilizer chain has orbits O_i that multiply
+    # to 3 or more on vertices 0..n-2 scans one box: vertex 0 at W, the rest of
+    # O_0 at W..2W and every vertex of O_i at or above w_i, each leaf counted
+    # prod |O_i| / prod m_i times for its m_i vertices of O_i at w_i.  On K_4, the
+    # edgeless graph, C_4, K_{3,2} with vertex 0 in the part of three, the
+    # triangle plus an edge, two disjoint edges and K_{1,3} with vertex 0 a leaf,
+    # orbit vertices are twins and share weights in feasible vectors, so m_i >= 2
+    # occurs (all four at W, on K_4)
     TWINS = (
         Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
         Graph(4),
         make_cycle(4),
         Graph(5, [(u, v) for u in range(3) for v in (3, 4)]),
+        Graph(5, [(0, 2), (0, 3), (2, 3), (1, 4)]),
+        Graph(4, [(0, 1), (2, 3)]),
+        Graph(4, [(0, 3), (1, 3), (2, 3)]),
     )
 
     @staticmethod
     def recorded(monkeypatch):
-        """Patch in an in-process pool of two workers; return the orbit sizes that boxes are weighted by."""
+        """Patch in an in-process pool of two workers; return the chain orbit sizes that boxes are weighted by."""
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_executor([], []))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         weighted = []
         scan = starpcg.search._scan_box
 
         def recording_scan(args):
-            weighted.append(len(args[4]))
+            weighted.append(tuple(map(len, args[4])))
             return scan(args)
 
         monkeypatch.setattr(starpcg.search, "_scan_box", recording_scan)
@@ -828,38 +856,52 @@ class TestOrbitWeightedCensus:
 
     def test_weighted_census_matches_direct_enumeration(self, monkeypatch):
         # W on both sides of n - 1: below it every tie-free vector gives two
-        # vertices one weight, so the census skips the orbit search
+        # vertices one weight, so the census skips the chain search.  K_{1,3} with
+        # vertex 0 its centre, the path 5 with vertex 0 its middle and two twin
+        # pairs {0, 3} and {1, 4} keep the mirror: their chains multiply to 2 on
+        # vertices 0..n-2
         weighted = self.recorded(monkeypatch)
-        cases = [(make_cycle(5), 5), (relabeled(make_cycle(5), 5), 5), *zip(self.TWINS, (4, 4, 4, 3))]
-        for graph, orbit in cases:
+        mirrored = (
+            Graph(4, [(0, 1), (0, 2), (0, 3)]),
+            Graph(5, [(0, 1), (0, 2), (1, 3), (2, 4)]),
+            Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (3, 4)]),
+        )
+        sizes = ((4, 3, 2), (4, 3, 2), (4, 2), (3, 2, 2), (3, 2, 2), (4, 2), (3, 2))
+        cases = [
+            (make_cycle(5), (5, 2)),
+            (relabeled(make_cycle(5), 5), (5, 2)),
+            *zip(self.TWINS, sizes),
+            *((graph, ()) for graph in mirrored),
+        ]
+        for graph, chain in cases:
             n = graph.n
             for bound in (n - 2, n - 1, n):
                 want = reference_census(graph, bound)
                 for jobs in (1, 2):
                     weighted.clear()
                     assert search_min_k(graph, SearchConfig(max_weight=bound, jobs=jobs)) == want, (graph.edges(), bound)
-                    assert set(weighted) == {orbit if bound >= n - 1 else 0}
+                    assert set(weighted) == {chain if bound >= n - 1 else ()}, (graph.edges(), bound)
 
     def test_weighted_census_matches_the_mirror_census(self, monkeypatch):
         # past five vertices direct enumeration takes too long, so the reference is
-        # the census with no budget for the orbit search, which keeps the mirror's
+        # the census with no budget for the chain search, which keeps the mirror's
         # boxes (checked against direct enumeration in TestExhaustive)
         weighted = self.recorded(monkeypatch)
         steps = starpcg.search.ORBIT_STEPS
         cases = [
-            (make_cycle(6), 6),
-            (make_cycle(7), 7),
-            (make_cycle(8), 8),
-            (relabeled(make_cycle(7), 7), 7),
-            (relabeled(make_cycle(8), 8), 8),
-            (make_grid([2, 3]), 4),
-            (relabeled(make_grid([2, 3]), 21), 4),
-            # vertex 0 is a middle vertex, whose orbit of 2 keeps the mirror
-            (relabeled(make_grid([2, 3]), 23), 0),
-            (make_grid([3, 3]), 4),
-            (make_grid([2, 2, 2]), 8),
+            (make_cycle(6), (6, 2)),
+            (make_cycle(7), (7, 2)),
+            (make_cycle(8), (8, 2)),
+            (relabeled(make_cycle(7), 7), (7, 2)),
+            (relabeled(make_cycle(8), 8), (8, 2)),
+            (make_grid([2, 3]), (4,)),
+            (relabeled(make_grid([2, 3]), 21), (4,)),
+            # vertex 0 is a middle vertex: two orbits of 2
+            (relabeled(make_grid([2, 3]), 23), (2, 2)),
+            (make_grid([3, 3]), (4, 2)),
+            (make_grid([2, 2, 2]), (8, 3, 2)),
         ]
-        for graph, orbit in cases:
+        for graph, chain in cases:
             n = graph.n
             for bound in (n - 2, n - 1, n):
                 cfg = SearchConfig(max_weight=bound)
@@ -869,38 +911,44 @@ class TestOrbitWeightedCensus:
                 for jobs in (1, 2):
                     weighted.clear()
                     assert search_min_k(graph, replace(cfg, jobs=jobs)) == mirror, (graph.edges(), bound)
-                    assert set(weighted) == {orbit if bound >= n - 1 else 0}, (graph.edges(), bound)
+                    assert set(weighted) == {chain if bound >= n - 1 else ()}, (graph.edges(), bound)
 
     def test_any_orbit_search_budget_keeps_the_census(self, monkeypatch):
-        # a spent budget leaves the orbit of the maps found so far, the orbit of a
-        # group of automorphisms, and a census weighted by it stays exact; on Q_3
-        # some budgets stop between the group's orbits of sizes 2, 4 and 8
+        # a spent budget leaves each level the orbit of the maps found so far, a
+        # group fixing 0..i-1 whose orbits nest, and a census weighted by them
+        # stays exact.  On Q_3 the budgets stop at every stage of the chain, which
+        # is searched from the deepest level up: nothing, O_2 = {2, 4}, then
+        # O_1 = {1, 2, 4}, then O_0, closed under those maps, all 8 at once
         graphs = [(make_grid([2, 2, 2]), 7), (make_cycle(6), 6), (make_grid([3, 3]), 8), (self.TWINS[0], 4)]
         want = [search_min_k(graph, SearchConfig(max_weight=bound)) for graph, bound in graphs]
-        sizes = set()
-        for budget in range(0, 40, 3):
+        stages = set()
+        for budget in range(40):
             monkeypatch.setattr(starpcg.search, "ORBIT_STEPS", budget)
-            sizes.add(len(starpcg.search._orbit_of_zero(graphs[0][0])))
+            stages.add(tuple(map(len, starpcg.search._stabilizer_chain(graphs[0][0])[:3])))
             for (graph, bound), result in zip(graphs, want):
                 assert search_min_k(graph, SearchConfig(max_weight=bound)) == result, (graph.edges(), budget)
-        assert sizes == {1, 2, 4, 8}
-        # the orbit is closed under every map found, so two maps of C_40, a
-        # reflection and a rotation, reach the whole orbit within 100 steps
+        assert stages == {(1, 1, 1), (1, 1, 2), (1, 3, 2), (8, 3, 2)}
+        # the orbit is closed under every map found, level 1's reflection
+        # included, so one rotation-reaching map of C_40 completes O_0 within 100 steps
         monkeypatch.setattr(starpcg.search, "ORBIT_STEPS", 100)
-        assert starpcg.search._orbit_of_zero(make_cycle(40)) == tuple(range(40))
+        assert starpcg.search._stabilizer_chain(make_cycle(40))[:2] == [tuple(range(40)), (1, 39)]
 
 
 class TestSymmetryPruning:
-    def test_orbit_backtracker_matches_every_permutation(self):
+    def test_orbit_backtracker_matches_every_permutation(self, monkeypatch):
         # a vertex tried as an image and then given up must be freed again:
         # without that, 0 -> 2 on edges (0,3), (1,4), (2,3) is never found
-        assert starpcg.search._orbit_of_zero(Graph(5, [(0, 3), (1, 4), (2, 3)])) == (0, 2)
+        assert starpcg.search._stabilizer_chain(Graph(5, [(0, 3), (1, 4), (2, 3)]))[0] == (0, 2)
+        monkeypatch.setattr(starpcg.search, "ORBIT_STEPS", 10**9)
         rng = random.Random(11)
         for _ in range(300):
             n = rng.randint(4, 7)
             p = rng.random()
             graph = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-            assert set(starpcg.search._orbit_of_zero(graph)) == orbit_of_zero(graph), graph.edges()
+            chain = starpcg.search._stabilizer_chain(graph)
+            assert chain == stabilizer_orbits(graph), graph.edges()
+            # orbit-stabilizer: the orbit sizes multiply to the group's order
+            assert math.prod(map(len, chain)) == len(automorphisms(graph)), graph.edges()
 
     def test_orbit_backtracker_is_fast_on_asymmetric_cubic_graphs(self):
         # placing vertices in id order with only a degree filter took 4.5 s
@@ -908,15 +956,61 @@ class TestSymmetryPruning:
         for n in (20, 24):
             graph = random_regular(random.Random(n), n, 3)
             start = time.perf_counter()
-            orbit = starpcg.search._orbit_of_zero(graph)
+            orbit = starpcg.search._stabilizer_chain(graph)[0]
             assert time.perf_counter() - start < 1, n
             # relabeling the graph with vertex 0 fixed relabels the orbit
             perm = [0] + random.Random(n).sample(range(1, n), n - 1)
             relabeled = Graph(n, [(perm[u], perm[v]) for u, v in graph.edges()])
             start = time.perf_counter()
-            moved = starpcg.search._orbit_of_zero(relabeled)
+            moved = starpcg.search._stabilizer_chain(relabeled)[0]
             assert time.perf_counter() - start < 1, n
             assert set(moved) == {perm[v] for v in orbit}, n
+
+
+class TestReportDigest:
+    # sha256 of the `search_report` JSON over `report_corpus`, computed before
+    # the stabilizer-chain census and the cut of the mirror boxes past T landed:
+    # every census layout must keep every report byte
+    DIGEST = "c7e2e341488ab07443835d8a2c405b754c1a63d152b27837d60bed5674168af2"
+
+    @staticmethod
+    def report_corpus():
+        """Seeded (graph, config) pairs: every census layout, targets, jobs 2 and random mode."""
+        rng = random.Random(4040)
+        complete = lambda n: Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        graphs = [make_path(n) for n in (2, 3, 5, 6)]
+        graphs += [make_cycle(n) for n in (3, 4, 5, 6, 7)]
+        graphs += [relabeled(make_cycle(n), n) for n in (5, 6, 7)]
+        graphs += [make_grid([2, 3]), Graph(5, [(u, v) for u in range(3) for v in (3, 4)])]
+        graphs += [complete(4), complete(6), Graph(3), Graph(5), Graph(6)]
+        for n in range(2, 8):
+            for _ in range(3):
+                p = rng.random()
+                graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+        for index, graph in enumerate(graphs):
+            for bound in range(1, 8):
+                # W = 6 on every other 7-vertex graph: a census with W + 1 >= n
+                if (bound + 1) ** graph.n > 300_000 and not (graph.n == 7 and bound == 6 and index % 2 == 0):
+                    break
+                for target_k in (None, 0, 1, 2):
+                    if target_k is not None and (index + bound + target_k) % 3:
+                        continue
+                    jobs = 2 if (index + bound) % 4 == 0 else 1
+                    yield graph, SearchConfig(max_weight=bound, target_k=target_k, jobs=jobs)
+            yield graph, SearchConfig(max_weight=7, mode=MODE_RANDOM, trials=200, rng_seed=index)
+
+    def test_reports_keep_every_byte(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_executor([], []))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        start = time.perf_counter()
+        digest = hashlib.sha256()
+        count = 0
+        for graph, cfg in self.report_corpus():
+            digest.update(json.dumps([graph.n, graph.edges(), search_report(graph, cfg)]).encode())
+            count += 1
+        assert count == 541
+        assert digest.hexdigest() == self.DIGEST
+        assert time.perf_counter() - start < 3
 
 
 class TestValidation:
